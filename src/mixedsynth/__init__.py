@@ -11,7 +11,7 @@ from .archive import ModelArchive, load_archive, save_archive
 from .bart import BartConfig, BartSampler
 from .errors import MixedSynthError
 from .factor_model import ChainConfig, Hyperparams, PosteriorDraws, run_chain
-from .marginals import fit_categorical_probs, fit_marginal, inverse_cdf, ks_distance
+from .marginals import fit_categorical_probs, fit_marginal, ks_distance
 from .risk import AdversaryScenario, RiskReport, cmap_mean, risk_study
 from .schema import (
     ColumnSchema,
@@ -56,7 +56,6 @@ __all__ = [
     "PosteriorDraws",
     "run_chain",
     "fit_marginal",
-    "inverse_cdf",
     "fit_categorical_probs",
     "ks_distance",
     "Kind",

@@ -20,7 +20,7 @@ from .marginals import (
     marginal_from_dict,
     marginal_to_dict,
 )
-from .schema import ColumnSchema, Kind, expand_layout, schema_hash
+from .schema import ColumnSchema, Kind, expand_layout, schema_hash, schema_to_doc
 from .synthesizer import FittedCopula
 from .target_regression import TargetModelSummary
 
@@ -65,18 +65,6 @@ def _table_from_doc(doc):
     )
 
 
-def _schema_to_doc(schema) -> list:
-    return [
-        {
-            "name": cs.name,
-            "kind": cs.kind.value,
-            "levels": list(cs.levels) if cs.levels else None,
-            "role": cs.role,
-        }
-        for cs in schema
-    ]
-
-
 def _schema_from_doc(doc) -> tuple:
     return tuple(
         ColumnSchema(
@@ -102,8 +90,8 @@ def save_archive(
     full = full_schema if full_schema is not None else model.schema
     meta = {
         "format_version": _FORMAT_VERSION,
-        "schema": _schema_to_doc(model.schema),
-        "full_schema": _schema_to_doc(full),
+        "schema": schema_to_doc(model.schema),
+        "full_schema": schema_to_doc(full),
         "schema_hash": schema_hash(full),
         "seed": seed,
         "n_fit": model.n_fit,

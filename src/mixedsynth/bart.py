@@ -33,9 +33,6 @@ _MOVE_P = np.array([0.4, 0.4, 0.2])
 @dataclass(frozen=True)
 class BartConfig:
     trees: int = 200
-    iters: int = 1100
-    burn_in: int = 100
-    keep_every: int = 10
     nu: float = 3.0
     sigma_quantile: float = 0.90
     a_split: float = 0.95
@@ -43,8 +40,6 @@ class BartConfig:
     fix_sigma2: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.iters:
-            raise ValueError("need 0 <= burn_in < iters")
         if self.trees < 0:
             raise ValueError("trees must be >= 0")
 

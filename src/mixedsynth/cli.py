@@ -200,7 +200,7 @@ def _cmd_synth(cfg: dict) -> dict:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg["stem"]
-    files = []
+    files, digests = [], {}
     for i, s in enumerate(sets):
         cols = dict(s.columns)
         for name, summary in ar.targets.items():
@@ -210,12 +210,14 @@ def _cmd_synth(cfg: dict) -> dict:
         path = out_dir / f"{stem}_syn_{i}.csv"
         write_csv(full, path)
         files.append(path.name)
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     _json_out(out_dir / "manifest.json", {
         "config_hash": _config_hash(cfg),
         "seed": seed,
         "model": str(cfg["model"]),
         "model_schema_hash": ar.schema_hash,
         "files": files,
+        "sha256": digests,
     })
     log.info("wrote %d synthetic datasets to %s", len(files), out_dir)
     return {"files": [str(out_dir / f) for f in files]}

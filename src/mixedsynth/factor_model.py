@@ -49,7 +49,7 @@ __all__ = [
     "FactorState",
     "PosteriorDraws",
     "default_n_factors",
-    "compute_bounds",
+    "RankGroups",
     "init_state",
     "gibbs_sweep",
     "update_rank_column",
@@ -91,11 +91,59 @@ def default_n_factors(p_star: int) -> int:
     return min(MAX_FACTORS, math.ceil(p_star / 2))
 
 
+@dataclass(frozen=True)
+class RankGroups:
+    """Cells of one numeric column grouped by observed value, ascending.
+
+    Cells sharing a value form one group; only distinct values are ordered,
+    so a latent column is feasible iff every group's latents lie strictly
+    between those of the groups below and above it.
+    """
+
+    order: np.ndarray  # cell indices sorted by observed value (stable)
+    starts: np.ndarray  # group start offsets into order
+    gid: np.ndarray  # group index of each cell
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> "RankGroups":
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        if order.size:
+            starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+        else:
+            starts = np.empty(0, dtype=np.int64)
+        sizes = np.diff(np.append(starts, order.size))
+        gid = np.empty(order.size, dtype=np.int64)
+        gid[order] = np.repeat(np.arange(starts.size), sizes)
+        return cls(order, starts, gid)
+
+    def bounds(self, z_col: np.ndarray):
+        """Per-group truncation interval (lo, hi) given current latents.
+
+        lo is the largest latent of the group below, hi the smallest of the
+        group above; infinities at the ends.  In a feasible state these equal
+        the extremes over all strictly smaller and strictly larger values.
+        """
+        zo = z_col[self.order]
+        gmax = np.maximum.reduceat(zo, self.starts)
+        gmin = np.minimum.reduceat(zo, self.starts)
+        return (
+            np.concatenate(([-np.inf], gmax[:-1])),
+            np.concatenate((gmin[1:], [np.inf])),
+        )
+
+    def normal_scores(self) -> np.ndarray:
+        """Normal scores of rescaled mid-ranks; ties share a value."""
+        n = self.order.size
+        ends = np.append(self.starts[1:], n)
+        mid = 0.5 * (self.starts + 1 + ends)  # average of ranks s+1..e
+        return ndtri(mid[self.gid] / (n + 1.0))
+
+
 @dataclass
 class _RankCol:
     latent: int
-    order: np.ndarray  # cell indices sorted by observed value (stable)
-    starts: np.ndarray  # group start offsets into order
+    groups: RankGroups
 
 
 @dataclass
@@ -124,15 +172,7 @@ class FactorModelPlan:
             if col.kind is Kind.CATEGORICAL:
                 cat_cols.append(_CatCol(off, col.k, vals))
             else:
-                order = np.argsort(vals, kind="stable")
-                sorted_vals = vals[order]
-                if order.size:
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-                    )
-                else:
-                    starts = np.empty(0, dtype=np.int64)
-                rank_cols.append(_RankCol(off, order, starts))
+                rank_cols.append(_RankCol(off, RankGroups.from_values(vals)))
         return cls(layout, ds.n, rank_cols, cat_cols, layout.cat_latent_mask())
 
 
@@ -182,29 +222,6 @@ class PosteriorDraws:
         return self.corr.shape[1]
 
 
-def compute_bounds(values: np.ndarray, z_col: np.ndarray):
-    """Per-cell truncation interval for a rank column given current latents.
-
-    lower_i = max{ z_l : values_l < values_i }, upper_i = min{ z_l :
-    values_l > values_i }; infinities where no such cell exists.
-    """
-    values = np.asarray(values)
-    z_col = np.asarray(z_col, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    gmax = np.maximum.reduceat(z_col[order], starts)
-    gmin = np.minimum.reduceat(z_col[order], starts)
-    prefix = np.concatenate(([-np.inf], np.maximum.accumulate(gmax)[:-1]))
-    suffix = np.concatenate((np.minimum.accumulate(gmin[::-1])[::-1][1:], [np.inf]))
-    n_groups = starts.size
-    ends = np.append(starts[1:], order.size)
-    group_of = np.empty(order.size, dtype=np.int64)
-    for g in range(n_groups):
-        group_of[order[starts[g] : ends[g]]] = g
-    return prefix[group_of], suffix[group_of]
-
-
 def init_state(
     plan: FactorModelPlan,
     n_factors: int,
@@ -221,12 +238,7 @@ def init_state(
     n, p_star, k = plan.n, plan.layout.p_star, n_factors
     z = np.zeros((n, p_star))
     for rc in plan.rank_cols:
-        # mid-ranks from the stable sort order
-        ends = np.append(rc.starts[1:], n)
-        ranks = np.empty(n)
-        for s, e in zip(rc.starts, ends):
-            ranks[rc.order[s:e]] = 0.5 * (s + 1 + e)  # average of ranks s+1..e
-        z[:, rc.latent] = ndtri(ranks / (n + 1.0))
+        z[:, rc.latent] = rc.groups.normal_scores()
     for cc in plan.cat_cols:
         blk = z[:, cc.offset : cc.offset + cc.k]
         blk.fill(-0.5)
@@ -315,8 +327,7 @@ def update_rank_column(
     z_col: np.ndarray,
     mu: np.ndarray,
     sd: float,
-    order: np.ndarray,
-    starts: np.ndarray,
+    groups: RankGroups,
 ) -> None:
     """Odd/even blocked truncated-normal refresh of one rank column, in place.
 
@@ -325,18 +336,11 @@ def update_rank_column(
     Alternating over group parity therefore gives two conditionally
     independent blocks, each drawn in a single vectorized pass.
     """
-    n_groups = starts.size
-    if not n_groups:
+    if not groups.starts.size:
         return
-    sizes = np.diff(np.append(starts, order.size))
-    gid = np.empty(order.size, dtype=np.int64)
-    gid[order] = np.repeat(np.arange(n_groups), sizes)
+    gid = groups.gid
     for side in (0, 1):
-        zo = z_col[order]
-        gmax = np.maximum.reduceat(zo, starts)
-        gmin = np.minimum.reduceat(zo, starts)
-        lo = np.concatenate(([-np.inf], gmax[:-1]))
-        hi = np.concatenate((gmin[1:], [np.inf]))
+        lo, hi = groups.bounds(z_col)
         m = (gid & 1) == side
         g = gid[m]
         z_col[m] = truncnorm_sample(rng, mu[m], sd, lo[g], hi[g])
@@ -350,7 +354,7 @@ def update_latent(state: FactorState, plan: FactorModelPlan) -> None:
     rng = state.rng
     for rc in plan.rank_cols:
         c = rc.latent
-        update_rank_column(rng, state.z[:, c], fit[:, c], sd[c], rc.order, rc.starts)
+        update_rank_column(rng, state.z[:, c], fit[:, c], sd[c], rc.groups)
     for cc in plan.cat_cols:
         for lvl in range(cc.k):
             c = cc.offset + lvl
@@ -377,26 +381,6 @@ def rescale_draw(state: FactorState):
     corr = omega / np.outer(s, s)
     np.fill_diagonal(corr, 1.0)
     return corr, state.alpha / s
-
-
-def check_feasible(state: FactorState, plan: FactorModelPlan) -> bool:
-    """True iff Z satisfies every rank ordering and orthant sign pattern."""
-    for rc in plan.rank_cols:
-        zc = state.z[:, rc.latent]
-        gmax = np.maximum.reduceat(zc[rc.order], rc.starts)
-        gmin = np.minimum.reduceat(zc[rc.order], rc.starts)
-        if gmax.size > 1 and np.any(gmax[:-1] >= gmin[1:]):
-            return False
-    for cc in plan.cat_cols:
-        blk = state.z[:, cc.offset : cc.offset + cc.k]
-        pos = blk[np.arange(plan.n), cc.codes]
-        if np.any(pos <= 0):
-            return False
-        neg = blk.copy()
-        neg[np.arange(plan.n), cc.codes] = -1.0
-        if np.any(neg >= 0):
-            return False
-    return True
 
 
 def run_chain(

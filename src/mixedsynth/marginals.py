@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateMarginal",
     "CategoricalProbTable",
     "fit_marginal",
-    "inverse_cdf",
     "fit_categorical_probs",
     "ks_distance",
 ]
@@ -146,11 +145,6 @@ def fit_marginal(column, kind: Kind):
         return ContinuousMarginal(col, h)
     values, counts = np.unique(col.astype(np.int64), return_counts=True)
     return DiscreteMarginal(values, counts)
-
-
-def inverse_cdf(est, u):
-    """Generalized-inverse evaluation of a fitted marginal at u in (0,1)."""
-    return est.inverse(u)
 
 
 @dataclass

@@ -37,6 +37,7 @@ __all__ = [
     "load_dataset",
     "expand_layout",
     "write_csv",
+    "schema_to_doc",
     "schema_hash",
 ]
 
@@ -350,6 +351,9 @@ def load_dataset(csv_path, schema) -> MixedDataset:
         except StopIteration:
             raise SchemaError(f"{csv_path}: empty file") from None
         header = [h.strip() for h in header]
+        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if dup is not None:
+            raise SchemaError(f"{csv_path}: CSV header repeats column '{dup}'")
         by_name = {c.name: c for c in schema}
         for h in header:
             if h not in by_name:
@@ -411,9 +415,9 @@ def write_csv(ds: MixedDataset, path) -> None:
             )
 
 
-def schema_hash(schema) -> str:
-    """Stable SHA-256 over the canonical JSON form of a schema."""
-    doc = [
+def schema_to_doc(schema) -> list:
+    """JSON form of a schema: one {name, kind, levels, role} dict per column."""
+    return [
         {
             "name": c.name,
             "kind": c.kind.value,
@@ -422,5 +426,10 @@ def schema_hash(schema) -> str:
         }
         for c in schema
     ]
+
+
+def schema_hash(schema) -> str:
+    """Stable SHA-256 over the canonical JSON form of a schema."""
+    doc = schema_to_doc(schema)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -4,9 +4,11 @@ Per synthetic record: draw a joint categorical assignment from the empirical
 cell table, draw the categorical latent block from the matching diagonal
 orthant of N(alpha_cat, C_cat,cat) by coordinate Gibbs, draw the remaining
 latents from the exact Gaussian conditional, and push them through the
-inverse marginal CDFs.  Records of one dataset are synthesized as one
-vectorized batch; posterior draws cycle over records (round-robin) so
-parameter uncertainty enters every dataset.
+inverse marginal CDFs.  The orthant draw is the state after ORTHANT_SWEEPS
+sweeps from a fixed start inside the orthant; earlier sweeps are discarded.
+Records of one dataset are synthesized as one vectorized batch; posterior
+draws cycle over records (round-robin) so parameter uncertainty enters every
+dataset.
 """
 from __future__ import annotations
 
@@ -36,15 +38,13 @@ __all__ = [
     "SynthesisPlan",
     "ConditionalGaussian",
     "fit_copula_model",
-    "draw_categoricals",
     "sample_truncated_block",
     "conditional_moments",
     "synthesize_record",
     "synthesize_datasets",
 ]
 
-WARM_SWEEPS = 50
-KEPT_SWEEPS = 50
+ORTHANT_SWEEPS = 100
 _JITTER = 1e-8
 
 
@@ -101,13 +101,6 @@ def fit_copula_model(
     }
     table = fit_categorical_probs(cop) if layout.cat_columns else None
     return FittedCopula(draws, cop.schema, layout, margs, table, cop.n)
-
-
-def draw_categoricals(
-    table: CategoricalProbTable, rng: np.random.Generator, size: int = 1
-) -> np.ndarray:
-    """Joint categorical assignments, shape (size, q) of level codes."""
-    return table.draw(rng, size)
 
 
 def _cat_chol_or_raise(c_cc: np.ndarray):
@@ -224,11 +217,15 @@ def _orthant_box(layout: ExpandedLayout, assign: np.ndarray):
     return lo, hi
 
 
-def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, lo, hi, warm, sweeps):
-    """Coordinate Gibbs across a batch of records, each with its own draw."""
+def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, lo, hi, sweeps):
+    """Coordinate Gibbs across a batch of records, each with its own draw.
+
+    Starts inside the orthant at +-0.5 and returns the state after `sweeps`
+    full sweeps, visiting coordinates in ascending order.
+    """
     n, d_cat = lo.shape
     z = np.where(np.isinf(hi), 0.5, -0.5)
-    for it in range(warm + sweeps):
+    for _ in range(sweeps):
         centered = z - a_cat
         for j in range(d_cat):
             m = a_cat[:, j] + np.einsum("il,il->i", weights[:, j, :], centered)
@@ -243,8 +240,7 @@ def sample_truncated_block(
     assignment: np.ndarray,
     layout: ExpandedLayout,
     rng: np.random.Generator,
-    warm: int = WARM_SWEEPS,
-    sweeps: int = KEPT_SWEEPS,
+    sweeps: int = ORTHANT_SWEEPS,
 ) -> np.ndarray:
     """One z_cat draw honoring the orthant pattern of a single assignment."""
     mask = layout.cat_latent_mask()
@@ -254,7 +250,7 @@ def sample_truncated_block(
     assign = np.atleast_2d(np.asarray(assignment, dtype=np.int64))
     lo, hi = _orthant_box(layout, assign)
     z = _batched_orthant_gibbs(
-        rng, a_cat[None, :], w[None, :, :], sd[None, :], lo, hi, warm, sweeps
+        rng, a_cat[None, :], w[None, :, :], sd[None, :], lo, hi, sweeps
     )
     if not np.all(np.isfinite(z)):
         raise OrthantUnderflowError("orthant sampler produced non-finite values")
@@ -268,46 +264,31 @@ def _synthesize_batch(model: FittedCopula, draw_idx: np.ndarray, rng):
     d_cat = t["cat_idx"].size
     layout = model.layout
     if d_cat:
-        assign = model.cat_table.draw(rng, n)
-        lo, hi = _orthant_box(layout, assign)
-        z_cat = _batched_orthant_gibbs(
-            rng,
-            t["a_cat"][draw_idx],
-            t["w"][draw_idx],
-            t["sd"][draw_idx],
-            lo,
-            hi,
-            WARM_SWEEPS,
-            KEPT_SWEEPS,
-        )
-        bad = ~np.all(np.isfinite(z_cat), axis=1)
-        tries = 0
-        while np.any(bad):
-            tries += 1
-            if tries > 20:
-                raise OrthantUnderflowError(
-                    f"{int(bad.sum())} records kept underflowing their orthant"
+        # records whose draw underflowed get a fresh assignment and a redraw
+        assign = np.empty((n, len(layout.cat_columns)), dtype=np.int64)
+        z_cat = np.empty((n, d_cat))
+        rows = np.arange(n)
+        for tries in range(21):  # one draw plus up to 20 resamples
+            if tries:
+                warnings.warn(
+                    f"resampling {rows.size} categorical assignments after "
+                    "orthant underflow",
+                    OrthantResampleWarning,
+                    stacklevel=3,
                 )
-            warnings.warn(
-                f"resampling {int(bad.sum())} categorical assignments after "
-                "orthant underflow",
-                OrthantResampleWarning,
-                stacklevel=3,
-            )
-            rows = np.flatnonzero(bad)
             assign[rows] = model.cat_table.draw(rng, rows.size)
-            lo_b, hi_b = _orthant_box(layout, assign[rows])
+            lo, hi = _orthant_box(layout, assign[rows])
+            di = draw_idx[rows]
             z_cat[rows] = _batched_orthant_gibbs(
-                rng,
-                t["a_cat"][draw_idx[rows]],
-                t["w"][draw_idx[rows]],
-                t["sd"][draw_idx[rows]],
-                lo_b,
-                hi_b,
-                WARM_SWEEPS,
-                KEPT_SWEEPS,
+                rng, t["a_cat"][di], t["w"][di], t["sd"][di], lo, hi, ORTHANT_SWEEPS
             )
-            bad = ~np.all(np.isfinite(z_cat), axis=1)
+            rows = np.flatnonzero(~np.all(np.isfinite(z_cat), axis=1))
+            if not rows.size:
+                break
+        else:
+            raise OrthantUnderflowError(
+                f"{rows.size} records kept underflowing their orthant"
+            )
     else:
         assign = np.empty((n, 0), dtype=np.int64)
         z_cat = np.empty((n, 0))

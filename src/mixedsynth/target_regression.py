@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .bart import BartConfig, BartSampler, CovariateMatrix, ensemble_predict
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     NonNumericResponseError,
     SchemaMismatchError,
 )
-from .factor_model import update_rank_column
+from .factor_model import RankGroups, update_rank_column
 from .marginals import fit_marginal, marginal_from_dict, marginal_to_dict
 from .schema import Kind, MixedDataset
 from .streams import substream
@@ -46,6 +46,8 @@ class TargetConfig:
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iters:
             raise ValueError("need 0 <= burn_in < iters")
+        if self.keep_every < 1:
+            raise ValueError("keep_every must be >= 1")
 
 
 @dataclass
@@ -103,13 +105,6 @@ def _covariate_columns(ds: MixedDataset, sig: tuple):
     return cols, is_cat
 
 
-def _rank_groups(values: np.ndarray):
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    return order, starts
-
-
 def fit_target_model(
     ds: MixedDataset,
     response: str,
@@ -135,29 +130,17 @@ def fit_target_model(
     xmat = CovariateMatrix(cols, is_cat)
     rng = substream(config.seed, "target", response)
 
-    order, starts = _rank_groups(y)
-    n = ds.n
+    groups = RankGroups.from_values(y)
     # normal scores of mid-ranks: feasible and close to the stationary scale
-    ends = np.append(starts[1:], n)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
-    z = ndtri(ranks / (n + 1.0))
+    z = groups.normal_scores()
 
-    bart_cfg = BartConfig(
-        trees=config.trees,
-        iters=config.iters,
-        burn_in=config.burn_in,
-        keep_every=config.keep_every,
-        fix_sigma2=config.fix_sigma2,
-    )
+    bart_cfg = BartConfig(trees=config.trees, fix_sigma2=config.fix_sigma2)
     sampler = BartSampler(xmat, z, bart_cfg, rng)
 
     ensembles = []
     sigmas = []
     for it in range(config.iters):
-        update_rank_column(
-            rng, z, sampler.fit_total, np.sqrt(sampler.sigma2), order, starts
-        )
+        update_rank_column(rng, z, sampler.fit_total, np.sqrt(sampler.sigma2), groups)
         sampler.set_response(z)
         sampler.sweep()
         if it >= config.burn_in and (it - config.burn_in) % config.keep_every == 0:

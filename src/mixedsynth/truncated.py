@@ -1,17 +1,17 @@
-"""Truncated normal sampling: univariate (vectorized) and coordinate-Gibbs
-for box/orthant-constrained multivariate normals.
+"""Vectorized univariate truncated normal sampling.
 
-The univariate sampler inverts the normal CDF on the truncation interval,
-switching to a shifted-exponential rejection step (Robert-style) whenever the
-whole interval lies beyond 6 standard deviations, where the inverse-CDF path
-loses precision.
+The sampler inverts the normal CDF on the truncation interval, switching to
+a shifted-exponential rejection step (Robert-style) whenever the whole
+interval lies beyond 6 standard deviations, where the inverse-CDF path loses
+precision.  The multivariate orthant sampler built on it lives in
+`synthesizer`.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = ["truncnorm_sample", "tmvn_gibbs"]
+__all__ = ["truncnorm_sample"]
 
 _TAIL = 6.0
 
@@ -61,50 +61,3 @@ def truncnorm_sample(rng: np.random.Generator, mu, sigma, lo, hi) -> np.ndarray:
     x = np.where(flip, -x, x)
     x = np.clip(x, a, b)  # guard ndtri round-off at interval edges
     return mu + sigma * x
-
-
-def tmvn_gibbs(
-    rng: np.random.Generator,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    start: np.ndarray | None = None,
-    warm: int = 50,
-    sweeps: int = 50,
-) -> np.ndarray:
-    """Coordinate Gibbs for N(mean, cov) restricted to the box [lo, hi].
-
-    Runs ``warm`` discarded sweeps from ``start`` (default: midpoint of the
-    box clamped to +-1), then returns one state per kept sweep, shape
-    (sweeps, d).  Coordinates are visited in ascending order.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    d = mean.size
-    prec = np.linalg.inv(np.asarray(cov, dtype=np.float64))
-    cond_sd = 1.0 / np.sqrt(np.diag(prec))
-    # w[j] = -prec[j, -j] / prec[j, j], used for conditional means
-    w = -prec / np.diag(prec)[:, None]
-    np.fill_diagonal(w, 0.0)
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (d,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (d,))
-    if start is None:
-        z = np.clip(mean, lo, hi)
-        z = np.clip(z, np.where(np.isfinite(lo), lo, -1.0), np.where(np.isfinite(hi), hi, 1.0))
-        unbounded = ~np.isfinite(lo) & ~np.isfinite(hi)
-        z = np.where(unbounded, mean, z)
-        # nudge off the boundary
-        width_lo = np.where(np.isfinite(lo), lo + 1e-3, -np.inf)
-        width_hi = np.where(np.isfinite(hi), hi - 1e-3, np.inf)
-        ok = width_lo <= width_hi
-        z = np.where(ok, np.clip(z, width_lo, width_hi), 0.5 * (lo + hi))
-    else:
-        z = np.array(start, dtype=np.float64)
-    out = np.empty((sweeps, d))
-    for it in range(warm + sweeps):
-        for j in range(d):
-            m = mean[j] + w[j] @ (z - mean)
-            z[j] = truncnorm_sample(rng, m, cond_sd[j], lo[j], hi[j])[()]
-        if it >= warm:
-            out[it - warm] = z
-    return out

@@ -234,7 +234,7 @@ def test_criterion_4_sampler_unit_oracles():
     draws = np.empty((n_draws, 3))
     for r in range(n_draws):
         draws[r] = sample_truncated_block(
-            corr3, alpha3, np.array([1]), layout, rng, warm=60, sweeps=60
+            corr3, alpha3, np.array([1]), layout, rng, sweeps=120
         )
     tmvn_ok = bool(np.all(draws[:, 1] > 0) and np.all(draws[:, [0, 2]] < 0))
     worst = 0.0

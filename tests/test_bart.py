@@ -119,7 +119,7 @@ def _numeric_case():
     y = np.repeat([0.0, 0.45, 0.9], 8) + rng.normal(0, 0.05, x.size)
     y -= y.mean()
     xmat = CovariateMatrix([x], [False])
-    cfg = BartConfig(trees=1, iters=2, burn_in=1, fix_sigma2=0.25)
+    cfg = BartConfig(trees=1, fix_sigma2=0.25)
     return xmat, y, cfg
 
 
@@ -129,7 +129,7 @@ def _categorical_case():
     y = np.repeat([0.0, 0.5, 1.0], 8) + rng.normal(0, 0.05, x.size)
     y -= y.mean()
     xmat = CovariateMatrix([x], [True])
-    cfg = BartConfig(trees=1, iters=2, burn_in=1, fix_sigma2=0.3)
+    cfg = BartConfig(trees=1, fix_sigma2=0.3)
     return xmat, y, cfg
 
 
@@ -174,7 +174,7 @@ def _random_training(n=150, seed=4):
 
 def test_fit_total_matches_recompute_after_sweeps():
     xmat, y = _random_training()
-    cfg = BartConfig(trees=12, iters=2, burn_in=1)
+    cfg = BartConfig(trees=12)
     sampler = BartSampler(xmat, y, cfg, np.random.default_rng(5))
     for _ in range(60):
         sampler.sweep()
@@ -189,7 +189,7 @@ def test_fit_total_matches_recompute_after_sweeps():
 
 def test_zero_trees_is_the_null_model():
     xmat, y = _random_training(n=60)
-    cfg = BartConfig(trees=0, iters=2, burn_in=1)
+    cfg = BartConfig(trees=0)
     sampler = BartSampler(xmat, y, cfg, np.random.default_rng(0))
     for _ in range(10):
         sampler.sweep()
@@ -199,7 +199,7 @@ def test_zero_trees_is_the_null_model():
 
 def test_fixed_sigma2_never_moves():
     xmat, y = _random_training(n=80)
-    cfg = BartConfig(trees=4, iters=2, burn_in=1, fix_sigma2=0.123)
+    cfg = BartConfig(trees=4, fix_sigma2=0.123)
     sampler = BartSampler(xmat, y, cfg, np.random.default_rng(2))
     for _ in range(25):
         sampler.sweep()
@@ -208,7 +208,7 @@ def test_fixed_sigma2_never_moves():
 
 def test_sampler_reproducible():
     xmat, y = _random_training(n=90)
-    cfg = BartConfig(trees=6, iters=2, burn_in=1)
+    cfg = BartConfig(trees=6)
     runs = []
     for _ in range(2):
         s = BartSampler(xmat, y, cfg, np.random.default_rng(7))

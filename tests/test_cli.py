@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, precedence, manifests, reproducibility."""
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixedsynth
 from mixedsynth.cli import (
     ConfigError,
     StageError,
@@ -83,6 +87,9 @@ def test_synth_outputs_and_manifest(workspace):
     assert manifest["seed"] == 11
     assert len(manifest["config_hash"]) == 16
     assert manifest["files"] == [f"data_syn_{i}.csv" for i in range(3)]
+    assert sorted(manifest["sha256"]) == manifest["files"]
+    for name, digest in manifest["sha256"].items():
+        assert digest == hashlib.sha256((syn_dir / name).read_bytes()).hexdigest()
     from mixedsynth.schema import load_schema
 
     schema = load_schema(workspace["schema"])
@@ -335,9 +342,12 @@ def test_end_to_end_names_failing_stage(workspace, tmp_path):
 
 
 def test_console_entry_point_help():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(mixedsynth.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "mixedsynth.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "simulate" in proc.stdout

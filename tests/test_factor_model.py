@@ -9,13 +9,14 @@ draws from the same target.
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from mixedsynth.factor_model import (
     ChainConfig,
     FactorModelPlan,
     FactorState,
     Hyperparams,
-    compute_bounds,
+    RankGroups,
     default_n_factors,
     gibbs_sweep,
     init_state,
@@ -23,7 +24,6 @@ from mixedsynth.factor_model import (
     update_rank_column,
 )
 from mixedsynth.factor_model import (
-    check_feasible,
     update_factors,
     update_global_shrink,
     update_idio_var,
@@ -40,25 +40,77 @@ HYP = Hyperparams()
 # ---------------------------------------------------------------- bounds
 
 
+def _cell_bounds(values, z):
+    """Per-cell (lo, hi) from the rank groups' adjacent-group bounds."""
+    groups = RankGroups.from_values(values)
+    lo, hi = groups.bounds(z)
+    return lo[groups.gid], hi[groups.gid]
+
+
+def check_feasible(state: FactorState, plan: FactorModelPlan) -> bool:
+    """True iff Z satisfies every rank ordering and orthant sign pattern."""
+    for rc in plan.rank_cols:
+        zc = state.z[:, rc.latent]
+        gmax = np.maximum.reduceat(zc[rc.groups.order], rc.groups.starts)
+        gmin = np.minimum.reduceat(zc[rc.groups.order], rc.groups.starts)
+        if gmax.size > 1 and np.any(gmax[:-1] >= gmin[1:]):
+            return False
+    for cc in plan.cat_cols:
+        blk = state.z[:, cc.offset : cc.offset + cc.k]
+        pos = blk[np.arange(plan.n), cc.codes]
+        if np.any(pos <= 0):
+            return False
+        neg = blk.copy()
+        neg[np.arange(plan.n), cc.codes] = -1.0
+        if np.any(neg >= 0):
+            return False
+    return True
+
+
 def test_compute_bounds_hand_example():
     values = np.array([1, 2, 2, 3])
     z = np.array([0.1, 0.5, 0.7, 2.0])
-    lo, hi = compute_bounds(values, z)
+    lo, hi = _cell_bounds(values, z)
     assert np.allclose(lo, [-np.inf, 0.1, 0.1, 0.7])
     assert np.allclose(hi, [0.5, 2.0, 2.0, np.inf])
 
 
 def test_compute_bounds_all_equal_unbounded():
-    lo, hi = compute_bounds(np.ones(5), np.linspace(-1, 1, 5))
+    lo, hi = _cell_bounds(np.ones(5), np.linspace(-1, 1, 5))
     assert np.all(np.isinf(lo)) and np.all(lo < 0)
     assert np.all(np.isinf(hi)) and np.all(hi > 0)
 
 
 def test_compute_bounds_distinct_values_are_neighbor_latents():
     z = np.array([-1.3, -0.2, 0.4, 2.2])
-    lo, hi = compute_bounds(np.arange(4), z)
+    lo, hi = _cell_bounds(np.arange(4), z)
     assert np.allclose(lo, [-np.inf, -1.3, -0.2, 0.4])
     assert np.allclose(hi, [-0.2, 0.4, 2.2, np.inf])
+
+
+def _mid_rank_scores_loop(values):
+    """Reference: normal scores of mid-ranks, one tied group at a time."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    for s, e in zip(starts, ends):
+        ranks[order[s:e]] = 0.5 * (s + 1 + e)  # average of ranks s+1..e
+    return ndtri(ranks / (n + 1.0))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "normal", "binary"])
+def test_normal_scores_equal_mid_rank_loop(kind):
+    rng = np.random.default_rng(12)
+    values = {
+        "poisson": rng.poisson(3.0, 500),
+        "normal": rng.normal(0.0, 1.0, 500),
+        "binary": rng.integers(0, 2, 500),
+    }[kind]
+    scores = RankGroups.from_values(values).normal_scores()
+    assert np.array_equal(scores, _mid_rank_scores_loop(values))
 
 
 # ------------------------------------------------- grid-oracle machinery
@@ -313,14 +365,12 @@ def test_rank_column_kernel_leaves_target_invariant(values, feasible):
     d = values.size
     mu = np.linspace(-0.4, 0.6, d)
     sd = 0.8
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    groups = RankGroups.from_values(values)
 
     oracle = _rejection_ordered(rng, mu, sd, feasible, n_keep=1500)
     updated = oracle.copy()
     for r in range(updated.shape[0]):
-        update_rank_column(rng, updated[r], mu, sd, order, starts)
+        update_rank_column(rng, updated[r], mu, sd, groups)
     assert feasible(updated).all()
     for j in range(d):
         p = stats.ks_2samp(oracle[:, j], updated[:, j]).pvalue
@@ -330,11 +380,9 @@ def test_rank_column_kernel_leaves_target_invariant(values, feasible):
 def test_rank_column_empty_and_single_group():
     rng = np.random.default_rng(0)
     z = np.empty(0)
-    update_rank_column(rng, z, np.empty(0), 1.0, np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
+    update_rank_column(rng, z, np.empty(0), 1.0, RankGroups.from_values(np.empty(0)))
     z = np.array([5.0, -1.0])  # one tied group: no ordering constraint
-    update_rank_column(rng, z, np.zeros(2), 1.0, np.array([0, 1]),
-                       np.array([0]))
+    update_rank_column(rng, z, np.zeros(2), 1.0, RankGroups.from_values(np.ones(2)))
     assert np.all(np.isfinite(z))
 
 

@@ -10,7 +10,6 @@ from mixedsynth.marginals import (
     DiscreteMarginal,
     fit_categorical_probs,
     fit_marginal,
-    inverse_cdf,
     ks_distance,
     marginal_from_dict,
     marginal_to_dict,
@@ -235,4 +234,4 @@ def test_marginal_dict_round_trip(vals, kind):
         m = fit_marginal(vals, kind)
     m2 = marginal_from_dict(marginal_to_dict(m))
     u = np.linspace(0.01, 0.99, 37)
-    np.testing.assert_allclose(inverse_cdf(m2, u), inverse_cdf(m, u))
+    np.testing.assert_allclose(m2.inverse(u), m.inverse(u))

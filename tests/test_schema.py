@@ -70,6 +70,13 @@ def test_unknown_columns_both_directions(tmp_path):
         load_dataset(cp2, sp)
 
 
+def test_duplicate_header_name_rejected(tmp_path):
+    sp = _write(tmp_path, "s.yaml", SCHEMA_YAML)
+    cp = _write(tmp_path, "d.csv", "race,score,score\nwhite,1,2\nblack,3,4\n")
+    with pytest.raises(SchemaError, match="repeats column 'score'"):
+        load_dataset(cp, sp)
+
+
 def test_missing_value_named(tmp_path):
     sp = _write(tmp_path, "s.yaml", SCHEMA_YAML)
     cp = _write(tmp_path, "d.csv", "race,score\nwhite,316\nblack,\n")

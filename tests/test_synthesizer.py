@@ -2,7 +2,10 @@
 support closure, and reproducibility."""
 import numpy as np
 import pytest
+from scipy import stats
 
+from mixedsynth import synthesizer
+from mixedsynth.errors import OrthantResampleWarning, OrthantUnderflowError
 from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout
 from mixedsynth.synthesizer import (
@@ -80,7 +83,7 @@ def test_orthant_block_moments_match_rejection():
     draws = np.empty((n_draws, 3))
     for r in range(n_draws):
         draws[r] = sample_truncated_block(
-            corr, alpha, np.array([level]), layout, rng, warm=30, sweeps=30
+            corr, alpha, np.array([level]), layout, rng, sweeps=60
         )
     assert np.all(draws[:, level] > 0)
     assert np.all(np.delete(draws, level, axis=1) < 0)
@@ -90,6 +93,27 @@ def test_orthant_block_moments_match_rejection():
         )
         assert abs(draws[:, j].mean() - oracle[:, j].mean()) < 3 * se + 0.02
         assert abs(draws[:, j].std() - oracle[:, j].std()) < 0.05
+
+
+def test_orthant_block_independent_case_exact():
+    """With identity correlation every coordinate is an independent univariate
+    truncated normal (each sweep is an exact draw), so the means are known in
+    closed form."""
+    rng = np.random.default_rng(9)
+    alpha = np.array([0.4, -0.3, 0.1])
+    layout = _cat_only_layout()
+    level = 0
+    n_draws = 4000
+    draws = np.array([
+        sample_truncated_block(np.eye(3), alpha, np.array([level]), layout, rng,
+                               sweeps=2)
+        for _ in range(n_draws)
+    ])
+    for j in range(3):
+        lo, hi = (0.0, np.inf) if j == level else (-np.inf, 0.0)
+        exact = stats.truncnorm(lo - alpha[j], hi - alpha[j], loc=alpha[j])
+        se = exact.std() / np.sqrt(n_draws)
+        assert abs(draws[:, j].mean() - exact.mean()) < 4 * se
 
 
 def _mixed_fit(n=400, seed=0, iters=400, burn_in=200):
@@ -143,6 +167,36 @@ def test_synthesis_reproducible_and_distinct_across_indices():
     assert any(
         not np.array_equal(a[0].columns[n], c[0].columns[n]) for n in a[0].columns
     )
+
+
+def test_orthant_underflow_resamples_then_gives_up(monkeypatch):
+    _, model = _mixed_fit(n=150, iters=100, burn_in=50)
+    real = synthesizer._batched_orthant_gibbs
+    batches = []
+
+    def flaky(*args):
+        z = real(*args)
+        batches.append(z.shape[0])
+        z[: 2 if len(batches) == 1 else 0] = np.nan  # first pass: two rows fail
+        return z
+
+    monkeypatch.setattr(synthesizer, "_batched_orthant_gibbs", flaky)
+    plan = SynthesisPlan(model, m=1, n_out=40, seed=1)
+    with pytest.warns(OrthantResampleWarning, match="resampling 2 "):
+        (out,) = synthesize_datasets(plan)
+    assert batches == [40, 2]
+    assert set(np.unique(out.columns["g"]).tolist()) <= {0, 1, 2}
+
+    def always_nan(*args):
+        batches.append(args[4].shape[0])
+        return np.full(args[4].shape, np.nan)
+
+    batches.clear()
+    monkeypatch.setattr(synthesizer, "_batched_orthant_gibbs", always_nan)
+    with pytest.warns(OrthantResampleWarning):
+        with pytest.raises(OrthantUnderflowError, match="40 records"):
+            synthesize_datasets(plan)
+    assert batches == [40] * 21  # one draw plus 20 resamples
 
 
 def test_draw_selection_schemes():

@@ -240,3 +240,8 @@ def test_config_validation():
         TargetConfig(iters=10, burn_in=10)
     with pytest.raises(ValueError):
         TargetConfig(iters=10, burn_in=-1)
+
+
+def test_keep_every_must_be_positive():
+    with pytest.raises(ValueError, match="keep_every"):
+        TargetConfig(iters=10, burn_in=0, keep_every=0)

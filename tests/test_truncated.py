@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixedsynth.truncated import tmvn_gibbs, truncnorm_sample
+from mixedsynth.truncated import truncnorm_sample
 
 
 def _moments_oracle(mu, sigma, lo, hi):
@@ -89,57 +89,3 @@ def test_ks_against_inverse_cdf_oracle():
     y = stats.norm.ppf(a + u * (b - a))
     d = stats.ks_2samp(x, y).statistic
     assert d < 0.01
-
-
-def test_tmvn_gibbs_matches_rejection():
-    # 3-dim positive orthant of an equicorrelated normal; rejection sampling
-    # is the oracle
-    rho = 0.4
-    cov = np.full((3, 3), rho) + np.diag(np.full(3, 1 - rho))
-    mean = np.array([0.2, -0.1, 0.0])
-    lo = np.zeros(3)
-    hi = np.full(3, np.inf)
-
-    rng = np.random.default_rng(6)
-    raw = rng.multivariate_normal(mean, cov, size=400_000)
-    keep = raw[np.all(raw > 0, axis=1)]
-    assert len(keep) > 20_000
-
-    rng2 = np.random.default_rng(7)
-    chains = [
-        tmvn_gibbs(rng2, mean, cov, lo, hi, warm=100, sweeps=200) for _ in range(40)
-    ]
-    draws = np.concatenate(chains, axis=0)
-
-    se = keep.std(axis=0) / np.sqrt(draws.shape[0] / 20)  # generous ess haircut
-    np.testing.assert_allclose(draws.mean(axis=0), keep.mean(axis=0), atol=3 * np.max(se) + 0.01)
-    np.testing.assert_allclose(draws.std(axis=0), keep.std(axis=0), atol=0.03)
-
-
-def test_tmvn_gibbs_respects_box():
-    rng = np.random.default_rng(8)
-    cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-    lo = np.array([-0.5, -np.inf])
-    hi = np.array([0.5, 0.0])
-    out = tmvn_gibbs(rng, np.zeros(2), cov, lo, hi, warm=10, sweeps=50)
-    assert out.shape == (50, 2)
-    assert np.all(out[:, 0] >= -0.5) and np.all(out[:, 0] <= 0.5)
-    assert np.all(out[:, 1] <= 0.0)
-
-
-def test_tmvn_gibbs_independent_case_exact():
-    # with a diagonal covariance every coordinate is an independent
-    # univariate truncated normal, so moments are available in closed form
-    rng = np.random.default_rng(9)
-    cov = np.diag([1.0, 4.0])
-    lo = np.array([0.0, -np.inf])
-    hi = np.array([np.inf, 2.0])
-    chains = [
-        tmvn_gibbs(rng, np.zeros(2), cov, lo, hi, warm=20, sweeps=100)
-        for _ in range(50)
-    ]
-    draws = np.concatenate(chains, axis=0)
-    m0, _ = _moments_oracle(0.0, 1.0, 0.0, np.inf)
-    m1, _ = _moments_oracle(0.0, 2.0, -np.inf, 2.0)
-    assert draws[:, 0].mean() == pytest.approx(m0, abs=0.02)
-    assert draws[:, 1].mean() == pytest.approx(m1, abs=0.04)
