@@ -8,26 +8,55 @@ are drawn uniformly over the splits available at a node (threshold splits
 for numeric covariates, level-subset splits for categorical ones), which is
 also the tree prior's rule distribution, so rule probabilities cancel in
 the acceptance ratios.
+
+Layout.  A tree is a set of flat per-node lists (feature, cut or level set,
+children, leaf value, depth, parent) plus one row permutation in which every
+node owns the contiguous range ``perm[lo:hi]`` and its children own the two
+halves of it, left first (He, Yalov & Hahn 2019).  A grow or change stably
+partitions the node's range, so each side keeps the order it had; a prune
+merges the two adjacent child ranges back into the parent's.  A leaf's rows
+therefore appear in exactly the order a tree of per-node index arrays would
+hold them (``idx[mask]`` on a split, ``concatenate([left, right])`` on a
+prune), and every ``partial[rows].sum()`` adds the same numbers in the same
+order.  A node's row set never changes while the node exists, so the
+covariates that can still split it are computed once, when it is created.
+The leaf, growable-leaf and prunable-node lists are kept in pre-order and
+re-derived only after an accepted move.
+
+Prediction evaluates each internal node's rule on every row of a block and
+selects the children's values with ``np.where``, bottom-up; each tree's
+values are added into one vector in tree order, so every row's sum runs in
+the order of routing rows tree by tree.  The cost is a few array operations
+per node, so callers predict many rows in one call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 __all__ = [
     "BartConfig",
     "CovariateMatrix",
     "BartSampler",
+    "MOVES",
     "tree_to_doc",
-    "predict_doc",
+    "tree_shape",
     "ensemble_predict",
-    "structure_signature",
 ]
 
 _GROW, _PRUNE, _CHANGE = 0, 1, 2
+MOVES = ("grow", "prune", "change")
 _MOVE_P = np.array([0.4, 0.4, 0.2])
+# inverse-CDF draw of the move type: the same stream as rng.choice(3, p=_MOVE_P)
+_MOVE_CDF = _MOVE_P.cumsum() / _MOVE_P.cumsum()[-1]
+_LOG_P_GROW = np.log(_MOVE_P[_GROW])
+_LOG_P_PRUNE = np.log(_MOVE_P[_PRUNE])
+# rows per prediction pass: enough to amortize per-call overhead over many
+# rows, few enough to keep each temporary near half a megabyte
+_PREDICT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,7 +75,12 @@ class BartConfig:
 
 class CovariateMatrix:
     """Training covariates: numeric columns split on thresholds, categorical
-    columns on level subsets."""
+    columns on level subsets.
+
+    ``values[j]`` holds column j's sorted distinct values and ``codes[:, j]``
+    each row's index into them.  The coding preserves order and ties, so
+    thresholds and level sets act on codes exactly as on values.
+    """
 
     def __init__(self, columns: list, is_cat: list):
         self.columns = [np.asarray(c) for c in columns]
@@ -57,58 +91,100 @@ class CovariateMatrix:
         for c in self.columns:
             if len(c) != self.n:
                 raise ValueError("covariate columns must share a length")
+        self.values = []
+        self.codes = np.empty((self.n, self.q), dtype=np.intp)
+        for j, c in enumerate(self.columns):
+            uniq, self.codes[:, j] = np.unique(c, return_inverse=True)
+            self.values.append(uniq)
 
     @property
     def q(self):
         return len(self.columns)
 
-
-class _Node:
-    __slots__ = ("feature", "cut", "levels", "left", "right", "value", "idx")
-
-    def __init__(self, idx, value=0.0):
-        self.feature = None
-        self.cut = None
-        self.levels = None
-        self.left = None
-        self.right = None
-        self.value = value
-        self.idx = idx
-
-    def is_leaf(self):
-        return self.feature is None
+    def splittable(self, rows: np.ndarray) -> list:
+        """Covariates with at least two distinct values on these rows."""
+        c = self.codes[rows]
+        return (c.min(axis=0) != c.max(axis=0)).nonzero()[0].tolist()
 
 
-def _walk(node, depth=0):
-    yield node, depth
-    if not node.is_leaf():
-        yield from _walk(node.left, depth + 1)
-        yield from _walk(node.right, depth + 1)
+class _Tree:
+    """One tree: flat per-node lists and a row permutation (module docstring).
 
+    Node 0 is the root; a leaf has ``feature == -1``.  ``rule`` holds a
+    numeric split's cut or a categorical split's level array.
+    """
 
-def _leaves(root):
-    return [(nd, d) for nd, d in _walk(root) if nd.is_leaf()]
+    def __init__(self, n: int, root_feats: list):
+        self.perm = np.arange(n)
+        self.feature, self.rule, self.left, self.right = [-1], [None], [-1], [-1]
+        self.value, self.lo, self.hi = [0.0], [0], [n]
+        self.depth, self.parent, self.feats = [0], [-1], [root_feats]
+        self.order = [0]  # every node, pre-order
+        self.free = []  # ids of pruned nodes, reused by later grows
+        self._relist()
 
+    def rows(self, i: int) -> np.ndarray:
+        return self.perm[self.lo[i]:self.hi[i]]
 
-def _prunable(root):
-    return [
-        (nd, d)
-        for nd, d in _walk(root)
-        if not nd.is_leaf() and nd.left.is_leaf() and nd.right.is_leaf()
-    ]
+    def _relist(self):
+        f, left, right = self.feature, self.left, self.right
+        self.leaves = [i for i in self.order if f[i] < 0]
+        self.growable = [i for i in self.leaves if self.feats[i]]
+        self.prunable = [
+            i for i in self.order if f[i] >= 0 and f[left[i]] < 0 and f[right[i]] < 0
+        ]
 
+    def _new_leaf(self, parent: int) -> int:
+        fields = (self.feature, self.rule, self.left, self.right, self.value,
+                  self.lo, self.hi, self.depth, self.parent, self.feats)
+        init = (-1, None, -1, -1, 0.0, 0, 0, self.depth[parent] + 1, parent, None)
+        if self.free:
+            i = self.free.pop()
+            for lst, v in zip(fields, init):
+                lst[i] = v
+        else:
+            i = len(self.feature)
+            for lst, v in zip(fields, init):
+                lst.append(v)
+        return i
 
-def _available_features(xmat: CovariateMatrix, idx: np.ndarray):
-    out = []
-    for j in range(xmat.q):
-        vals = xmat.columns[j][idx]
-        if vals.size and vals.min() != vals.max():  # >= 2 distinct values
-            out.append(j)
-    return out
+    def _split(self, i, feature, rule, li, ri, feats_l, feats_r):
+        """Stable partition of node i's range: li then ri."""
+        lo, hi = self.lo[i], self.hi[i]
+        mid = lo + li.size
+        self.perm[lo:mid], self.perm[mid:hi] = li, ri
+        self.feature[i], self.rule[i] = feature, rule
+        left, right = self.left[i], self.right[i]
+        self.lo[left], self.hi[left], self.feats[left] = lo, mid, feats_l
+        self.lo[right], self.hi[right], self.feats[right] = mid, hi, feats_r
+
+    def grow(self, i, feature, rule, li, ri, feats_l, feats_r):
+        self.left[i], self.right[i] = self._new_leaf(i), self._new_leaf(i)
+        self._split(i, feature, rule, li, ri, feats_l, feats_r)
+        k = self.order.index(i)
+        self.order[k + 1:k + 1] = [self.left[i], self.right[i]]
+        self._relist()
+
+    def change(self, i, feature, rule, li, ri, feats_l, feats_r):
+        self._split(i, feature, rule, li, ri, feats_l, feats_r)
+        self._relist()
+
+    def prune(self, i):
+        """Node i's leaf children go; their adjacent ranges are already i's."""
+        self.free += [self.left[i], self.right[i]]
+        self.feature[i], self.rule[i] = -1, None
+        self.left[i] = self.right[i] = -1
+        k = self.order.index(i)
+        del self.order[k + 1:k + 3]
+        self._relist()
 
 
 class BartSampler:
-    """Stateful backfitting sampler; `sweep()` advances one full iteration."""
+    """Stateful backfitting sampler; `sweep()` advances one full iteration.
+
+    ``proposed`` and ``accepted`` count structure moves by type, in
+    ``MOVES`` order.
+    """
 
     def __init__(self, xmat: CovariateMatrix, y: np.ndarray, config: BartConfig,
                  rng: np.random.Generator):
@@ -122,21 +198,35 @@ class BartSampler:
 
         spread = np.percentile(self.y, 97.5) - np.percentile(self.y, 2.5)
         t_eff = max(config.trees, 1)
-        self.sigma_mu = max(spread, 1e-6) / (6.0 * np.sqrt(t_eff))
+        self.sigma_mu = float(max(spread, 1e-6) / (6.0 * np.sqrt(t_eff)))
         var0 = max(float(self.y.var()), 1e-12)
-        # inverse-gamma rate matched so P(sigma^2 < var(y)) = sigma_quantile
-        self.lam = var0 * stats.chi2.ppf(1 - config.sigma_quantile, config.nu) / config.nu
+        # inverse-gamma rate matched so P(sigma^2 < var(y)) = sigma_quantile;
+        # 2 * gammaincinv(nu / 2, p) is the chi-square(nu) quantile exactly as
+        # scipy.stats computes it, without the cost of importing scipy.stats
+        chi2_q = 2 * gammaincinv(config.nu / 2, 1 - config.sigma_quantile)
+        self.lam = var0 * chi2_q / config.nu
         self.sigma2 = config.fix_sigma2 if config.fix_sigma2 is not None else var0
 
-        all_idx = np.arange(n)
-        self.trees = [_Node(all_idx.copy()) for _ in range(config.trees)]
+        root_feats = xmat.splittable(np.arange(n))
+        self.trees = [_Tree(n, list(root_feats)) for _ in range(config.trees)]
         self.tree_pred = np.zeros((config.trees, n))
         self.fit_total = np.zeros(n)
+        self.proposed = [0, 0, 0]
+        self.accepted = [0, 0, 0]
+        self._split_prior = []
 
     # -- priors and marginal likelihood -------------------------------------
 
     def _p_split(self, depth):
         return self.cfg.a_split / (1.0 + depth) ** self.cfg.b_split
+
+    def _log_split_prior(self, depth):
+        """Log prior ratio of splitting a leaf at this depth (memoized)."""
+        while len(self._split_prior) <= depth:
+            d = len(self._split_prior)
+            p_d, p_c = self._p_split(d), self._p_split(d + 1)
+            self._split_prior.append(np.log(p_d) + 2 * np.log1p(-p_c) - np.log1p(-p_d))
+        return self._split_prior[depth]
 
     def _log_ml(self, resid_sum, count):
         v = self.sigma2 + count * self.sigma_mu**2
@@ -146,123 +236,97 @@ class BartSampler:
 
     # -- split-rule proposal (also the prior's rule distribution) ------------
 
-    def _draw_rule(self, idx):
-        feats = _available_features(self.x, idx)
-        if not feats:
-            return None
+    def _draw_rule(self, feats, rows):
+        """Uniform rule over the splits of these rows; returns (feature, cut
+        or level array, left mask)."""
         j = feats[self.rng.integers(len(feats))]
-        vals = self.x.columns[j][idx]
-        uniq = np.unique(vals)
+        codes = self.x.codes[rows, j]
+        present = np.bincount(codes).nonzero()[0]  # codes of the distinct values
+        uniq = self.x.values[j]
         if self.x.is_cat[j]:
             # uniform nonempty proper subset of the levels present here
             while True:
-                bits = self.rng.integers(0, 2, uniq.size).astype(bool)
+                bits = self.rng.integers(0, 2, present.size).astype(bool)
                 if bits.any() and not bits.all():
                     break
-            return j, None, uniq[bits]
-        cut = uniq[self.rng.integers(uniq.size - 1)]
-        return j, float(cut), None
-
-    def _split_mask(self, idx, feature, cut, levels):
-        vals = self.x.columns[feature][idx]
-        return np.isin(vals, levels) if levels is not None else vals <= cut
+            keep = np.zeros(uniq.size, dtype=bool)
+            keep[present[bits]] = True
+            return j, uniq[present[bits]], keep[codes]
+        k = present[self.rng.integers(present.size - 1)]
+        return j, float(uniq[k]), codes <= k
 
     # -- MH structure moves ---------------------------------------------------
 
-    def _n_growable(self, root):
-        return sum(
-            1 for nd, _ in _leaves(root) if _available_features(self.x, nd.idx)
-        )
-
-    def _move_grow(self, root, partial):
-        cand = [
-            (nd, d) for nd, d in _leaves(root) if _available_features(self.x, nd.idx)
-        ]
+    def _move_grow(self, tree, partial):
+        cand = tree.growable
         if not cand:
             return False
-        nd, depth = cand[self.rng.integers(len(cand))]
-        rule = self._draw_rule(nd.idx)
-        j, cut, levels = rule
-        mask = self._split_mask(nd.idx, j, cut, levels)
-        li, ri = nd.idx[mask], nd.idx[~mask]
+        nd = cand[self.rng.integers(len(cand))]
+        rows = tree.rows(nd)
+        j, rule, mask = self._draw_rule(tree.feats[nd], rows)
+        li, ri = rows[mask], rows[~mask]
 
-        p_d, p_c = self._p_split(depth), self._p_split(depth + 1)
-        log_prior = np.log(p_d) + 2 * np.log1p(-p_c) - np.log1p(-p_d)
-        sl, sr = partial[li].sum(), partial[ri].sum()
+        log_prior = self._log_split_prior(tree.depth[nd])
+        sl, sr = float(partial[li].sum()), float(partial[ri].sum())
         log_lik = (
             self._log_ml(sl, li.size)
             + self._log_ml(sr, ri.size)
-            - self._log_ml(sl + sr, nd.idx.size)
+            - self._log_ml(sl + sr, rows.size)
         )
         n_grow = len(cand)
-        # count prunable nodes of the would-be tree: current ones whose
-        # children do not include nd, plus the new split itself
-        n_prune_new = len(_prunable(root)) + 1 - sum(
-            1 for p, _ in _prunable(root) if nd in (p.left, p.right)
-        )
+        # prunable nodes of the would-be tree: nd joins them, and its parent
+        # leaves them if it was one
+        n_prune_new = len(tree.prunable) + 1 - (tree.parent[nd] in tree.prunable)
         log_prop = (
-            np.log(_MOVE_P[_PRUNE]) - np.log(n_prune_new)
-            - np.log(_MOVE_P[_GROW]) + np.log(n_grow)
+            _LOG_P_PRUNE - np.log(n_prune_new)
+            - _LOG_P_GROW + np.log(n_grow)
         )
         if np.log(self.rng.uniform()) < log_prior + log_lik + log_prop:
-            nd.feature, nd.cut, nd.levels = j, cut, levels
-            nd.left, nd.right = _Node(li), _Node(ri)
-            nd.idx = None
+            tree.grow(nd, j, rule, li, ri, self.x.splittable(li), self.x.splittable(ri))
             return True
         return False
 
-    def _move_prune(self, root, partial):
-        cand = _prunable(root)
+    def _move_prune(self, tree, partial):
+        cand = tree.prunable
         if not cand:
             return False
-        nd, depth = cand[self.rng.integers(len(cand))]
-        li, ri = nd.left.idx, nd.right.idx
-        merged = np.concatenate([li, ri])
+        nd = cand[self.rng.integers(len(cand))]
+        left, right = tree.left[nd], tree.right[nd]
+        li, ri = tree.rows(left), tree.rows(right)
 
-        p_d, p_c = self._p_split(depth), self._p_split(depth + 1)
-        log_prior = -(np.log(p_d) + 2 * np.log1p(-p_c) - np.log1p(-p_d))
-        sl, sr = partial[li].sum(), partial[ri].sum()
+        log_prior = -self._log_split_prior(tree.depth[nd])
+        sl, sr = float(partial[li].sum()), float(partial[ri].sum())
         log_lik = (
-            self._log_ml(sl + sr, merged.size)
+            self._log_ml(sl + sr, li.size + ri.size)
             - self._log_ml(sl, li.size)
             - self._log_ml(sr, ri.size)
         )
         # growable leaves after the prune: survivors plus the merged leaf
         n_grow_new = (
-            self._n_growable(root)
-            - sum(1 for c in (nd.left, nd.right) if _available_features(self.x, c.idx))
-            + 1
+            len(tree.growable) - bool(tree.feats[left]) - bool(tree.feats[right]) + 1
         )
         log_prop = (
-            np.log(_MOVE_P[_GROW]) - np.log(n_grow_new)
-            - np.log(_MOVE_P[_PRUNE]) + np.log(len(cand))
+            _LOG_P_GROW - np.log(n_grow_new)
+            - _LOG_P_PRUNE + np.log(len(cand))
         )
         if np.log(self.rng.uniform()) < log_prior + log_lik + log_prop:
-            nd.feature = None
-            nd.cut = None
-            nd.levels = None
-            nd.idx = merged
-            nd.left = None
-            nd.right = None
+            tree.prune(nd)
             return True
         return False
 
-    def _move_change(self, root, partial):
-        cand = _prunable(root)  # internal nodes with two leaf children
+    def _move_change(self, tree, partial):
+        cand = tree.prunable  # internal nodes with two leaf children
         if not cand:
             return False
-        nd, _ = cand[self.rng.integers(len(cand))]
-        li, ri = nd.left.idx, nd.right.idx
-        merged = np.concatenate([li, ri])
-        rule = self._draw_rule(merged)
-        if rule is None:
-            return False
-        j, cut, levels = rule
-        mask = self._split_mask(merged, j, cut, levels)
-        nli, nri = merged[mask], merged[~mask]
+        nd = cand[self.rng.integers(len(cand))]
+        li, ri = tree.rows(tree.left[nd]), tree.rows(tree.right[nd])
+        rows = tree.rows(nd)
+        # nd was grown, so its splittable covariates are never empty
+        j, rule, mask = self._draw_rule(tree.feats[nd], rows)
+        nli, nri = rows[mask], rows[~mask]
 
-        sl_old, sr_old = partial[li].sum(), partial[ri].sum()
-        sl_new, sr_new = partial[nli].sum(), partial[nri].sum()
+        sl_old, sr_old = float(partial[li].sum()), float(partial[ri].sum())
+        sl_new, sr_new = float(partial[nli].sum()), float(partial[nri].sum())
         log_lik = (
             self._log_ml(sl_new, nli.size)
             + self._log_ml(sr_new, nri.size)
@@ -270,29 +334,34 @@ class BartSampler:
             - self._log_ml(sr_old, ri.size)
         )
         if np.log(self.rng.uniform()) < log_lik:
-            nd.feature, nd.cut, nd.levels = j, cut, levels
-            nd.left.idx, nd.right.idx = nli, nri
+            tree.change(nd, j, rule, nli, nri,
+                        self.x.splittable(nli), self.x.splittable(nri))
             return True
         return False
 
     def structure_step(self, t: int, partial: np.ndarray) -> bool:
         """One MH move on tree t against the given partial residuals."""
-        move = self.rng.choice(3, p=_MOVE_P)
-        root = self.trees[t]
+        move = int(_MOVE_CDF.searchsorted(self.rng.random(), side="right"))
+        tree = self.trees[t]
         if move == _GROW:
-            return self._move_grow(root, partial)
-        if move == _PRUNE:
-            return self._move_prune(root, partial)
-        return self._move_change(root, partial)
+            accepted = self._move_grow(tree, partial)
+        elif move == _PRUNE:
+            accepted = self._move_prune(tree, partial)
+        else:
+            accepted = self._move_change(tree, partial)
+        self.proposed[move] += 1
+        self.accepted[move] += bool(accepted)
+        return accepted
 
     def _redraw_leaves(self, t: int, partial: np.ndarray):
+        tree = self.trees[t]
         pred = self.tree_pred[t]
-        for nd, _ in _leaves(self.trees[t]):
-            n_l = nd.idx.size
-            prec = 1.0 / self.sigma_mu**2 + n_l / self.sigma2
-            mean = partial[nd.idx].sum() / self.sigma2 / prec
-            nd.value = mean + self.rng.standard_normal() / np.sqrt(prec)
-            pred[nd.idx] = nd.value
+        for i in tree.leaves:
+            rows = tree.rows(i)
+            prec = 1.0 / self.sigma_mu**2 + rows.size / self.sigma2
+            mean = float(partial[rows].sum()) / self.sigma2 / prec
+            tree.value[i] = mean + self.rng.standard_normal() / math.sqrt(prec)
+            pred[rows] = tree.value[i]
 
     def sweep(self):
         for t in range(self.cfg.trees):
@@ -305,7 +374,7 @@ class BartSampler:
             resid = self.y - self.fit_total
             shape = 0.5 * (self.cfg.nu + self.x.n)
             rate = 0.5 * (self.cfg.nu * self.lam + resid @ resid)
-            self.sigma2 = rate / self.rng.gamma(shape)
+            self.sigma2 = float(rate / self.rng.gamma(shape))
 
     def set_response(self, y: np.ndarray):
         """Swap the regression response (latent two-block schemes)."""
@@ -314,63 +383,69 @@ class BartSampler:
     def recompute_fit(self) -> np.ndarray:
         """Fitted values recomputed from scratch (invariant checking)."""
         out = np.zeros(self.x.n)
-        for root in self.trees:
-            for nd, _ in _leaves(root):
-                out[nd.idx] += nd.value
+        for tree in self.trees:
+            for i in tree.leaves:
+                out[tree.rows(i)] += tree.value[i]
         return out
 
     def snapshot(self) -> list:
-        return [tree_to_doc(root) for root in self.trees]
+        return [tree_to_doc(tree) for tree in self.trees]
 
 
 # -- serialization and prediction on new covariates ---------------------------
 
 
-def tree_to_doc(node: _Node) -> dict:
-    if node.is_leaf():
-        return {"v": float(node.value)}
-    doc = {"f": int(node.feature)}
-    if node.levels is not None:
-        doc["in"] = [int(v) for v in node.levels]
+def tree_to_doc(tree: _Tree, i: int = 0) -> dict:
+    """Nested JSON form of the subtree rooted at node i."""
+    if tree.feature[i] < 0:
+        return {"v": float(tree.value[i])}
+    doc = {"f": int(tree.feature[i])}
+    rule = tree.rule[i]
+    if isinstance(rule, np.ndarray):
+        doc["in"] = [int(v) for v in rule]
     else:
-        doc["cut"] = float(node.cut)
-    doc["l"] = tree_to_doc(node.left)
-    doc["r"] = tree_to_doc(node.right)
+        doc["cut"] = float(rule)
+    doc["l"] = tree_to_doc(tree, tree.left[i])
+    doc["r"] = tree_to_doc(tree, tree.right[i])
     return doc
 
 
-def predict_doc(doc: dict, columns: list, rows: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    n = len(columns[0])
-    if rows is None:
-        rows = np.arange(n)
-    if out is None:
-        out = np.zeros(n)
+def tree_shape(doc: dict) -> tuple:
+    """(depth, leaf count) of a tree doc."""
     if "v" in doc:
-        out[rows] += doc["v"]
-        return out
-    vals = columns[doc["f"]][rows]
-    left = np.isin(vals, doc["in"]) if "in" in doc else vals <= doc["cut"]
-    predict_doc(doc["l"], columns, rows[left], out)
-    predict_doc(doc["r"], columns, rows[~left], out)
-    return out
+        return 0, 1
+    dl, nl = tree_shape(doc["l"])
+    dr, nr = tree_shape(doc["r"])
+    return 1 + max(dl, dr), nl + nr
+
+
+def _doc_values(doc: dict, columns: list):
+    """Each row's leaf value under one tree doc: a scalar for a lone leaf."""
+    if "v" in doc:
+        return doc["v"]
+    x = columns[doc["f"]]
+    if "cut" in doc:
+        left = x <= doc["cut"]
+    else:  # levels the tree never saw route right
+        first, *rest = doc["in"]
+        left = x == first
+        for level in rest:
+            left |= x == level
+    return np.where(left, _doc_values(doc["l"], columns), _doc_values(doc["r"], columns))
 
 
 def ensemble_predict(ensembles: list, columns: list) -> np.ndarray:
-    """Average prediction over kept tree ensembles (the posterior-mean f)."""
-    n = len(columns[0])
-    total = np.zeros(n)
-    for trees in ensembles:
-        for doc in trees:
-            predict_doc(doc, columns, out=total)
+    """Average prediction over kept tree ensembles (the posterior-mean f).
+
+    Rows go through in blocks of ``_PREDICT_BLOCK``, so temporaries stay
+    bounded however many rows are predicted at once.
+    """
+    columns = [np.asarray(c) for c in columns]
+    total = np.zeros(len(columns[0]))
+    for lo in range(0, total.size, _PREDICT_BLOCK):
+        block = [c[lo:lo + _PREDICT_BLOCK] for c in columns]
+        part = total[lo:lo + _PREDICT_BLOCK]
+        for trees in ensembles:
+            for doc in trees:
+                part += _doc_values(doc, block)
     return total / len(ensembles)
-
-
-def structure_signature(doc: dict) -> str:
-    """Canonical string for a tree's split structure, leaf values ignored."""
-    if "v" in doc:
-        return "L"
-    rule = f"{doc['f']}:" + (
-        ",".join(map(str, sorted(doc["in"]))) if "in" in doc else f"{doc['cut']:.10g}"
-    )
-    return f"({rule} {structure_signature(doc['l'])} {structure_signature(doc['r'])})"

@@ -151,6 +151,16 @@ def _cmd_fit(cfg: dict) -> dict:
         for c in schema
     )
     targets = [c.name for c in schema if c.role == "response"]
+    # built before any fitting, so bad settings fail before the copula chain runs
+    target_cfgs = {
+        name: TargetConfig(
+            iters=int(cfg["target_iters"]),
+            burn_in=int(cfg["target_burn_in"]),
+            trees=int(cfg["target_trees"]),
+            seed=seed,
+        )
+        for name in targets
+    }
     ds = load_dataset(cfg["data"], schema)
 
     chain = ChainConfig(
@@ -165,14 +175,8 @@ def _cmd_fit(cfg: dict) -> dict:
     model = fit_copula_model(ds, chain)
 
     summaries = {}
-    for name in targets:
+    for name, tc in target_cfgs.items():
         log.info("fitting targeted regression for response '%s'", name)
-        tc = TargetConfig(
-            iters=int(cfg["target_iters"]),
-            burn_in=int(cfg["target_burn_in"]),
-            trees=int(cfg["target_trees"]),
-            seed=seed,
-        )
         summaries[name] = fit_target_model(ds, name, tc)
 
     out = cfg["out"]
@@ -201,11 +205,17 @@ def _cmd_synth(cfg: dict) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg["stem"]
     files, digests = [], {}
+    responses = {
+        name: synthesize_response(
+            summary, sets,
+            [substream(seed, "target-synth", i, name) for i in range(len(sets))],
+        )
+        for name, summary in ar.targets.items()
+    }
     for i, s in enumerate(sets):
         cols = dict(s.columns)
-        for name, summary in ar.targets.items():
-            rng = substream(seed, "target-synth", i, name)
-            cols[name] = synthesize_response(summary, s, rng)
+        for name, values in responses.items():
+            cols[name] = values[i]
         full = MixedDataset(ar.full_schema, cols)
         path = out_dir / f"{stem}_syn_{i}.csv"
         write_csv(full, path)

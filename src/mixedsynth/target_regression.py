@@ -10,12 +10,20 @@ draws on already-synthesized covariates through the response's inverse CDF.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bart import BartConfig, BartSampler, CovariateMatrix, ensemble_predict
+from .bart import (
+    MOVES,
+    BartConfig,
+    BartSampler,
+    CovariateMatrix,
+    ensemble_predict,
+    tree_shape,
+)
 from .errors import (
     DegenerateResponseError,
     NonNumericResponseError,
@@ -33,6 +41,8 @@ __all__ = [
     "synthesize_response",
 ]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class TargetConfig:
@@ -45,14 +55,23 @@ class TargetConfig:
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iters:
-            raise ValueError("need 0 <= burn_in < iters")
+            raise ValueError(
+                f"need 0 <= burn_in < iters, got burn_in={self.burn_in}, iters={self.iters}"
+            )
+        if self.trees < 0:
+            raise ValueError(f"trees must be >= 0, got {self.trees}")
         if self.keep_every < 1:
             raise ValueError("keep_every must be >= 1")
 
 
 @dataclass
 class TargetModelSummary:
-    """Posterior-mean predictor: kept tree ensembles plus mean sigma^2."""
+    """Posterior-mean predictor: kept tree ensembles plus mean sigma^2.
+
+    ``marginal`` is ``marginal_doc`` decoded once, so a continuous
+    response's inverse-CDF grid is built once however many datasets are
+    synthesized from this summary.
+    """
 
     response: str
     kind: str  # response column kind (count/ordinal/continuous)
@@ -60,6 +79,10 @@ class TargetModelSummary:
     ensembles: list
     sigma2: float
     marginal_doc: dict
+    marginal: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.marginal = marginal_from_dict(self.marginal_doc)
 
     def to_doc(self) -> dict:
         return {
@@ -148,6 +171,7 @@ def fit_target_model(
             sigmas.append(sampler.sigma2)
         if iteration_hook is not None:
             iteration_hook(it, z)
+    _log_diagnostics(response, sampler, ensembles[-1])
 
     marg = fit_marginal(y, rs.kind)
     return TargetModelSummary(
@@ -160,20 +184,41 @@ def fit_target_model(
     )
 
 
+def _log_diagnostics(response: str, sampler: BartSampler, last: list) -> None:
+    """Move acceptance by type over the whole chain, and the shape of the
+    last kept ensemble."""
+    rates = ", ".join(
+        f"{name} {a / p if p else 0.0:.3f} ({a}/{p})"
+        for name, a, p in zip(MOVES, sampler.accepted, sampler.proposed)
+    )
+    depth, leaves = np.mean([tree_shape(doc) for doc in last] or [(0, 0)], axis=0)
+    log.info("response '%s': BART acceptance %s; last kept ensemble: mean depth "
+             "%.3f, mean leaves %.3f", response, rates, depth, leaves)
+
+
 def synthesize_response(
-    summary: TargetModelSummary, records: MixedDataset, rng: np.random.Generator
-) -> np.ndarray:
-    """Response values for already-synthesized covariate records."""
-    present = {cs.name: cs for cs in records.schema}
+    summary: TargetModelSummary, record_sets: list, rngs: list
+) -> list:
+    """Response values for each set of already-synthesized covariate records.
+
+    The ensembles are evaluated once over the rows of all sets together (a
+    row's prediction does not depend on the other rows); each set then draws
+    its noise from its own generator in ``rngs``.
+    """
+    present = [{cs.name: cs for cs in records.schema} for records in record_sets]
     for name, kind, levels in summary.covariate_sig:
-        cs = present.get(name)
-        if cs is None or cs.kind.value != kind or cs.levels != levels:
-            raise SchemaMismatchError(
-                f"covariate '{name}' missing or mismatched in synthetic records"
-            )
-    cols, _ = _covariate_columns(records, summary.covariate_sig)
-    f_hat = ensemble_predict(summary.ensembles, cols)
-    z = f_hat + np.sqrt(summary.sigma2) * rng.standard_normal(records.n)
-    vals = marginal_from_dict(summary.marginal_doc).inverse(ndtr(z))
+        for cols in present:
+            cs = cols.get(name)
+            if cs is None or cs.kind.value != kind or cs.levels != levels:
+                raise SchemaMismatchError(
+                    f"covariate '{name}' missing or mismatched in synthetic records"
+                )
+    per_set = [_covariate_columns(r, summary.covariate_sig)[0] for r in record_sets]
+    f_hat = ensemble_predict(summary.ensembles, [np.concatenate(c) for c in zip(*per_set)])
+    ends = np.cumsum([r.n for r in record_sets])
     dtype = np.float64 if summary.kind == Kind.CONTINUOUS.value else np.int64
-    return np.asarray(vals, dtype=dtype)
+    out = []
+    for f, records, rng in zip(np.split(f_hat, ends[:-1]), record_sets, rngs):
+        z = f + np.sqrt(summary.sigma2) * rng.standard_normal(records.n)
+        out.append(np.asarray(summary.marginal.inverse(ndtr(z)), dtype=dtype))
+    return out

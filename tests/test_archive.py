@@ -86,8 +86,8 @@ def test_targets_round_trip_and_predict_identically(fitted, tmp_path):
     assert ar.targets["r"].to_doc() == target.to_doc()
 
     records = ds.subset(["g", "y", "w"])
-    a = synthesize_response(target, records, np.random.default_rng(5))
-    b = synthesize_response(ar.targets["r"], records, np.random.default_rng(5))
+    a = synthesize_response(target, [records], [np.random.default_rng(5)])[0]
+    b = synthesize_response(ar.targets["r"], [records], [np.random.default_rng(5)])[0]
     assert np.array_equal(a, b)
 
 

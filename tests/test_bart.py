@@ -5,6 +5,7 @@ space, scores each with prior x marginal likelihood (the likelihood computed
 independently as a multivariate-normal density with an intraclass covariance
 per leaf), and compares chain visit frequencies to the exact posterior.
 """
+import hashlib
 import itertools
 import json
 
@@ -13,14 +14,50 @@ import pytest
 from scipy import stats
 
 from mixedsynth.bart import (
+    MOVES,
     BartConfig,
     BartSampler,
     CovariateMatrix,
     ensemble_predict,
-    predict_doc,
-    structure_signature,
+    tree_shape,
     tree_to_doc,
 )
+
+
+def structure_signature(doc: dict) -> str:
+    """Canonical string for a tree's split structure, leaf values ignored."""
+    if "v" in doc:
+        return "L"
+    rule = f"{doc['f']}:" + (
+        ",".join(map(str, sorted(doc["in"]))) if "in" in doc else f"{doc['cut']:.10g}"
+    )
+    return f"({rule} {structure_signature(doc['l'])} {structure_signature(doc['r'])})"
+
+
+def predict_doc(doc: dict, columns: list, rows=None, out=None) -> np.ndarray:
+    """Reference predictor: recursive routing of row subsets, one tree doc."""
+    n = len(columns[0])
+    if rows is None:
+        rows = np.arange(n)
+    if out is None:
+        out = np.zeros(n)
+    if "v" in doc:
+        out[rows] += doc["v"]
+        return out
+    vals = columns[doc["f"]][rows]
+    left = np.isin(vals, doc["in"]) if "in" in doc else vals <= doc["cut"]
+    predict_doc(doc["l"], columns, rows[left], out)
+    predict_doc(doc["r"], columns, rows[~left], out)
+    return out
+
+
+def predict_oracle(ensembles: list, columns: list) -> np.ndarray:
+    """Reference posterior-mean f: every tree routed into one total, in order."""
+    total = np.zeros(len(columns[0]))
+    for trees in ensembles:
+        for doc in trees:
+            predict_doc(doc, columns, out=total)
+    return total / len(ensembles)
 
 
 # ------------------------------------------------------- exact enumeration
@@ -187,6 +224,24 @@ def test_fit_total_matches_recompute_after_sweeps():
         )
 
 
+def test_leaf_ranges_tile_the_row_permutation():
+    """Leaves own adjacent, nonempty ranges of one row permutation, in
+    pre-order (which rows they hold is checked by the per-tree fit above)."""
+    xmat, y = _random_training()
+    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    for _ in range(60):
+        sampler.sweep()
+    grown = 0
+    for tree in sampler.trees:
+        assert np.array_equal(np.sort(tree.perm), np.arange(xmat.n))
+        ranges = [(tree.lo[i], tree.hi[i]) for i in tree.leaves]
+        assert ranges[0][0] == 0 and ranges[-1][1] == xmat.n
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(lo < hi for lo, hi in ranges)
+        grown += len(ranges) > 1
+    assert grown >= 6
+
+
 def test_zero_trees_is_the_null_model():
     xmat, y = _random_training(n=60)
     cfg = BartConfig(trees=0)
@@ -220,6 +275,34 @@ def test_sampler_reproducible():
     assert np.array_equal(runs[0][2], runs[1][2])
 
 
+def test_sampler_trajectory_pinned():
+    """The draws of a fixed-seed chain, pinned by digest: any change to the
+    random stream, the move order or the leaf-sum arithmetic shows here."""
+    rng = np.random.default_rng(3)
+    n = 200
+    x1 = np.round(rng.normal(0, 1, n), 1)  # ties
+    x2 = rng.integers(0, 4, n)
+    y = np.sin(2 * x1) + 0.7 * (x2 == 1) + rng.normal(0, 0.3, n)
+    sampler = BartSampler(CovariateMatrix([x1, x2], [False, True]), y,
+                          BartConfig(trees=20), np.random.default_rng(3))
+    for _ in range(40):
+        sampler.sweep()
+    digest = hashlib.sha256(json.dumps(sampler.snapshot()).encode()).hexdigest()
+    assert digest == "e5f1cdfc2f9beea4fa1100470a0e4135543803ff9c2cf22c3d4e967b0f0cbd3d"
+    assert repr(float(sampler.sigma2)) == "0.09924189579555129"
+
+
+def test_move_counts():
+    xmat, y = _random_training(n=90)
+    sampler = BartSampler(xmat, y, BartConfig(trees=6), np.random.default_rng(1))
+    for _ in range(30):
+        sampler.sweep()
+    assert len(MOVES) == len(sampler.proposed) == 3
+    assert sum(sampler.proposed) == 30 * 6
+    assert all(0 <= a <= p for a, p in zip(sampler.accepted, sampler.proposed))
+    assert sampler.accepted[0] > 0  # trees start as stumps, so some grow
+
+
 # ------------------------------------------------------------ serialization
 
 
@@ -230,19 +313,54 @@ def test_docs_are_json_safe_and_signature_ignores_values():
     assert json.loads(json.dumps(doc_a)) == doc_a
 
 
+def test_tree_shape():
+    doc = {"f": 0, "cut": 1.0, "l": {"v": 0.0},
+           "r": {"f": 1, "in": [2], "l": {"v": 1.0}, "r": {"v": 2.0}}}
+    assert tree_shape(doc) == (2, 3)
+    assert tree_shape({"v": 0.5}) == (0, 1)
+
+
 def test_predict_doc_routes_subset_and_threshold():
-    cols = [np.array([0.5, 1.5, 2.5]), np.array([0, 1, 2])]
+    cols = [np.array([0.5, 1.5, 2.0, 2.5, 2.5]), np.array([0, 1, 1, 1, 2])]
     doc = {
         "f": 1,
         "in": [0, 2],
         "l": {"v": 10.0},
         "r": {"f": 0, "cut": 2.0, "l": {"v": 1.0}, "r": {"v": 2.0}},
     }
-    got = predict_doc(doc, cols)
-    assert np.array_equal(got, [10.0, 1.0, 10.0])
-    # unseen categorical level falls to the right branch
-    got = predict_doc(doc, [np.array([3.0]), np.array([7])])
-    assert got[0] == 2.0
+    # a value equal to the cut goes left
+    got = ensemble_predict([[doc]], cols)
+    assert np.array_equal(got, [10.0, 1.0, 1.0, 2.0, 10.0])
+    # unseen categorical levels fall to the right branch
+    got = ensemble_predict([[doc]], [np.array([3.0, 1.0]), np.array([7, -1])])
+    assert np.array_equal(got, [2.0, 1.0])
+
+
+def test_ensemble_predict_matches_recursive_oracle():
+    """Bitwise equal to routing row subsets tree by tree, on snapshots of a
+    real chain; the rows include every training value (so every cut) and
+    categorical levels no tree has seen."""
+    xmat, y = _random_training(n=150)
+    x1 = np.round(xmat.columns[0], 1)  # ties, so cuts repeat across rows
+    xmat = CovariateMatrix([x1, xmat.columns[1]], [False, True])
+    sampler = BartSampler(xmat, y, BartConfig(trees=15), np.random.default_rng(6))
+    ensembles = []
+    for it in range(80):
+        sampler.sweep()
+        if it >= 20 and it % 5 == 0:
+            ensembles.append(sampler.snapshot())
+    rng = np.random.default_rng(0)
+    cols = [
+        np.concatenate([x1, rng.normal(0, 1.5, 100)]),
+        np.concatenate([xmat.columns[1], rng.integers(-1, 7, 100)]),
+    ]
+    got = ensemble_predict(ensembles, cols)
+    assert np.array_equal(got, predict_oracle(ensembles, cols))
+    assert any("in" in json.dumps(e) for e in ensembles)
+    # the training rows reproduce the chain's own per-tree fit
+    last = ensemble_predict([sampler.snapshot()], xmat.columns)
+    assert np.array_equal(last, predict_oracle([sampler.snapshot()], xmat.columns))
+    assert np.allclose(last, sampler.fit_total, atol=1e-9)
 
 
 def test_ensemble_predict_averages_snapshots():

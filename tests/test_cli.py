@@ -206,6 +206,69 @@ def test_unknown_target_rejected(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags, setting", [
+    (["--target-trees", "-1"], "trees"),
+    (["--target-iters", "20", "--target-burn-in", "20"], "burn_in"),
+])
+def test_bad_target_settings_fail_before_the_copula_fit(
+        workspace, tmp_path, monkeypatch, caplog, flags, setting):
+    import mixedsynth.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "fit_copula_model", lambda *a, **k: calls.append(a))
+    rc = main([
+        "fit", "--data", str(workspace["data"]),
+        "--schema", str(workspace["schema"]),
+        "--out", str(tmp_path / "m.mxs"), "--seed", "0", "--targets", "r",
+    ] + flags)
+    assert rc == 2
+    assert calls == []
+    assert setting in caplog.text
+
+
+def test_fit_logs_bart_diagnostics(workspace, tmp_path, caplog):
+    caplog.set_level("INFO", logger="mixedsynth")
+    rc = main([
+        "fit", "--data", str(workspace["data"]),
+        "--schema", str(workspace["schema"]),
+        "--out", str(tmp_path / "m.mxs"), "--seed", "3",
+        "--iters", "40", "--burn-in", "20", "--thin", "5",
+        "--target-iters", "30", "--target-burn-in", "10", "--target-trees", "5",
+    ])
+    assert rc == 0
+    lines = [r.getMessage() for r in caplog.records if "BART acceptance" in r.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith("response 'r'")
+    for move in ("grow", "prune", "change", "mean depth", "mean leaves"):
+        assert move in lines[0]
+
+
+def test_synth_builds_the_response_grid_once(workspace, tmp_path, monkeypatch):
+    """A continuous response's inverse-CDF grid is built once per archive,
+    not once per synthetic dataset."""
+    from mixedsynth.marginals import _GRID_POINTS, ContinuousMarginal
+
+    model = tmp_path / "m.mxs"
+    assert main([
+        "fit", "--data", str(workspace["data"]),
+        "--schema", str(workspace["schema"]),
+        "--out", str(model), "--seed", "3", "--targets", "w",
+        "--iters", "40", "--burn-in", "20", "--thin", "5",
+        "--target-iters", "20", "--target-burn-in", "5", "--target-trees", "3",
+    ]) == 0
+    builds = []
+    cdf = ContinuousMarginal.cdf
+
+    def counting_cdf(self, x):
+        builds.append(np.size(x) == _GRID_POINTS)
+        return cdf(self, x)
+
+    monkeypatch.setattr(ContinuousMarginal, "cdf", counting_cdf)
+    assert main(["synth", "--model", str(model), "--out-dir", str(tmp_path / "syn"),
+                 "--m", "3", "--seed", "1"]) == 0
+    # w is the only continuous column, and it is a response here
+    assert sum(builds) == 1
+
+
 def test_config_file_and_flag_precedence(workspace, tmp_path):
     cfg_file = tmp_path / "synth.json"
     cfg_file.write_text(json.dumps({"m": 4, "seed": 11}))

@@ -100,7 +100,7 @@ def test_tied_count_response_preserves_group_ordering():
 
     # synthesized counts only take observed values and react to the covariate
     records = MixedDataset(schema[:1], {"x": np.linspace(-2, 2, 400)})
-    out = synthesize_response(summary, records, np.random.default_rng(9))
+    out = synthesize_response(summary, [records], [np.random.default_rng(9)])[0]
     assert out.dtype == np.int64
     assert set(out.tolist()) <= set(y.tolist())
     low = out[records.columns["x"] < -1.0].mean()
@@ -113,7 +113,7 @@ def test_continuous_synthesis_stays_inside_observed_hull():
     cfg = TargetConfig(iters=120, burn_in=20, trees=10, keep_every=5, seed=1)
     summary = fit_target_model(ds, "y", cfg)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    out = synthesize_response(summary, records, np.random.default_rng(0))
+    out = synthesize_response(summary, [records], [np.random.default_rng(0)])[0]
     assert out.dtype == np.float64
     y = ds.columns["y"]
     assert out.min() >= y.min() and out.max() <= y.max()
@@ -128,7 +128,7 @@ def test_zero_trees_yields_flat_predictor():
     summary = fit_target_model(ds, "y", cfg)
     assert all(len(ens) == 0 for ens in summary.ensembles)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    out = synthesize_response(summary, records, np.random.default_rng(1))
+    out = synthesize_response(summary, [records], [np.random.default_rng(1)])[0]
     y = ds.columns["y"]
     assert out.min() >= y.min() and out.max() <= y.max()
 
@@ -153,9 +153,25 @@ def test_summary_doc_round_trip_and_json_safety():
     assert clone.sigma2 == summary.sigma2
 
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    a = synthesize_response(summary, records, np.random.default_rng(3))
-    b = synthesize_response(clone, records, np.random.default_rng(3))
+    a = synthesize_response(summary, [records], [np.random.default_rng(3)])[0]
+    b = synthesize_response(clone, [records], [np.random.default_rng(3)])[0]
     assert np.array_equal(a, b)
+
+
+def test_sets_synthesized_together_match_one_at_a_time():
+    ds, _ = _step_dataset(n=120, seed=9)
+    cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
+    summary = fit_target_model(ds, "y", cfg)
+    rng = np.random.default_rng(0)
+    sets = [MixedDataset(ds.schema[:1], {"x": rng.integers(0, 3, k)}) for k in (7, 30, 1)]
+    together = synthesize_response(
+        summary, sets, [np.random.default_rng(i) for i in range(3)])
+    for i, records in enumerate(sets):
+        alone = synthesize_response(summary, [records], [np.random.default_rng(i)])[0]
+        assert np.array_equal(together[i], alone)
+    with pytest.raises(SchemaMismatchError):
+        synthesize_response(summary, [sets[0], ds.subset(["y"])],
+                            [np.random.default_rng(0)] * 2)
 
 
 def test_fit_is_deterministic_in_seed():
@@ -187,7 +203,7 @@ def test_other_response_columns_never_enter_the_covariates():
     assert [c[0] for c in summary.covariate_sig] == ["x"]
     # records without 'w' still synthesize fine
     records = MixedDataset(schema[:1], {"x": rng.integers(0, 2, 30)})
-    out = synthesize_response(summary, records, np.random.default_rng(2))
+    out = synthesize_response(summary, [records], [np.random.default_rng(2)])[0]
     assert out.shape == (30,)
 
 
@@ -201,21 +217,21 @@ def test_schema_mismatch_detection():
         {"other": np.arange(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, missing, np.random.default_rng(0))
+        synthesize_response(summary, [missing], [np.random.default_rng(0)])
 
     two_levels = MixedDataset(
         (ColumnSchema("x", Kind.CATEGORICAL, levels=("a", "b")),),
         {"x": np.zeros(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, two_levels, np.random.default_rng(0))
+        synthesize_response(summary, [two_levels], [np.random.default_rng(0)])
 
     wrong_kind = MixedDataset(
         (ColumnSchema("x", Kind.COUNT),),
         {"x": np.zeros(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, wrong_kind, np.random.default_rng(0))
+        synthesize_response(summary, [wrong_kind], [np.random.default_rng(0)])
 
 
 def test_response_validation():
