@@ -2,10 +2,11 @@
 
 Configuration precedence is CLI flag > ``--config`` JSON file > preset >
 built-in default.  Every report embeds the effective seed and a hash of the
-effective configuration (output paths excluded, so the hash is stable across
-working directories); dataset-producing commands write a ``manifest.json``
-sidecar carrying the same pair.  Exit codes: 0 success, 1 configuration
-problems, 2 failures inside a pipeline stage.  Logs go to stderr only.
+effective configuration (output paths excluded and input files keyed by their
+SHA-256, so the hash does not depend on where the files live);
+dataset-producing commands write a ``manifest.json`` sidecar carrying the
+same pair.  Exit codes: 0 success, 1 configuration problems, 2 failures
+inside a pipeline stage.  Logs go to stderr only.
 """
 from __future__ import annotations
 
@@ -70,8 +71,37 @@ _PRESETS = {
 }
 
 
+# input paths are keyed by what they hold, not by how they are spelled
+_INPUT_FILES = {"data", "schema", "model", "conf"}
+_INPUT_LISTS = {"syn", "pool"}
+_INPUT_DIRS = {"syn_dir", "pool_dir"}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _content_key(value):
+    """Digest of an input file, or name -> digest over a directory's CSVs;
+    the value itself when there is nothing to read."""
+    path = Path(value)
+    if path.is_dir():
+        return {p.name: _sha256(p) for p in sorted(path.glob("*.csv"))}
+    if path.is_file():
+        return _sha256(path)
+    return value
+
+
 def _config_hash(cfg: dict) -> str:
-    doc = {k: v for k, v in sorted(cfg.items()) if k not in _UNHASHED_KEYS}
+    doc = {}
+    for k, v in cfg.items():
+        if k in _UNHASHED_KEYS:
+            continue
+        if k in _INPUT_FILES or k in _INPUT_DIRS:
+            v = _content_key(v)
+        elif k in _INPUT_LISTS:
+            v = [_content_key(p) for p in _csv_list(v)]
+        doc[k] = v
     blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -199,7 +229,13 @@ def _cmd_synth(cfg: dict) -> dict:
         seed=seed,
         draw_selection=cfg["draw_selection"],
     )
-    sets = synthesize_datasets(plan)
+    orthant = []
+    sets = synthesize_datasets(plan, diagnostics=orthant)
+    log.info(
+        "orthant draws per dataset (accepted by rejection/fell back to "
+        "Gibbs/rejection rounds): %s",
+        ", ".join(f"{o.accepted}/{o.fallback}/{o.rounds}" for o in orthant),
+    )
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +264,7 @@ def _cmd_synth(cfg: dict) -> dict:
         "model_schema_hash": ar.schema_hash,
         "files": files,
         "sha256": digests,
+        "orthant": [dataclasses.asdict(o) for o in orthant],
     })
     log.info("wrote %d synthetic datasets to %s", len(files), out_dir)
     return {"files": [str(out_dir / f) for f in files]}

@@ -151,6 +151,14 @@ class _CatCol:
     offset: int
     k: int
     codes: np.ndarray
+    lo: np.ndarray  # (k, n) sign bounds: 0 at the observed level, else -inf
+    hi: np.ndarray  # (k, n): +inf at the observed level, else 0
+
+    @classmethod
+    def from_codes(cls, offset: int, k: int, codes: np.ndarray) -> "_CatCol":
+        pos = np.arange(k)[:, None] == codes[None, :]
+        return cls(offset, k, codes, np.where(pos, 0.0, -np.inf),
+                   np.where(pos, np.inf, 0.0))
 
 
 @dataclass
@@ -170,7 +178,7 @@ class FactorModelPlan:
         for col, off in zip(layout.columns, layout.offsets):
             vals = ds.columns[col.name]
             if col.kind is Kind.CATEGORICAL:
-                cat_cols.append(_CatCol(off, col.k, vals))
+                cat_cols.append(_CatCol.from_codes(off, col.k, vals))
             else:
                 rank_cols.append(_RankCol(off, RankGroups.from_values(vals)))
         return cls(layout, ds.n, rank_cols, cat_cols, layout.cat_latent_mask())
@@ -358,10 +366,9 @@ def update_latent(state: FactorState, plan: FactorModelPlan) -> None:
     for cc in plan.cat_cols:
         for lvl in range(cc.k):
             c = cc.offset + lvl
-            pos = cc.codes == lvl
-            lo = np.where(pos, 0.0, -np.inf)
-            hi = np.where(pos, np.inf, 0.0)
-            state.z[:, c] = truncnorm_sample(rng, fit[:, c], sd[c], lo, hi)
+            state.z[:, c] = truncnorm_sample(
+                rng, fit[:, c], sd[c], cc.lo[lvl], cc.hi[lvl]
+            )
 
 
 def gibbs_sweep(state: FactorState, plan: FactorModelPlan, hyper: Hyperparams) -> None:

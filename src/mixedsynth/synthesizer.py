@@ -2,13 +2,23 @@
 
 Per synthetic record: draw a joint categorical assignment from the empirical
 cell table, draw the categorical latent block from the matching diagonal
-orthant of N(alpha_cat, C_cat,cat) by coordinate Gibbs, draw the remaining
-latents from the exact Gaussian conditional, and push them through the
-inverse marginal CDFs.  The orthant draw is the state after ORTHANT_SWEEPS
-sweeps from a fixed start inside the orthant; earlier sweeps are discarded.
-Records of one dataset are synthesized as one vectorized batch; posterior
+orthant of N(alpha_cat, C_cat,cat), draw the remaining latents from the exact
+Gaussian conditional, and push them through the inverse marginal CDFs.
+
+The orthant draw is rejection first: each round proposes alpha_cat + L eps
+(L the Cholesky factor of C_cat,cat) for every record still pending and keeps
+the proposals that land in the record's orthant, so every accepted draw is
+exact.  Records still pending after ORTHANT_ROUNDS rounds, or once the rounds
+have accepted too few records to beat Gibbs on cost, fall back to coordinate
+Gibbs: the state after ORTHANT_SWEEPS sweeps from a fixed start inside the
+orthant.  The fallback draw does not depend on the rejected proposals, so
+each record targets the same distribution either way.
+
+Records of one dataset go through in chunks of SYNTH_CHUNK, one vectorized
+batch each, so per-record tensors stay bounded as n_out grows; posterior
 draws cycle over records (round-robin) so parameter uncertainty enters every
-dataset.
+dataset.  Per dataset, OrthantStats counts the records accepted by rejection,
+the records that fell back and the rounds run.
 """
 from __future__ import annotations
 
@@ -36,6 +46,7 @@ from .truncated import truncnorm_sample
 __all__ = [
     "FittedCopula",
     "SynthesisPlan",
+    "OrthantStats",
     "ConditionalGaussian",
     "fit_copula_model",
     "sample_truncated_block",
@@ -45,6 +56,11 @@ __all__ = [
 ]
 
 ORTHANT_SWEEPS = 100
+ORTHANT_ROUNDS = 200  # rejection rounds before a record falls back to Gibbs
+SYNTH_CHUNK = 4096  # records per vectorized batch
+# one Gibbs fallback costs about as much as this many rejection proposals
+# (measured 375-380 at d_cat 5 and 14, 1000 records)
+_GIBBS_COST = 4 * ORTHANT_SWEEPS
 _JITTER = 1e-8
 
 
@@ -76,6 +92,15 @@ class SynthesisPlan:
             raise ValueError("n_out must be >= 1")
         if self.draw_selection not in ("round_robin", "random"):
             raise ValueError(f"unknown draw_selection '{self.draw_selection}'")
+
+
+@dataclass
+class OrthantStats:
+    """How one dataset's categorical latent blocks were drawn."""
+
+    accepted: int = 0  # records drawn exactly by rejection
+    fallback: int = 0  # records handed to coordinate Gibbs
+    rounds: int = 0  # rejection rounds run, summed over record chunks
 
 
 @dataclass
@@ -134,6 +159,7 @@ def _prep_draw(corr, alpha, cat_idx, rest_idx):
         np.fill_diagonal(weights, 0.0)
         b = np.linalg.solve(c_cc, c_rc.T).T  # C_rc C_cc^-1
     else:
+        low = np.empty((0, 0))
         cond_sd = np.empty(0)
         weights = np.empty((0, 0))
         b = np.empty((rest_idx.size, 0))
@@ -146,7 +172,7 @@ def _prep_draw(corr, alpha, cat_idx, rest_idx):
             l_star = np.linalg.cholesky(c_star + _JITTER * np.eye(rest_idx.size))
     else:
         l_star = np.empty((0, 0))
-    return weights, cond_sd, b, l_star, alpha[cat_idx], alpha[rest_idx]
+    return weights, cond_sd, low, b, l_star, alpha[cat_idx], alpha[rest_idx]
 
 
 def _draw_tables(model: FittedCopula):
@@ -156,13 +182,14 @@ def _draw_tables(model: FittedCopula):
     mask = model.layout.cat_latent_mask()
     cat_idx = np.flatnonzero(mask)
     rest_idx = np.flatnonzero(~mask)
-    ws, sds, bs, ls, acs, ars = [], [], [], [], [], []
+    ws, sds, cs, bs, ls, acs, ars = [], [], [], [], [], [], []
     for d in range(model.draws.n_draws):
-        w, sd, b, l_star, ac, ar = _prep_draw(
+        w, sd, low, b, l_star, ac, ar = _prep_draw(
             model.draws.corr[d], model.draws.alpha[d], cat_idx, rest_idx
         )
         ws.append(w)
         sds.append(sd)
+        cs.append(low)
         bs.append(b)
         ls.append(l_star)
         acs.append(ac)
@@ -172,6 +199,7 @@ def _draw_tables(model: FittedCopula):
         "rest_idx": rest_idx,
         "w": np.asarray(ws),
         "sd": np.asarray(sds),
+        "chol": np.asarray(cs),
         "b": np.asarray(bs),
         "l": np.asarray(ls),
         "a_cat": np.asarray(acs),
@@ -192,7 +220,7 @@ def conditional_moments(
     cat_idx = np.asarray(cat_idx, dtype=np.int64)
     p_star = corr.shape[0]
     rest_idx = np.setdiff1d(np.arange(p_star), cat_idx)
-    w, sd, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
+    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
     alpha_star = a_rest + b @ (np.asarray(z_cat, dtype=np.float64) - a_cat)
     c_star = l_star @ l_star.T if rest_idx.size else np.empty((0, 0))
     # report the exact Schur complement, not its jittered factor
@@ -215,6 +243,40 @@ def _orthant_box(layout: ExpandedLayout, assign: np.ndarray):
         hi[rows, pos + assign[:, q]] = np.inf
         pos += k
     return lo, hi
+
+
+def _orthant_rejection(rng, a_cat, chol, sign, rounds):
+    """Exact orthant draws by plain rejection from N(a_cat, chol chol').
+
+    Each round proposes once for every pending record and accepts the
+    proposals with sign(z) == sign; a record's first accepted proposal is an
+    exact draw.  Rounds stop after `rounds`, or as soon as fewer than one
+    record has been accepted per _GIBBS_COST proposals so far, when finishing
+    the pending records by rejection would cost more than Gibbs.  The rule
+    reads only hit counts, so accepted draws stay exact.  Returns the draws,
+    the records still pending (their rows of z are unset) and the rounds run.
+    """
+    n, d_cat = a_cat.shape
+    z = np.empty((n, d_cat))
+    rows = np.arange(n)
+    used = proposed = 0
+    while rows.size and used < rounds:
+        if proposed >= _GIBBS_COST and (n - rows.size) * _GIBBS_COST < proposed:
+            break
+        used += 1
+        proposed += rows.size
+        eps = rng.standard_normal((rows.size, d_cat))
+        cand = a_cat + np.einsum("ijk,ik->ij", chol, eps)
+        hit = np.all(cand * sign > 0, axis=1)
+        z[rows[hit]] = cand[hit]
+        miss = ~hit
+        rows, a_cat, chol, sign = rows[miss], a_cat[miss], chol[miss], sign[miss]
+    return z, rows, used
+
+
+def _orthant_sign(hi):
+    """+1 on each record's observed-level coordinates, -1 elsewhere."""
+    return np.where(np.isinf(hi), 1.0, -1.0)
 
 
 def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, lo, hi, sweeps):
@@ -242,33 +304,50 @@ def sample_truncated_block(
     rng: np.random.Generator,
     sweeps: int = ORTHANT_SWEEPS,
 ) -> np.ndarray:
-    """One z_cat draw honoring the orthant pattern of a single assignment."""
+    """One z_cat draw honoring the orthant pattern of a single assignment:
+    rejection first, then `sweeps` Gibbs sweeps if ORTHANT_ROUNDS rounds
+    all missed."""
     mask = layout.cat_latent_mask()
     cat_idx = np.flatnonzero(mask)
     rest_idx = np.flatnonzero(~mask)
-    w, sd, _, _, a_cat, _ = _prep_draw(corr, alpha, cat_idx, rest_idx)
+    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, cat_idx, rest_idx)
     assign = np.atleast_2d(np.asarray(assignment, dtype=np.int64))
     lo, hi = _orthant_box(layout, assign)
-    z = _batched_orthant_gibbs(
-        rng, a_cat[None, :], w[None, :, :], sd[None, :], lo, hi, sweeps
+    z, pending, _ = _orthant_rejection(
+        rng, a_cat[None, :], low[None, :, :], _orthant_sign(hi), ORTHANT_ROUNDS
     )
-    if not np.all(np.isfinite(z)):
-        raise OrthantUnderflowError("orthant sampler produced non-finite values")
+    if pending.size:
+        z = _batched_orthant_gibbs(
+            rng, a_cat[None, :], w[None, :, :], sd[None, :], lo, hi, sweeps
+        )
+        if not np.all(np.isfinite(z)):
+            raise OrthantUnderflowError("orthant sampler produced non-finite values")
     return z[0]
 
 
-def _synthesize_batch(model: FittedCopula, draw_idx: np.ndarray, rng):
+def _synthesize_batch(
+    model: FittedCopula, draw_idx: np.ndarray, rng, stats: OrthantStats
+):
     """Columns (name -> array) for one batch of records."""
     t = _draw_tables(model)
     n = draw_idx.size
     d_cat = t["cat_idx"].size
     layout = model.layout
+    a_cat = t["a_cat"][draw_idx]
     if d_cat:
-        # records whose draw underflowed get a fresh assignment and a redraw
-        assign = np.empty((n, len(layout.cat_columns)), dtype=np.int64)
-        z_cat = np.empty((n, d_cat))
-        rows = np.arange(n)
+        assign = model.cat_table.draw(rng, n)
+        lo, hi = _orthant_box(layout, assign)
+        z_cat, rows, used = _orthant_rejection(
+            rng, a_cat, t["chol"][draw_idx], _orthant_sign(hi), ORTHANT_ROUNDS
+        )
+        stats.accepted += n - rows.size
+        stats.fallback += rows.size
+        stats.rounds += used
+        # records rejection missed go to Gibbs; one whose Gibbs draw
+        # underflowed gets a fresh assignment and a redraw
         for tries in range(21):  # one draw plus up to 20 resamples
+            if not rows.size:
+                break
             if tries:
                 warnings.warn(
                     f"resampling {rows.size} categorical assignments after "
@@ -276,15 +355,14 @@ def _synthesize_batch(model: FittedCopula, draw_idx: np.ndarray, rng):
                     OrthantResampleWarning,
                     stacklevel=3,
                 )
-            assign[rows] = model.cat_table.draw(rng, rows.size)
-            lo, hi = _orthant_box(layout, assign[rows])
+                assign[rows] = model.cat_table.draw(rng, rows.size)
+                lo[rows], hi[rows] = _orthant_box(layout, assign[rows])
             di = draw_idx[rows]
             z_cat[rows] = _batched_orthant_gibbs(
-                rng, t["a_cat"][di], t["w"][di], t["sd"][di], lo, hi, ORTHANT_SWEEPS
+                rng, a_cat[rows], t["w"][di], t["sd"][di], lo[rows], hi[rows],
+                ORTHANT_SWEEPS,
             )
-            rows = np.flatnonzero(~np.all(np.isfinite(z_cat), axis=1))
-            if not rows.size:
-                break
+            rows = rows[~np.all(np.isfinite(z_cat[rows]), axis=1)]
         else:
             raise OrthantUnderflowError(
                 f"{rows.size} records kept underflowing their orthant"
@@ -296,7 +374,7 @@ def _synthesize_batch(model: FittedCopula, draw_idx: np.ndarray, rng):
     if r:
         eps = rng.standard_normal((n, r))
         mu = t["a_rest"][draw_idx] + np.einsum(
-            "irc,ic->ir", t["b"][draw_idx], z_cat - t["a_cat"][draw_idx]
+            "irc,ic->ir", t["b"][draw_idx], z_cat - a_cat
         )
         z_rest = mu + np.einsum("irs,is->ir", t["l"][draw_idx], eps)
     else:
@@ -323,7 +401,7 @@ def synthesize_record(
     model: FittedCopula, rng: np.random.Generator, draw_index: int = 0
 ) -> MixedDataset:
     """One synthetic record from one posterior draw (mainly for tests/demos)."""
-    cols = _synthesize_batch(model, np.asarray([draw_index]), rng)
+    cols = _synthesize_batch(model, np.asarray([draw_index]), rng, OrthantStats())
     return MixedDataset(model.schema, cols)
 
 
@@ -334,17 +412,29 @@ def _select_draws(plan: SynthesisPlan, n: int, rng) -> np.ndarray:
     return rng.integers(0, n_draws, size=n)
 
 
-def synthesize_datasets(plan: SynthesisPlan) -> list[MixedDataset]:
+def synthesize_datasets(
+    plan: SynthesisPlan, diagnostics: list | None = None
+) -> list[MixedDataset]:
     """Generate plan.m synthetic datasets of plan.n_out records each.
 
     Dataset i is produced entirely from substream (seed, "synth", i), so the
-    output bytes depend only on (plan, seed) and never on scheduling.
+    output bytes depend only on (plan, seed) and never on scheduling.  Its
+    records go through in chunks of SYNTH_CHUNK, one after another on that
+    stream.  If `diagnostics` is a list, one OrthantStats per dataset is
+    appended to it.
     """
     n_out = plan.n_out or plan.model.n_fit
     out = []
     for i in range(plan.m):
         rng = substream(plan.seed, "synth", i)
         draw_idx = _select_draws(plan, n_out, rng)
-        cols = _synthesize_batch(plan.model, draw_idx, rng)
+        stats = OrthantStats()
+        parts = [
+            _synthesize_batch(plan.model, draw_idx[s : s + SYNTH_CHUNK], rng, stats)
+            for s in range(0, n_out, SYNTH_CHUNK)
+        ]
+        cols = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
         out.append(MixedDataset(plan.model.schema, cols))
+        if diagnostics is not None:
+            diagnostics.append(stats)
     return out

@@ -242,6 +242,27 @@ def test_fit_logs_bart_diagnostics(workspace, tmp_path, caplog):
         assert move in lines[0]
 
 
+def test_synth_reports_orthant_diagnostics(workspace, tmp_path, caplog):
+    """Per dataset, the manifest and one INFO line give the records accepted
+    by rejection, those that fell back to Gibbs and the rounds run."""
+    caplog.set_level("INFO", logger="mixedsynth")
+    out_dir = tmp_path / "syn"
+    assert main(["synth", "--model", str(workspace["archive"]),
+                 "--out-dir", str(out_dir), "--m", "3", "--n-out", "120",
+                 "--seed", "11"]) == 0
+    orthant = json.loads((out_dir / "manifest.json").read_text())["orthant"]
+    assert len(orthant) == 3
+    for doc in orthant:
+        assert sorted(doc) == ["accepted", "fallback", "rounds"]
+        assert doc["accepted"] + doc["fallback"] == 120
+        assert doc["rounds"] >= 1
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("orthant draws")]
+    assert len(lines) == 1
+    assert lines[0].endswith(", ".join(
+        f"{d['accepted']}/{d['fallback']}/{d['rounds']}" for d in orthant))
+
+
 def test_synth_builds_the_response_grid_once(workspace, tmp_path, monkeypatch):
     """A continuous response's inverse-CDF grid is built once per archive,
     not once per synthetic dataset."""
@@ -320,6 +341,33 @@ def test_config_hash_ignores_output_paths():
     assert _config_hash(base) == _config_hash(moved)
     assert _config_hash(dict(base, m=4)) != _config_hash(base)
     assert len(_config_hash(base)) == 16
+
+
+def test_fit_archive_independent_of_input_location(tmp_path):
+    """Byte-identical inputs fitted from two directories give byte-identical
+    archives: the config hash keys inputs by content, not by path."""
+    digests = []
+    for sub in ("first", "second/nested"):
+        root = tmp_path / sub
+        root.mkdir(parents=True)
+        data, schema = _make_inputs(root)
+        out = root / "model.mxs"
+        assert main(["fit", "--data", str(data), "--schema", str(schema),
+                     "--out", str(out), "--seed", "2", "--iters", "40",
+                     "--burn-in", "20", "--thin", "5", "--target-iters", "10",
+                     "--target-burn-in", "2", "--target-trees", "3"]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+def test_config_hash_follows_input_content(tmp_path):
+    data, schema = _make_inputs(tmp_path)
+    cfg = {"data": str(data), "schema": str(schema), "seed": 1}
+    before = _config_hash(cfg)
+    lines = data.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",99"  # one cell of the last column
+    data.write_text("\n".join(lines) + "\n")
+    assert _config_hash(cfg) != before
 
 
 def test_list_parsing():

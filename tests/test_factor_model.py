@@ -6,6 +6,8 @@ shares no algebra with the sampler).  The rank-column kernel is checked by
 invariance: feeding it exact rejection samples of its target must return
 draws from the same target.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -496,6 +498,40 @@ def test_same_seed_same_draws():
     d2 = run_chain(ds, cfg)
     assert np.array_equal(d1.corr, d2.corr)
     assert np.array_equal(d1.alpha, d2.alpha)
+
+
+def test_chain_trajectory_pinned():
+    """The draws of a fixed-seed 40-sweep chain over every column kind, pinned
+    by digest: any change to the random stream, the update order or the
+    truncated-normal arithmetic shows here.  Level d is rare, so its positive
+    cells sit below their mean and take the mirrored branch."""
+    rng = np.random.default_rng(17)
+    n = 300
+    g = rng.choice(4, n, p=[0.55, 0.25, 0.15, 0.05])
+    h = rng.integers(0, 3, n)
+    ds = MixedDataset(
+        (
+            ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c", "d")),
+            ColumnSchema("h", Kind.CATEGORICAL, levels=("x", "y", "z")),
+            ColumnSchema("y", Kind.COUNT),
+            ColumnSchema("o", Kind.ORDINAL),
+            ColumnSchema("w", Kind.CONTINUOUS),
+            ColumnSchema("b", Kind.BINARY),
+        ),
+        {
+            "g": g,
+            "h": h,
+            "y": rng.poisson(2.0 + g),
+            "o": rng.integers(0, 5, n),
+            "w": rng.normal(0.3 * h, 1.0),
+            "b": (rng.random(n) < 0.3).astype(np.int64),
+        },
+    )
+    draws = run_chain(ds, ChainConfig(iters=40, burn_in=20, thin=1, seed=4))
+    blob = draws.corr.tobytes() + draws.alpha.tobytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    assert digest == "ede35dca4296936645e5d0c338d04222a67bf69ed52f4e6dd2f7b0cb32b4ad43"
+    assert repr(float(draws.corr[-1, 0, 7])) == "-0.4801014094057995"
 
 
 def test_posterior_draw_invariants():

@@ -9,7 +9,13 @@ from mixedsynth.errors import OrthantResampleWarning, OrthantUnderflowError
 from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout
 from mixedsynth.synthesizer import (
+    OrthantStats,
     SynthesisPlan,
+    _batched_orthant_gibbs,
+    _orthant_box,
+    _orthant_rejection,
+    _orthant_sign,
+    _prep_draw,
     _select_draws,
     conditional_moments,
     fit_copula_model,
@@ -116,6 +122,100 @@ def test_orthant_block_independent_case_exact():
         assert abs(draws[:, j].mean() - exact.mean()) < 4 * se
 
 
+def _two_block_orthant():
+    """Blocks g (3 levels) and h (2 levels) at assignment (g=2, h=1): the
+    orthant {z0, z1, z3 < 0; z2, z4 > 0} holds about 1.9% of the mass."""
+    corr = np.array([
+        [1.0, -0.314, -0.109, -0.207, -0.066],
+        [-0.314, 1.0, -0.303, 0.347, -0.098],
+        [-0.109, -0.303, 1.0, -0.413, 0.413],
+        [-0.207, 0.347, -0.413, 1.0, -0.49],
+        [-0.066, -0.098, 0.413, -0.49, 1.0],
+    ])
+    alpha = np.array([0.4, 0.1, -0.7, 0.3, -0.4])
+    layout = expand_layout(MixedDataset(
+        (
+            ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),
+            ColumnSchema("h", Kind.CATEGORICAL, levels=("x", "y")),
+        ),
+        {"g": np.arange(3, dtype=np.int64), "h": np.array([0, 1, 0])},
+    ))
+    return corr, alpha, layout, np.array([2, 1])
+
+
+def test_rejection_draws_match_brute_force_oracle():
+    """Rejection-first draws on a low-mass orthant over two categorical
+    blocks against plain rejection from the untruncated Gaussian: every draw
+    lies strictly inside the orthant, and first and second moments agree."""
+    corr, alpha, layout, assign = _two_block_orthant()
+    rng = np.random.default_rng(8)
+    cand = alpha + rng.standard_normal((2_000_000, 5)) @ np.linalg.cholesky(corr).T
+    sign = np.array([-1.0, -1.0, 1.0, -1.0, 1.0])
+    oracle = cand[np.all(cand * sign > 0, axis=1)]
+    assert oracle.shape[0] / cand.shape[0] <= 0.05
+
+    n = 4000
+    _, _, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5), np.empty(0, int))
+    _, hi = _orthant_box(layout, np.tile(assign, (n, 1)))
+    z, pending, rounds = _orthant_rejection(
+        rng, np.tile(a_cat, (n, 1)), np.tile(low, (n, 1, 1)), _orthant_sign(hi), 5000
+    )
+    assert pending.size == 0 and rounds > 100
+    assert np.all(z * sign > 0)
+    pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+    for f in [lambda x, j=j: x[:, j] for j in range(5)] + [
+        lambda x, i=i, j=j: x[:, i] * x[:, j] for i, j in pairs
+    ]:
+        a, b = f(z), f(oracle)
+        se = np.sqrt(a.var() / a.size + b.var() / b.size)
+        assert abs(a.mean() - b.mean()) < 4 * se
+
+
+def test_rejection_stops_early_when_gibbs_is_cheaper():
+    """On an orthant holding far less than 1/_GIBBS_COST of the mass the
+    rounds stop long before the cap and hand the records to Gibbs; any
+    record accepted before that is still inside its orthant.  A single
+    record never gathers enough proposals to stop early."""
+    # level 0 of one 5-level block under N(alpha, I): mass about 5.7e-4
+    alpha = np.array([-2.0, 1.0, 1.0, 1.0, 1.0])
+    sign = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
+    n = 2000
+    z, pending, rounds = _orthant_rejection(
+        np.random.default_rng(6), np.tile(alpha, (n, 1)),
+        np.tile(np.eye(5), (n, 1, 1)), np.tile(sign, (n, 1)), 200,
+    )
+    assert rounds <= 3 and pending.size >= n - 10
+    done = np.setdiff1d(np.arange(n), pending)
+    assert np.all(z[done] * sign > 0)
+
+    _, pending, rounds = _orthant_rejection(
+        np.random.default_rng(6), alpha[None, :], np.eye(5)[None, :, :],
+        sign[None, :], 200,
+    )
+    assert rounds == 200 and pending.size == 1
+    assert synthesizer._GIBBS_COST > 200
+
+
+def test_zero_rejection_rounds_is_the_gibbs_kernel(monkeypatch):
+    """With the rejection cap at 0 every record falls back, and the draw is
+    the Gibbs kernel's output on the same stream."""
+    corr, alpha, layout, assign = _two_block_orthant()
+    monkeypatch.setattr(synthesizer, "ORTHANT_ROUNDS", 0)
+    z = sample_truncated_block(corr, alpha, assign, layout,
+                               np.random.default_rng(4), sweeps=7)
+    w, sd, _, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5),
+                                          np.empty(0, int))
+    lo, hi = _orthant_box(layout, assign[None, :])
+    ref = _batched_orthant_gibbs(np.random.default_rng(4), a_cat[None, :],
+                                 w[None, :, :], sd[None, :], lo, hi, 7)
+    assert np.array_equal(z, ref[0])
+
+    _, model = _mixed_fit(n=150, iters=100, burn_in=50)
+    stats = []
+    synthesize_datasets(SynthesisPlan(model, m=2, n_out=30, seed=1), stats)
+    assert stats == [OrthantStats(accepted=0, fallback=30, rounds=0)] * 2
+
+
 def _mixed_fit(n=400, seed=0, iters=400, burn_in=200):
     rng = np.random.default_rng(seed)
     g = rng.integers(0, 3, n)
@@ -169,8 +269,40 @@ def test_synthesis_reproducible_and_distinct_across_indices():
     )
 
 
+def test_chunked_synthesis_deterministic_across_chunk_boundary(monkeypatch):
+    """Records go through in chunks on one stream: output repeats exactly,
+    its first chunk is what a one-chunk run of that size gives, and a run
+    that fits in one chunk is the same whatever the chunk size."""
+    _, model = _mixed_fit(n=200, iters=200, burn_in=100)
+    plan = SynthesisPlan(model, m=2, n_out=150, seed=9)
+    whole = synthesize_datasets(plan)
+    monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 150)
+    for a, b in zip(whole, synthesize_datasets(plan)):
+        for name in a.columns:
+            assert np.array_equal(a.columns[name], b.columns[name])
+
+    monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 64)
+    stats = []
+    chunked = synthesize_datasets(plan, stats)
+    again = synthesize_datasets(plan)
+    head = synthesize_datasets(SynthesisPlan(model, m=2, n_out=64, seed=9))
+    for c, r, h in zip(chunked, again, head):
+        assert c.n == 150
+        for name in c.columns:
+            assert np.array_equal(c.columns[name], r.columns[name])
+            assert np.array_equal(c.columns[name][:64], h.columns[name])
+    assert len(stats) == 2
+    assert all(st.accepted + st.fallback == 150 and st.rounds >= 3 for st in stats)
+    # chunks draw from one stream in turn, so they are not copies of each other
+    assert not np.array_equal(chunked[0].columns["w"][64:128],
+                              chunked[0].columns["w"][:64])
+
+
 def test_orthant_underflow_resamples_then_gives_up(monkeypatch):
+    """Underflow can only come from the Gibbs fallback, so with the rejection
+    cap at 0 every record falls back and the resample loop sees them all."""
     _, model = _mixed_fit(n=150, iters=100, burn_in=50)
+    monkeypatch.setattr(synthesizer, "ORTHANT_ROUNDS", 0)
     real = synthesizer._batched_orthant_gibbs
     batches = []
 
@@ -212,7 +344,7 @@ def test_draw_selection_schemes():
         SynthesisPlan(model, draw_selection="bogus")
 
 
-def test_no_categorical_dataset_roundtrip():
+def test_no_categorical_dataset_roundtrip(monkeypatch):
     rng = np.random.default_rng(3)
     n = 300
     ds = MixedDataset(
@@ -229,12 +361,20 @@ def test_no_categorical_dataset_roundtrip():
     )
     model = fit_copula_model(ds, ChainConfig(iters=200, burn_in=100, thin=5, seed=1))
     assert model.cat_table is None
-    out = synthesize_datasets(SynthesisPlan(model, m=2, seed=2))
+    stats = []
+    out = synthesize_datasets(SynthesisPlan(model, m=2, seed=2), stats)
+    assert stats == [OrthantStats()] * 2
     for s in out:
         assert s.n == n
         assert set(np.unique(s.columns["b"]).tolist()) <= {0, 1}
     rec = synthesize_record(model, np.random.default_rng(0))
     assert rec.n == 1
+    # with no orthant block the stream is one normal per latent cell, so
+    # chunking leaves the output unchanged
+    monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)
+    for a, b in zip(out, synthesize_datasets(SynthesisPlan(model, m=2, seed=2))):
+        for name in a.columns:
+            assert np.array_equal(a.columns[name], b.columns[name])
 
 
 def test_default_output_size_matches_fit():
