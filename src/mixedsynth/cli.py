@@ -5,8 +5,9 @@ built-in default.  Every report embeds the effective seed and a hash of the
 effective configuration (output paths excluded and input files keyed by their
 SHA-256, so the hash does not depend on where the files live);
 dataset-producing commands write a ``manifest.json`` sidecar carrying the
-same pair.  Exit codes: 0 success, 1 configuration problems, 2 failures
-inside a pipeline stage.  Logs go to stderr only.
+same pair and the model archive's SHA-256.  Exit codes: 0 success, 1
+configuration problems, 2 failures inside a pipeline stage.  Logs go to
+stderr only.
 """
 from __future__ import annotations
 
@@ -135,7 +136,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file '{path}' must hold a JSON object")
     cfg = dict(defaults)
     preset_name = given.get("preset", from_file.get("preset"))
-    if preset_name is not None and preset_name in _PRESETS:
+    if preset_name is not None:
+        if preset_name not in _PRESETS:
+            raise ConfigError(
+                f"unknown preset '{preset_name}'; choose from {sorted(_PRESETS)}"
+            )
         cfg.update(_PRESETS[preset_name])
     cfg.update(from_file)
     cfg.update(given)
@@ -256,11 +261,11 @@ def _cmd_synth(cfg: dict) -> dict:
         path = out_dir / f"{stem}_syn_{i}.csv"
         write_csv(full, path)
         files.append(path.name)
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[path.name] = _sha256(path)
     _json_out(out_dir / "manifest.json", {
         "config_hash": _config_hash(cfg),
         "seed": seed,
-        "model": str(cfg["model"]),
+        "model": _sha256(Path(cfg["model"])),
         "model_schema_hash": ar.schema_hash,
         "files": files,
         "sha256": digests,

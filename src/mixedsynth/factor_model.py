@@ -146,19 +146,35 @@ class _RankCol:
     groups: RankGroups
 
 
+def _level_signs(codes: np.ndarray, widths) -> np.ndarray:
+    """Diagonal-orthant pattern of (n, q) level codes over q consecutive
+    categorical blocks of the given widths: +1 at each observed level's
+    latent column, -1 at the other levels; shape (n, sum(widths))."""
+    n = codes.shape[0]
+    sign = np.full((n, sum(widths)), -1.0)
+    sign[np.arange(n)[:, None], np.cumsum([0, *widths[:-1]]) + codes] = 1.0
+    return sign
+
+
+def _sign_bounds(sign: np.ndarray):
+    """Truncation interval (lo, hi) of each cell: (0, inf) where sign is +1,
+    (-inf, 0) where it is -1."""
+    pos = sign > 0
+    return np.where(pos, 0.0, -np.inf), np.where(pos, np.inf, 0.0)
+
+
 @dataclass
 class _CatCol:
     offset: int
     k: int
     codes: np.ndarray
-    lo: np.ndarray  # (k, n) sign bounds: 0 at the observed level, else -inf
-    hi: np.ndarray  # (k, n): +inf at the observed level, else 0
+    lo: np.ndarray  # (k, n) _sign_bounds of the block's _level_signs
+    hi: np.ndarray
 
     @classmethod
     def from_codes(cls, offset: int, k: int, codes: np.ndarray) -> "_CatCol":
-        pos = np.arange(k)[:, None] == codes[None, :]
-        return cls(offset, k, codes, np.where(pos, 0.0, -np.inf),
-                   np.where(pos, np.inf, 0.0))
+        sign = _level_signs(codes[:, None], (k,)).T.copy()  # rows contiguous
+        return cls(offset, k, codes, *_sign_bounds(sign))
 
 
 @dataclass
@@ -240,17 +256,16 @@ def init_state(
 
     Rank columns start at normal scores of rescaled mid-ranks (ties share a
     value, which is feasible because only strictly distinct observations are
-    ordered); categorical blocks start at +0.5 on the observed level and -0.5
-    elsewhere.
+    ordered); categorical blocks start at 0.5 times their orthant sign.
     """
     n, p_star, k = plan.n, plan.layout.p_star, n_factors
     z = np.zeros((n, p_star))
     for rc in plan.rank_cols:
         z[:, rc.latent] = rc.groups.normal_scores()
     for cc in plan.cat_cols:
-        blk = z[:, cc.offset : cc.offset + cc.k]
-        blk.fill(-0.5)
-        blk[np.arange(n), cc.codes] = 0.5
+        z[:, cc.offset : cc.offset + cc.k] = 0.5 * _level_signs(
+            cc.codes[:, None], (cc.k,)
+        )
     delta = np.empty(k)
     delta[0] = rng.gamma(hyper.a1, 1.0)
     if k > 1:

@@ -4,6 +4,10 @@ Per synthetic record: draw a joint categorical assignment from the empirical
 cell table, draw the categorical latent block from the matching diagonal
 orthant of N(alpha_cat, C_cat,cat), draw the remaining latents from the exact
 Gaussian conditional, and push them through the inverse marginal CDFs.
+synthesize_datasets is the only entry point; there is no per-record API.
+The orthant's sign pattern (+1 at each observed level, -1 elsewhere), its
+truncation bounds and the Gibbs start 0.5 * sign come from the same helpers
+the factor model's fit uses (factor_model._level_signs, _sign_bounds).
 
 The orthant draw is rejection first: each round proposes alpha_cat + L eps
 (L the Cholesky factor of C_cat,cat) for every record still pending and keeps
@@ -33,7 +37,14 @@ from .errors import (
     OrthantUnderflowError,
     SingularBlockError,
 )
-from .factor_model import ChainConfig, Hyperparams, PosteriorDraws, run_chain
+from .factor_model import (
+    ChainConfig,
+    Hyperparams,
+    PosteriorDraws,
+    _level_signs,
+    _sign_bounds,
+    run_chain,
+)
 from .marginals import (
     CategoricalProbTable,
     fit_categorical_probs,
@@ -47,11 +58,7 @@ __all__ = [
     "FittedCopula",
     "SynthesisPlan",
     "OrthantStats",
-    "ConditionalGaussian",
     "fit_copula_model",
-    "sample_truncated_block",
-    "conditional_moments",
-    "synthesize_record",
     "synthesize_datasets",
 ]
 
@@ -101,14 +108,6 @@ class OrthantStats:
     accepted: int = 0  # records drawn exactly by rejection
     fallback: int = 0  # records handed to coordinate Gibbs
     rounds: int = 0  # rejection rounds run, summed over record chunks
-
-
-@dataclass
-class ConditionalGaussian:
-    """Moments of the non-categorical latents given the categorical block."""
-
-    alpha_star: np.ndarray
-    c_star: np.ndarray
 
 
 def fit_copula_model(
@@ -209,42 +208,6 @@ def _draw_tables(model: FittedCopula):
     return tables
 
 
-def conditional_moments(
-    corr: np.ndarray, alpha: np.ndarray, z_cat: np.ndarray, cat_idx
-) -> ConditionalGaussian:
-    """Exact conditional of the non-categorical latents given z_cat.
-
-    alpha_star = alpha_rest + C_rc C_cc^-1 (z_cat - alpha_cat); c_star is the
-    Schur complement.  C_cc gets +1e-8 I if its Cholesky fails.
-    """
-    cat_idx = np.asarray(cat_idx, dtype=np.int64)
-    p_star = corr.shape[0]
-    rest_idx = np.setdiff1d(np.arange(p_star), cat_idx)
-    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
-    alpha_star = a_rest + b @ (np.asarray(z_cat, dtype=np.float64) - a_cat)
-    c_star = l_star @ l_star.T if rest_idx.size else np.empty((0, 0))
-    # report the exact Schur complement, not its jittered factor
-    c_rc = corr[np.ix_(rest_idx, cat_idx)]
-    c_exact = corr[np.ix_(rest_idx, rest_idx)] - b @ c_rc.T
-    return ConditionalGaussian(alpha_star, 0.5 * (c_exact + c_exact.T))
-
-
-def _orthant_box(layout: ExpandedLayout, assign: np.ndarray):
-    """Sign-constraint box (lo, hi) per record over categorical latent columns."""
-    widths = [c.k for c in layout.cat_columns]
-    d_cat = sum(widths)
-    n = assign.shape[0]
-    lo = np.full((n, d_cat), -np.inf)
-    hi = np.zeros((n, d_cat))
-    pos = 0
-    for q, k in enumerate(widths):
-        rows = np.arange(n)
-        lo[rows, pos + assign[:, q]] = 0.0
-        hi[rows, pos + assign[:, q]] = np.inf
-        pos += k
-    return lo, hi
-
-
 def _orthant_rejection(rng, a_cat, chol, sign, rounds):
     """Exact orthant draws by plain rejection from N(a_cat, chol chol').
 
@@ -274,19 +237,15 @@ def _orthant_rejection(rng, a_cat, chol, sign, rounds):
     return z, rows, used
 
 
-def _orthant_sign(hi):
-    """+1 on each record's observed-level coordinates, -1 elsewhere."""
-    return np.where(np.isinf(hi), 1.0, -1.0)
-
-
-def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, lo, hi, sweeps):
+def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, sign, sweeps):
     """Coordinate Gibbs across a batch of records, each with its own draw.
 
-    Starts inside the orthant at +-0.5 and returns the state after `sweeps`
-    full sweeps, visiting coordinates in ascending order.
+    Starts inside the orthant at 0.5 * sign and returns the state after
+    `sweeps` full sweeps, visiting coordinates in ascending order.
     """
-    n, d_cat = lo.shape
-    z = np.where(np.isinf(hi), 0.5, -0.5)
+    lo, hi = _sign_bounds(sign)
+    z = 0.5 * sign
+    d_cat = sign.shape[1]
     for _ in range(sweeps):
         centered = z - a_cat
         for j in range(d_cat):
@@ -294,35 +253,6 @@ def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, lo, hi, sweeps):
             z[:, j] = truncnorm_sample(rng, m, cond_sd[:, j], lo[:, j], hi[:, j])
             centered[:, j] = z[:, j] - a_cat[:, j]
     return z
-
-
-def sample_truncated_block(
-    corr: np.ndarray,
-    alpha: np.ndarray,
-    assignment: np.ndarray,
-    layout: ExpandedLayout,
-    rng: np.random.Generator,
-    sweeps: int = ORTHANT_SWEEPS,
-) -> np.ndarray:
-    """One z_cat draw honoring the orthant pattern of a single assignment:
-    rejection first, then `sweeps` Gibbs sweeps if ORTHANT_ROUNDS rounds
-    all missed."""
-    mask = layout.cat_latent_mask()
-    cat_idx = np.flatnonzero(mask)
-    rest_idx = np.flatnonzero(~mask)
-    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, cat_idx, rest_idx)
-    assign = np.atleast_2d(np.asarray(assignment, dtype=np.int64))
-    lo, hi = _orthant_box(layout, assign)
-    z, pending, _ = _orthant_rejection(
-        rng, a_cat[None, :], low[None, :, :], _orthant_sign(hi), ORTHANT_ROUNDS
-    )
-    if pending.size:
-        z = _batched_orthant_gibbs(
-            rng, a_cat[None, :], w[None, :, :], sd[None, :], lo, hi, sweeps
-        )
-        if not np.all(np.isfinite(z)):
-            raise OrthantUnderflowError("orthant sampler produced non-finite values")
-    return z[0]
 
 
 def _synthesize_batch(
@@ -335,10 +265,11 @@ def _synthesize_batch(
     layout = model.layout
     a_cat = t["a_cat"][draw_idx]
     if d_cat:
+        widths = [c.k for c in layout.cat_columns]
         assign = model.cat_table.draw(rng, n)
-        lo, hi = _orthant_box(layout, assign)
+        sign = _level_signs(assign, widths)
         z_cat, rows, used = _orthant_rejection(
-            rng, a_cat, t["chol"][draw_idx], _orthant_sign(hi), ORTHANT_ROUNDS
+            rng, a_cat, t["chol"][draw_idx], sign, ORTHANT_ROUNDS
         )
         stats.accepted += n - rows.size
         stats.fallback += rows.size
@@ -356,10 +287,10 @@ def _synthesize_batch(
                     stacklevel=3,
                 )
                 assign[rows] = model.cat_table.draw(rng, rows.size)
-                lo[rows], hi[rows] = _orthant_box(layout, assign[rows])
+                sign[rows] = _level_signs(assign[rows], widths)
             di = draw_idx[rows]
             z_cat[rows] = _batched_orthant_gibbs(
-                rng, a_cat[rows], t["w"][di], t["sd"][di], lo[rows], hi[rows],
+                rng, a_cat[rows], t["w"][di], t["sd"][di], sign[rows],
                 ORTHANT_SWEEPS,
             )
             rows = rows[~np.all(np.isfinite(z_cat[rows]), axis=1)]
@@ -395,14 +326,6 @@ def _synthesize_batch(
                 cols[col.name] = np.asarray(vals, dtype=np.int64)
             ri += 1
     return cols
-
-
-def synthesize_record(
-    model: FittedCopula, rng: np.random.Generator, draw_index: int = 0
-) -> MixedDataset:
-    """One synthetic record from one posterior draw (mainly for tests/demos)."""
-    cols = _synthesize_batch(model, np.asarray([draw_index]), rng, OrthantStats())
-    return MixedDataset(model.schema, cols)
 
 
 def _select_draws(plan: SynthesisPlan, n: int, rng) -> np.ndarray:

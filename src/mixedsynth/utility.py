@@ -39,7 +39,6 @@ __all__ = [
     "pmse",
     "aggregated_utility",
     "evaluate_utility",
-    "release_utility",
 ]
 
 
@@ -398,28 +397,3 @@ def evaluate_utility(
     return UtilityReport(
         names, cio_per, mse_per, cio_bar, mse_bar, pmse_bar, u, keep_obs, keep_syn
     )
-
-
-def release_utility(
-    conf: MixedDataset,
-    syn_list: list[MixedDataset],
-    spec: RegressionSpec,
-    config: HorseshoeConfig = HorseshoeConfig(),
-):
-    """Per-dataset utilities U_i and their mean U-bar for a release."""
-    obs = fit_bayes_lm(conf, spec, config)
-    us = []
-    for s in syn_list:
-        fit = fit_bayes_lm(s, spec, config)
-        cios, mses = [], []
-        for o, c in zip(obs, fit):
-            if o.name == "(intercept)":
-                continue
-            cios.append(cio(_interval(o), _interval(c)))
-            mses.append(coef_mse(o, c.point))
-        us.append(
-            aggregated_utility(
-                float(np.mean(cios)), float(np.mean(mses)), pmse(conf, s)
-            )
-        )
-    return float(np.mean(us)), us

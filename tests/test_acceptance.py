@@ -17,16 +17,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mixedsynth import synthesizer
 from mixedsynth.cli import main
 from mixedsynth.errors import SeparationWarning
 from mixedsynth.factor_model import (
     ChainConfig,
     FactorState,
     Hyperparams,
+    _level_signs,
     update_loadings,
 )
 from mixedsynth.risk import AdversaryScenario, cmap_mean, cmap_record, match_set, risk_study
-from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout, write_csv
+from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, write_csv
 from mixedsynth.simulation import (
     SimDesign,
     _study_config,
@@ -37,9 +39,10 @@ from mixedsynth.simulation import (
     run_rpl_study,
 )
 from mixedsynth.synthesizer import (
-    conditional_moments,
+    _batched_orthant_gibbs,
+    _orthant_rejection,
+    _prep_draw,
     fit_copula_model,
-    sample_truncated_block,
 )
 from mixedsynth.target_regression import TargetConfig, fit_target_model
 from mixedsynth.utility import (
@@ -199,8 +202,21 @@ def _random_corr(rng, d):
     return c
 
 
+def _orthant_draw(corr, alpha, sign, rng, sweeps):
+    """One record's categorical block drawn as synthesis draws it: rejection
+    rounds, then `sweeps` Gibbs sweeps if they all missed."""
+    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
+                                            np.empty(0, int))
+    z, pending, _ = _orthant_rejection(rng, a_cat[None], low[None], sign[None],
+                                       synthesizer.ORTHANT_ROUNDS)
+    if pending.size:
+        z = _batched_orthant_gibbs(rng, a_cat[None], w[None], sd[None],
+                                   sign[None], sweeps)
+    return z[0]
+
+
 def test_criterion_4_sampler_unit_oracles():
-    # (a) conditional moments vs direct matrix inverse, dims 2..12
+    # (a) synthesis's conditional moments vs direct matrix inverse, dims 2..12
     moments_ok = True
     for dim in range(2, 13):
         rng = np.random.default_rng(1000 + dim)
@@ -209,33 +225,29 @@ def test_criterion_4_sampler_unit_oracles():
         cat_idx = np.sort(rng.choice(dim, int(rng.integers(1, dim)), replace=False))
         rest_idx = np.setdiff1d(np.arange(dim), cat_idx)
         z_cat = rng.normal(0.0, 1.0, cat_idx.size)
-        cg = conditional_moments(corr, alpha, z_cat, cat_idx)
+        _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx,
+                                                       rest_idx)
         inv = np.linalg.inv(corr[np.ix_(cat_idx, cat_idx)])
         c_rc = corr[np.ix_(rest_idx, cat_idx)]
         mean = alpha[rest_idx] + c_rc @ inv @ (z_cat - alpha[cat_idx])
         cov = corr[np.ix_(rest_idx, rest_idx)] - c_rc @ inv @ c_rc.T
         moments_ok &= bool(
-            np.allclose(cg.alpha_star, mean, atol=1e-10)
-            and np.allclose(cg.c_star, cov, atol=1e-10)
+            np.allclose(a_rest + b @ (z_cat - a_cat), mean, atol=1e-10)
+            and np.allclose(l_star @ l_star.T, cov, atol=1e-10)
         )
 
     # (b) truncated-MVN block draws vs a rejection oracle, 3 MC SEs
     rng = np.random.default_rng(21)
     corr3 = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
     alpha3 = np.array([-0.3, 0.2, -0.5])
-    layout = expand_layout(MixedDataset(
-        (ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),),
-        {"g": np.arange(3, dtype=np.int64)},
-    ))
+    sign = _level_signs(np.array([[1]]), (3,))[0]
     root = np.linalg.cholesky(corr3)
     cand = alpha3 + rng.standard_normal((400000, 3)) @ root.T
     oracle = cand[(cand[:, 0] < 0) & (cand[:, 1] > 0) & (cand[:, 2] < 0)]
     n_draws = 800
     draws = np.empty((n_draws, 3))
     for r in range(n_draws):
-        draws[r] = sample_truncated_block(
-            corr3, alpha3, np.array([1]), layout, rng, sweeps=120
-        )
+        draws[r] = _orthant_draw(corr3, alpha3, sign, rng, sweeps=120)
     tmvn_ok = bool(np.all(draws[:, 1] > 0) and np.all(draws[:, [0, 2]] < 0))
     worst = 0.0
     for j in range(3):

@@ -121,6 +121,23 @@ def test_synth_byte_reproducible(workspace, tmp_path):
     assert fc != (a_dir / "data_syn_0.csv").read_bytes()
 
 
+def test_synth_manifest_independent_of_archive_location(workspace, tmp_path):
+    """One archive copied into two directories and synthesized at one seed
+    gives byte-identical manifests that name the archive by its SHA-256."""
+    manifests = []
+    for sub in ("first", "second/nested"):
+        root = tmp_path / sub
+        root.mkdir(parents=True)
+        archive = root / "model.mxs"
+        archive.write_bytes(workspace["archive"].read_bytes())
+        assert main(["synth", "--model", str(archive), "--m", "1", "--n-out", "50",
+                     "--seed", "4", "--out-dir", str(root / "syn")]) == 0
+        manifests.append((root / "syn" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    digest = hashlib.sha256(workspace["archive"].read_bytes()).hexdigest()
+    assert json.loads(manifests[0])["model"] == digest
+
+
 def test_utility_command(workspace, tmp_path):
     out = tmp_path / "utility.json"
     rc = main([
@@ -320,6 +337,25 @@ def test_preset_merging_order():
     assert cfg["burn_in"] == 1500      # preset beats the default
     assert cfg["thin"] == 5
     assert cfg["target_trees"] == 200  # untouched default survives
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_unknown_preset_in_config_file(workspace, tmp_path, caplog, command):
+    """A preset named only in --config is checked like the --preset flag:
+    configuration error, exit 1, nothing run."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"preset": "dsek"}))
+    out = tmp_path / "out"
+    args = {
+        "fit": ["--data", str(workspace["data"]), "--schema",
+                str(workspace["schema"])],
+        "simulate": [],
+    }[command]
+    rc = main([command, "--config", str(cfg_file), "--seed", "0",
+               "--out", str(out)] + args)
+    assert rc == 1
+    assert "configuration error: unknown preset 'dsek'" in caplog.text
+    assert not out.exists()
 
 
 def test_bad_config_file(workspace, tmp_path):

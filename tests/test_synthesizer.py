@@ -6,22 +6,17 @@ from scipy import stats
 
 from mixedsynth import synthesizer
 from mixedsynth.errors import OrthantResampleWarning, OrthantUnderflowError
-from mixedsynth.factor_model import ChainConfig
-from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout
+from mixedsynth.factor_model import ChainConfig, _level_signs
+from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
 from mixedsynth.synthesizer import (
     OrthantStats,
     SynthesisPlan,
     _batched_orthant_gibbs,
-    _orthant_box,
     _orthant_rejection,
-    _orthant_sign,
     _prep_draw,
     _select_draws,
-    conditional_moments,
     fit_copula_model,
-    sample_truncated_block,
     synthesize_datasets,
-    synthesize_record,
 )
 
 
@@ -45,30 +40,38 @@ def test_conditional_moments_match_direct_inverse(dim, seed):
     rest_idx = np.setdiff1d(np.arange(dim), cat_idx)
     z_cat = rng.normal(0.0, 1.0, n_cat)
 
-    cg = conditional_moments(corr, alpha, z_cat, cat_idx)
+    # synthesis draws z_rest = a_rest + b (z_cat - a_cat) + l_star eps
+    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
 
     inv = np.linalg.inv(corr[np.ix_(cat_idx, cat_idx)])
     c_rc = corr[np.ix_(rest_idx, cat_idx)]
     mean = alpha[rest_idx] + c_rc @ inv @ (z_cat - alpha[cat_idx])
     cov = corr[np.ix_(rest_idx, rest_idx)] - c_rc @ inv @ c_rc.T
-    assert np.allclose(cg.alpha_star, mean, atol=1e-10)
-    assert np.allclose(cg.c_star, cov, atol=1e-10)
+    assert np.allclose(a_rest + b @ (z_cat - a_cat), mean, atol=1e-10)
+    assert np.allclose(l_star @ l_star.T, cov, atol=1e-10)
 
 
 def test_conditional_moments_all_categorical():
     rng = np.random.default_rng(5)
     corr = _random_corr(rng, 4)
-    cg = conditional_moments(corr, np.zeros(4), rng.normal(size=4), np.arange(4))
-    assert cg.alpha_star.size == 0
-    assert cg.c_star.shape == (0, 0)
-
-
-def _cat_only_layout(k=3):
-    ds = MixedDataset(
-        (ColumnSchema("g", Kind.CATEGORICAL, levels=tuple("abc"[:k])),),
-        {"g": np.arange(k, dtype=np.int64)},
+    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(
+        corr, np.zeros(4), np.arange(4), np.empty(0, int)
     )
-    return expand_layout(ds)
+    assert (a_rest + b @ (rng.normal(size=4) - a_cat)).size == 0
+    assert l_star.shape == (0, 0)
+
+
+def _orthant_draw(corr, alpha, sign, rng, sweeps):
+    """One record's categorical block drawn as _synthesize_batch draws it:
+    rejection rounds, then `sweeps` Gibbs sweeps if they all missed."""
+    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
+                                            np.empty(0, int))
+    z, pending, _ = _orthant_rejection(rng, a_cat[None], low[None], sign[None],
+                                       synthesizer.ORTHANT_ROUNDS)
+    if pending.size:
+        z = _batched_orthant_gibbs(rng, a_cat[None], w[None], sd[None],
+                                   sign[None], sweeps)
+    return z[0]
 
 
 def test_orthant_block_moments_match_rejection():
@@ -77,8 +80,8 @@ def test_orthant_block_moments_match_rejection():
     rng = np.random.default_rng(21)
     corr = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
     alpha = np.array([-0.3, 0.2, -0.5])
-    layout = _cat_only_layout()
     level = 1
+    sign = _level_signs(np.array([[level]]), (3,))[0]
 
     root = np.linalg.cholesky(corr)
     cand = alpha + rng.standard_normal((400000, 3)) @ root.T
@@ -88,9 +91,7 @@ def test_orthant_block_moments_match_rejection():
     n_draws = 600
     draws = np.empty((n_draws, 3))
     for r in range(n_draws):
-        draws[r] = sample_truncated_block(
-            corr, alpha, np.array([level]), layout, rng, sweeps=60
-        )
+        draws[r] = _orthant_draw(corr, alpha, sign, rng, sweeps=60)
     assert np.all(draws[:, level] > 0)
     assert np.all(np.delete(draws, level, axis=1) < 0)
     for j in range(3):
@@ -107,12 +108,11 @@ def test_orthant_block_independent_case_exact():
     closed form."""
     rng = np.random.default_rng(9)
     alpha = np.array([0.4, -0.3, 0.1])
-    layout = _cat_only_layout()
     level = 0
+    sign = _level_signs(np.array([[level]]), (3,))[0]
     n_draws = 4000
     draws = np.array([
-        sample_truncated_block(np.eye(3), alpha, np.array([level]), layout, rng,
-                               sweeps=2)
+        _orthant_draw(np.eye(3), alpha, sign, rng, sweeps=2)
         for _ in range(n_draws)
     ])
     for j in range(3):
@@ -133,32 +133,25 @@ def _two_block_orthant():
         [-0.066, -0.098, 0.413, -0.49, 1.0],
     ])
     alpha = np.array([0.4, 0.1, -0.7, 0.3, -0.4])
-    layout = expand_layout(MixedDataset(
-        (
-            ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),
-            ColumnSchema("h", Kind.CATEGORICAL, levels=("x", "y")),
-        ),
-        {"g": np.arange(3, dtype=np.int64), "h": np.array([0, 1, 0])},
-    ))
-    return corr, alpha, layout, np.array([2, 1])
+    return corr, alpha, _level_signs(np.array([[2, 1]]), (3, 2))[0]
 
 
 def test_rejection_draws_match_brute_force_oracle():
     """Rejection-first draws on a low-mass orthant over two categorical
     blocks against plain rejection from the untruncated Gaussian: every draw
     lies strictly inside the orthant, and first and second moments agree."""
-    corr, alpha, layout, assign = _two_block_orthant()
+    corr, alpha, sign = _two_block_orthant()
+    assert np.array_equal(sign, [-1.0, -1.0, 1.0, -1.0, 1.0])
     rng = np.random.default_rng(8)
     cand = alpha + rng.standard_normal((2_000_000, 5)) @ np.linalg.cholesky(corr).T
-    sign = np.array([-1.0, -1.0, 1.0, -1.0, 1.0])
     oracle = cand[np.all(cand * sign > 0, axis=1)]
     assert oracle.shape[0] / cand.shape[0] <= 0.05
 
     n = 4000
     _, _, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5), np.empty(0, int))
-    _, hi = _orthant_box(layout, np.tile(assign, (n, 1)))
     z, pending, rounds = _orthant_rejection(
-        rng, np.tile(a_cat, (n, 1)), np.tile(low, (n, 1, 1)), _orthant_sign(hi), 5000
+        rng, np.tile(a_cat, (n, 1)), np.tile(low, (n, 1, 1)), np.tile(sign, (n, 1)),
+        5000,
     )
     assert pending.size == 0 and rounds > 100
     assert np.all(z * sign > 0)
@@ -198,17 +191,16 @@ def test_rejection_stops_early_when_gibbs_is_cheaper():
 
 def test_zero_rejection_rounds_is_the_gibbs_kernel(monkeypatch):
     """With the rejection cap at 0 every record falls back, and the draw is
-    the Gibbs kernel's output on the same stream."""
-    corr, alpha, layout, assign = _two_block_orthant()
+    the Gibbs kernel's output on the same stream: the rounds draw nothing."""
+    corr, alpha, sign = _two_block_orthant()
     monkeypatch.setattr(synthesizer, "ORTHANT_ROUNDS", 0)
-    z = sample_truncated_block(corr, alpha, assign, layout,
-                               np.random.default_rng(4), sweeps=7)
+    z = _orthant_draw(corr, alpha, sign, np.random.default_rng(4), sweeps=7)
     w, sd, _, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5),
                                           np.empty(0, int))
-    lo, hi = _orthant_box(layout, assign[None, :])
     ref = _batched_orthant_gibbs(np.random.default_rng(4), a_cat[None, :],
-                                 w[None, :, :], sd[None, :], lo, hi, 7)
+                                 w[None, :, :], sd[None, :], sign[None, :], 7)
     assert np.array_equal(z, ref[0])
+    assert np.all(z * sign > 0)
 
     _, model = _mixed_fit(n=150, iters=100, burn_in=50)
     stats = []
@@ -367,7 +359,7 @@ def test_no_categorical_dataset_roundtrip(monkeypatch):
     for s in out:
         assert s.n == n
         assert set(np.unique(s.columns["b"]).tolist()) <= {0, 1}
-    rec = synthesize_record(model, np.random.default_rng(0))
+    (rec,) = synthesize_datasets(SynthesisPlan(model, n_out=1))
     assert rec.n == 1
     # with no orthant block the stream is one normal per latent cell, so
     # chunking leaves the output unchanged

@@ -26,7 +26,6 @@ from mixedsynth.utility import (
     fit_bayes_lm,
     pmse,
     pool_synthetic,
-    release_utility,
 )
 
 EXACT = 1e-12
@@ -287,7 +286,3 @@ def test_evaluate_utility_pools_and_aggregates():
     assert set(rep.cio_per_coef) == {"g=b", "g=c", "x"}
     doc = rep.to_doc()
     assert doc["U"] == rep.u and len(doc["per_coefficient"]) == 3
-
-    u_bar, per = release_utility(ds, syns, spec, cfg)
-    assert len(per) == 3
-    assert u_bar == pytest.approx(np.mean(per), abs=1e-12)
