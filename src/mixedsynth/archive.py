@@ -1,24 +1,39 @@
 """Versioned single-file container for fitted models.
 
-Layout: a magic header line, then a compressed npz payload.  Big numeric
-arrays (correlation draws, rescaled intercepts) live as npz entries; the
-structured remainder (schema, marginals, categorical table, targeted
-regression summaries, seeds) travels as one JSON document stored as a uint8
-array, so nothing in the file ever needs pickling.
+Layout: a magic header line, then a compressed npz payload.  Entry ``meta``
+is a JSON document stored as a uint8 array; it holds only names, kinds,
+scalars and type tags (schemas, seed, fit size, each marginal's type, each
+targeted response's covariate signature, sigma^2 and kept-ensemble count).
+Every array is an entry of its own, keyed by position, never by column name:
+
+- ``corr``, ``alpha``: the retained correlation and intercept draws;
+- ``marginal<i>.<field>``: the i-th copula marginal;
+- ``cat.cells``, ``cat.cell_probs``: the categorical cell table;
+- ``target<k>.marginal.<field>``, ``target<k>.forest.<field>``: the k-th
+  targeted response's marginal and its kept trees (`bart.Forest`).
+
+Each fitted object is stored in the one form it has in memory, so a
+continuous column appears only as its inverse-CDF grid, which holds none of
+its values but the minimum and maximum.  Nothing in the file needs
+pickling.  This module is the only one that knows the layout; the loader
+reads ``meta`` first and rejects any other format version.
 """
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 
+from .bart import Forest
 from .errors import ArchiveError
 from .factor_model import PosteriorDraws
 from .marginals import (
     CategoricalProbTable,
-    marginal_from_dict,
-    marginal_to_dict,
+    ContinuousMarginal,
+    DegenerateMarginal,
+    DiscreteMarginal,
 )
 from .schema import ColumnSchema, Kind, expand_layout, schema_hash, schema_to_doc
 from .synthesizer import FittedCopula
@@ -27,7 +42,12 @@ from .target_regression import TargetModelSummary
 __all__ = ["MAGIC", "save_archive", "load_archive", "ModelArchive"]
 
 MAGIC = b"MXSYNTH1\n"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_MARGINAL_TYPES = {
+    "discrete": DiscreteMarginal,
+    "continuous": ContinuousMarginal,
+    "degenerate": DegenerateMarginal,
+}
 
 
 class ModelArchive:
@@ -43,25 +63,59 @@ class ModelArchive:
         self.meta = meta
 
 
-def _table_to_doc(table: CategoricalProbTable | None):
-    if table is None:
-        return None
+def _put(arrays: dict, key: str, obj) -> dict:
+    """Store the array fields of dataclass ``obj`` as entries ``key.<field>``;
+    return its other constructor fields (scalars) for meta."""
+    scalars = {}
+    for f in dataclasses.fields(obj):
+        if f.init:
+            v = getattr(obj, f.name)
+            if isinstance(v, np.ndarray):
+                arrays[f"{key}.{f.name}"] = v
+            else:
+                scalars[f.name] = v
+    return scalars
+
+
+def _get(arrays: dict, key: str, cls, scalars: dict):
+    """Inverse of `_put`."""
+    return cls(**scalars, **{
+        f.name: arrays[f"{key}.{f.name}"]
+        for f in dataclasses.fields(cls) if f.init and f.name not in scalars
+    })
+
+
+def _put_marginal(arrays: dict, key: str, m) -> dict:
+    tag = next(t for t, cls in _MARGINAL_TYPES.items() if type(m) is cls)
+    return {"type": tag, **_put(arrays, key, m)}
+
+
+def _get_marginal(arrays: dict, key: str, doc: dict):
+    scalars = {k: v for k, v in doc.items() if k != "type"}
+    return _get(arrays, key, _MARGINAL_TYPES[doc["type"]], scalars)
+
+
+def _put_target(arrays: dict, key: str, t: TargetModelSummary) -> dict:
+    _put(arrays, f"{key}.forest", t.forest)
     return {
-        "var_names": list(table.var_names),
-        "marginals": [m.tolist() for m in table.marginals],
-        "cells": table.cells.tolist(),
-        "cell_probs": table.cell_probs.tolist(),
+        "response": t.response,
+        "kind": t.kind,
+        "covariates": [list(c) for c in t.covariate_sig],
+        "kept": t.kept,
+        "sigma2": t.sigma2,
+        "marginal": _put_marginal(arrays, f"{key}.marginal", t.marginal),
     }
 
 
-def _table_from_doc(doc):
-    if doc is None:
-        return None
-    return CategoricalProbTable(
-        tuple(doc["var_names"]),
-        tuple(np.asarray(m) for m in doc["marginals"]),
-        np.asarray(doc["cells"], dtype=np.int64),
-        np.asarray(doc["cell_probs"]),
+def _get_target(arrays: dict, key: str, doc: dict) -> TargetModelSummary:
+    sig = tuple(
+        (name, kind, tuple(levels) if levels is not None else None)
+        for name, kind, levels in doc["covariates"]
+    )
+    return TargetModelSummary(
+        doc["response"], doc["kind"], sig,
+        _get(arrays, f"{key}.forest", Forest, {}), int(doc["kept"]),
+        float(doc["sigma2"]), _get_marginal(arrays, f"{key}.marginal", doc["marginal"]),
     )
 
 
@@ -88,6 +142,10 @@ def save_archive(
     """Write the model (and optional per-response target summaries) to disk."""
     targets = targets or {}
     full = full_schema if full_schema is not None else model.schema
+    arrays = {"corr": model.draws.corr, "alpha": model.draws.alpha}
+    table = model.cat_table
+    if table is not None:
+        arrays["cat.cells"], arrays["cat.cell_probs"] = table.cells, table.cell_probs
     meta = {
         "format_version": _FORMAT_VERSION,
         "schema": schema_to_doc(model.schema),
@@ -97,19 +155,21 @@ def save_archive(
         "n_fit": model.n_fit,
         "n_factors": model.draws.n_factors,
         "latent_names": list(model.draws.latent_names),
-        "marginals": {
-            name: marginal_to_dict(m) for name, m in model.marginals.items()
-        },
-        "cat_table": _table_to_doc(model.cat_table),
-        "targets": {name: t.to_doc() for name, t in targets.items()},
+        "marginals": [
+            [name, _put_marginal(arrays, f"marginal{i}", m)]
+            for i, (name, m) in enumerate(model.marginals.items())
+        ],
+        "cat_names": None if table is None else list(table.var_names),
+        "targets": [
+            _put_target(arrays, f"target{k}", t) for k, t in enumerate(targets.values())
+        ],
         "extra": extra_meta or {},
     }
     payload = io.BytesIO()
     np.savez_compressed(
         payload,
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        corr=model.draws.corr,
-        alpha=model.draws.alpha,
+        **arrays,
     )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -125,9 +185,8 @@ def load_archive(path) -> ModelArchive:
         body = fh.read()
     try:
         with np.load(io.BytesIO(body)) as npz:
-            meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-            corr = npz["corr"]
-            alpha = npz["alpha"]
+            arrays = dict(npz)
+        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
     except Exception as exc:
         raise ArchiveError(f"'{path}' is corrupt: {exc}") from exc
     version = meta.get("format_version")
@@ -139,22 +198,24 @@ def load_archive(path) -> ModelArchive:
 
     schema = _schema_from_doc(meta["schema"])
     draws = PosteriorDraws(
-        corr, alpha, tuple(meta["latent_names"]), int(meta["n_factors"])
+        arrays["corr"], arrays["alpha"], tuple(meta["latent_names"]),
+        int(meta["n_factors"]),
     )
     marginals = {
-        name: marginal_from_dict(doc) for name, doc in meta["marginals"].items()
+        name: _get_marginal(arrays, f"marginal{i}", doc)
+        for i, (name, doc) in enumerate(meta["marginals"])
     }
+    table = None
+    if meta["cat_names"] is not None:
+        table = CategoricalProbTable(
+            tuple(meta["cat_names"]), arrays["cat.cells"], arrays["cat.cell_probs"]
+        )
     model = FittedCopula(
-        draws,
-        schema,
-        expand_layout(schema),
-        marginals,
-        _table_from_doc(meta["cat_table"]),
-        int(meta["n_fit"]),
+        draws, schema, expand_layout(schema), marginals, table, int(meta["n_fit"])
     )
     targets = {
-        name: TargetModelSummary.from_doc(doc)
-        for name, doc in meta["targets"].items()
+        doc["response"]: _get_target(arrays, f"target{k}", doc)
+        for k, doc in enumerate(meta["targets"])
     }
     return ModelArchive(
         model,

@@ -23,16 +23,21 @@ covariates that can still split it are computed once, when it is created.
 The leaf, growable-leaf and prunable-node lists are kept in pre-order and
 re-derived only after an accepted move.
 
-Prediction evaluates each internal node's rule on every row of a block and
-selects the children's values with ``np.where``, bottom-up; each tree's
-values are added into one vector in tree order, so every row's sum runs in
-the order of routing rows tree by tree.  The cost is a few array operations
-per node, so callers predict many rows in one call.
+A `Forest` is the one stored form of trees: `BartSampler.snapshot` copies
+every tree's nodes, in pre-order, into flat arrays (split covariate, cut,
+children, leaf value, and categorical level sets as per-node sizes plus
+the sets end to end), and kept snapshots are joined into one forest in
+kept order.  Prediction evaluates
+each internal node's rule on every row of a block and selects the
+children's values with ``np.where``, bottom-up; each tree's values are added
+into one vector in tree order, so every row's sum runs in the order of
+routing rows tree by tree.  The cost is a few array operations per node, so
+callers predict many rows in one call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -41,9 +46,9 @@ __all__ = [
     "BartConfig",
     "CovariateMatrix",
     "BartSampler",
+    "Forest",
     "MOVES",
-    "tree_to_doc",
-    "tree_shape",
+    "forest_shapes",
     "ensemble_predict",
 ]
 
@@ -388,64 +393,111 @@ class BartSampler:
                 out[tree.rows(i)] += tree.value[i]
         return out
 
-    def snapshot(self) -> list:
-        return [tree_to_doc(tree) for tree in self.trees]
+    def snapshot(self) -> "Forest":
+        """The current trees, nodes in pre-order, as one `Forest`."""
+        a = {f.name: [] for f in fields(Forest)}
+        for tree in self.trees:
+            pos = {i: k for k, i in enumerate(tree.order)}
+            a["size"].append(len(pos))
+            for i in tree.order:
+                f, rule = tree.feature[i], tree.rule[i]
+                is_set = isinstance(rule, np.ndarray)
+                a["feature"].append(f)
+                a["left"].append(pos[tree.left[i]] if f >= 0 else -1)
+                a["right"].append(pos[tree.right[i]] if f >= 0 else -1)
+                a["cut"].append(rule if f >= 0 and not is_set else 0.0)
+                a["value"].append(tree.value[i] if f < 0 else 0.0)
+                a["n_levels"].append(rule.size if is_set else 0)
+                a["levels"].extend(rule.tolist() if is_set else [])
+        return Forest(**{
+            k: np.asarray(v, dtype=np.float64 if k in ("cut", "value") else np.int64)
+            for k, v in a.items()
+        })
 
 
-# -- serialization and prediction on new covariates ---------------------------
+# -- the stored form of trees, and prediction on new covariates ---------------
 
 
-def tree_to_doc(tree: _Tree, i: int = 0) -> dict:
-    """Nested JSON form of the subtree rooted at node i."""
-    if tree.feature[i] < 0:
-        return {"v": float(tree.value[i])}
-    doc = {"f": int(tree.feature[i])}
-    rule = tree.rule[i]
-    if isinstance(rule, np.ndarray):
-        doc["in"] = [int(v) for v in rule]
-    else:
-        doc["cut"] = float(rule)
-    doc["l"] = tree_to_doc(tree, tree.left[i])
-    doc["r"] = tree_to_doc(tree, tree.right[i])
-    return doc
+@dataclass
+class Forest:
+    """Trees as flat per-node arrays, each tree's nodes in pre-order.
+
+    ``size`` holds each tree's node count, in tree order.  Per node:
+    ``feature`` is the split covariate (-1 at a leaf), ``left``/``right`` the
+    children's positions within the tree, ``cut`` a numeric split's
+    threshold (rows with values <= cut go left), ``value`` a leaf's value,
+    and ``n_levels`` the size of a categorical split's level set; the sets
+    themselves lie end to end in ``levels`` (rows with one of these levels go
+    left, so levels a tree never saw go right).  Unused slots hold 0.
+    """
+
+    size: np.ndarray
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    cut: np.ndarray
+    value: np.ndarray
+    n_levels: np.ndarray
+    levels: np.ndarray
+
+    @classmethod
+    def join(cls, forests: list) -> "Forest":
+        """All trees of the given forests, in order."""
+        return cls(*(np.concatenate([getattr(f, a.name) for f in forests])
+                     for a in fields(cls)))
 
 
-def tree_shape(doc: dict) -> tuple:
-    """(depth, leaf count) of a tree doc."""
-    if "v" in doc:
-        return 0, 1
-    dl, nl = tree_shape(doc["l"])
-    dr, nr = tree_shape(doc["r"])
-    return 1 + max(dl, dr), nl + nr
+def forest_shapes(forest: Forest) -> list:
+    """(depth, leaf count) of each tree, in tree order."""
+    feature, left, right = (a.tolist() for a in (forest.feature, forest.left, forest.right))
+    depth = [0] * len(feature)
+    shapes, start = [], 0
+    for size in forest.size.tolist():
+        for i in range(start, start + size):  # parents come before children
+            if feature[i] >= 0:
+                depth[start + left[i]] = depth[start + right[i]] = depth[i] + 1
+        leaves = [depth[i] for i in range(start, start + size) if feature[i] < 0]
+        shapes.append((max(leaves), len(leaves)))
+        start += size
+    return shapes
 
 
-def _doc_values(doc: dict, columns: list):
-    """Each row's leaf value under one tree doc: a scalar for a lone leaf."""
-    if "v" in doc:
-        return doc["v"]
-    x = columns[doc["f"]]
-    if "cut" in doc:
-        left = x <= doc["cut"]
-    else:  # levels the tree never saw route right
-        first, *rest = doc["in"]
-        left = x == first
-        for level in rest:
-            left |= x == level
-    return np.where(left, _doc_values(doc["l"], columns), _doc_values(doc["r"], columns))
-
-
-def ensemble_predict(ensembles: list, columns: list) -> np.ndarray:
-    """Average prediction over kept tree ensembles (the posterior-mean f).
+def ensemble_predict(forest: Forest, kept: int, columns: list) -> np.ndarray:
+    """Average prediction over ``kept`` ensembles joined in one forest (the
+    posterior-mean f).
 
     Rows go through in blocks of ``_PREDICT_BLOCK``, so temporaries stay
     bounded however many rows are predicted at once.
     """
     columns = [np.asarray(c) for c in columns]
+    feature, left, right, cut, value = (
+        a.tolist() for a in (forest.feature, forest.left, forest.right, forest.cut,
+                             forest.value)
+    )
+    ptr = np.concatenate(([0], np.cumsum(forest.n_levels))).tolist()
+    levels = forest.levels.tolist()
+    starts = np.concatenate(([0], np.cumsum(forest.size)[:-1])).tolist()
     total = np.zeros(len(columns[0]))
     for lo in range(0, total.size, _PREDICT_BLOCK):
         block = [c[lo:lo + _PREDICT_BLOCK] for c in columns]
         part = total[lo:lo + _PREDICT_BLOCK]
-        for trees in ensembles:
-            for doc in trees:
-                part += _doc_values(doc, block)
-    return total / len(ensembles)
+        for start, size in zip(starts, forest.size.tolist()):
+            vals = {}
+            # each row's leaf value, bottom-up: children follow their parent
+            for i in range(start + size - 1, start - 1, -1):
+                f = feature[i]
+                if f < 0:
+                    vals[i] = value[i]
+                    continue
+                x = block[f]
+                if ptr[i + 1] > ptr[i]:  # a level set
+                    first, *rest = levels[ptr[i]:ptr[i + 1]]
+                    go_left = x == first
+                    for level in rest:
+                        go_left |= x == level
+                else:
+                    go_left = x <= cut[i]
+                vals[i] = np.where(go_left, vals.pop(start + left[i]),
+                                   vals.pop(start + right[i]))
+            part += vals[start]
+    return total / kept

@@ -37,22 +37,13 @@ from .synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from .target_regression import TargetConfig, fit_target_model, synthesize_response
 from .utility import HorseshoeConfig, RegressionSpec, evaluate_utility
 
-__all__ = ["main", "end_to_end", "ConfigError", "StageError"]
+__all__ = ["main", "ConfigError"]
 
 log = logging.getLogger("mixedsynth.cli")
 
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 1."""
-
-
-class StageError(Exception):
-    """A pipeline stage failed; carries the stage name."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,7 +223,6 @@ def _cmd_synth(cfg: dict) -> dict:
         m=int(cfg["m"]),
         n_out=None if cfg.get("n_out") is None else int(cfg["n_out"]),
         seed=seed,
-        draw_selection=cfg["draw_selection"],
     )
     orthant = []
     sets = synthesize_datasets(plan, diagnostics=orthant)
@@ -412,7 +402,7 @@ _REQUIRED = {
 _DEFAULTS = {
     "fit": {"iters": 15000, "burn_in": 9000, "thin": 10, "target_iters": 1100,
             "target_burn_in": 100, "target_trees": 200},
-    "synth": {"m": 1, "draw_selection": "round_robin", "stem": "data"},
+    "synth": {"m": 1, "stem": "data"},
     "utility": {"iters": 10000, "burn_in": 5000},
     "risk": {"m": "5,10,20", "eps": "0,1,2", "reps": 100},
     "simulate": {"preset": "desk"},
@@ -461,8 +451,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-out", dest="n_out", type=int,
                    help="records per dataset (default: fitted size)")
     p.add_argument("--stem", help="output file stem")
-    p.add_argument("--draw-selection", dest="draw_selection",
-                   choices=("round_robin", "random"))
 
     p = sub.add_parser("utility", help="score analytic utility of a release")
     common(p)
@@ -500,30 +488,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     return top
-
-
-def end_to_end(bundle: dict) -> dict:
-    """Run fit -> synth -> utility -> risk from one configuration bundle.
-
-    The bundle holds a section per stage plus shared ``seed`` and paths; each
-    stage failure is re-raised as a StageError naming the stage.
-    """
-    results = {}
-    for stage in ("fit", "synth", "utility", "risk"):
-        section = bundle.get(stage)
-        if section is None:
-            continue
-        cfg = dict(_DEFAULTS[stage])
-        cfg.update({k: v for k, v in bundle.items()
-                    if not isinstance(v, dict) and k != "subcommand"})
-        cfg.update(section)
-        try:
-            results[stage] = _HANDLERS[stage](cfg)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
-    return results
 
 
 def main(argv=None) -> int:

@@ -1,12 +1,15 @@
 """Marginal distribution estimation and inversion.
 
 Ordinal/count/binary columns get rescaled empirical CDFs; continuous columns
-get a Gaussian-kernel-smoothed CDF with Silverman bandwidth.  All CDFs carry
-the n/(n+1) rescale so no observed value maps to a 0/1 probability (and hence
-to an infinite latent Gaussian value).  Categorical columns are summarized by
-their empirical level frequencies together with the joint cross-classification
-table over all categorical variables, which is what synthesis draws from so
-that observed categorical dependence (and structural zeros) survive.
+get a Gaussian-kernel-smoothed CDF with Silverman bandwidth, tabulated once,
+at fit time, on a 4097-point grid over the sample's range.  The grid is all a
+continuous marginal keeps: synthesis inverts it by linear interpolation, and
+no observed value survives in it except the minimum and maximum.  All CDFs
+carry the n/(n+1) rescale so no observed value maps to a 0/1 probability (and
+hence to an infinite latent Gaussian value).  Categorical columns are
+summarized by the joint cross-classification table over all categorical
+variables, which is what synthesis draws from so that observed categorical
+dependence (and structural zeros) survive.
 """
 from __future__ import annotations
 
@@ -61,45 +64,18 @@ class DiscreteMarginal:
 
 @dataclass
 class ContinuousMarginal:
-    """Gaussian-kernel CDF with Silverman bandwidth; inverse clamped to the hull."""
+    """Kernel CDF values ``grid_u`` at the grid points ``grid_x`` spanning
+    the sample's range; the inverse therefore clamps to [min, max]."""
 
-    sample: np.ndarray
-    bandwidth: float
-    n: int = field(init=False)
-    lo: float = field(init=False)
-    hi: float = field(init=False)
-    _grid_x: np.ndarray | None = field(default=None, repr=False)
-    _grid_u: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.sample = np.sort(np.asarray(self.sample, dtype=np.float64))
-        self.n = self.sample.size
-        self.lo = float(self.sample[0])
-        self.hi = float(self.sample[-1])
+    grid_x: np.ndarray
+    grid_u: np.ndarray
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.size)
-        # blocks of about 2**16 kernel terms stay cache-sized; each row's sum
-        # is reduced the same way whatever the block, so values do not move
-        step = max(1, 2**16 // max(self.n, 1))
-        for s in range(0, x.size, step):
-            blk = x[s : s + step, None]
-            out[s : s + step] = ndtr((blk - self.sample[None, :]) / self.bandwidth).sum(
-                axis=1
-            )
-        out /= self.n + 1.0
-        return out if out.size > 1 else float(out[0])
-
-    def _ensure_grid(self):
-        if self._grid_x is None:
-            self._grid_x = np.linspace(self.lo, self.hi, _GRID_POINTS)
-            self._grid_u = np.asarray(self.cdf(self._grid_x))
+        """The tabulated CDF, linear between grid points, flat outside."""
+        return np.interp(x, self.grid_x, self.grid_u)
 
     def inverse(self, u):
-        """Numeric inverse on a fine grid; outputs clamp to [min, max] observed."""
-        self._ensure_grid()
-        return np.interp(u, self._grid_u, self._grid_x)
+        return np.interp(u, self.grid_u, self.grid_x)
 
 
 @dataclass
@@ -126,6 +102,19 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
+def _kernel_cdf(sample: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel mixture CDF of the sorted sample at x, rescaled by n/(n+1)."""
+    n = sample.size
+    out = np.empty(x.size)
+    # blocks of about 2**16 kernel terms stay cache-sized; each row's sum
+    # is reduced the same way whatever the block, so values do not move
+    step = max(1, 2**16 // n)
+    for s in range(0, x.size, step):
+        out[s : s + step] = ndtr((x[s : s + step, None] - sample[None, :]) / h).sum(axis=1)
+    out /= n + 1.0
+    return out
+
+
 def fit_marginal(column, kind: Kind):
     """Fit the marginal estimator appropriate to a (non-categorical) kind."""
     col = np.asarray(column)
@@ -143,22 +132,20 @@ def fit_marginal(column, kind: Kind):
                 stacklevel=2,
             )
             return DegenerateMarginal(float(col[0]), n=col.size)
-        return ContinuousMarginal(col, h)
+        sample = np.sort(col)
+        grid_x = np.linspace(float(sample[0]), float(sample[-1]), _GRID_POINTS)
+        return ContinuousMarginal(grid_x, _kernel_cdf(sample, h, grid_x))
     values, counts = np.unique(col.astype(np.int64), return_counts=True)
     return DiscreteMarginal(values, counts)
 
 
 @dataclass
 class CategoricalProbTable:
-    """Empirical level frequencies plus the joint cell table used for synthesis."""
+    """The joint cell table of the categorical columns, used for synthesis."""
 
     var_names: tuple[str, ...]
-    marginals: tuple[np.ndarray, ...]
     cells: np.ndarray  # (n_cells, q) level codes, lexicographically sorted
     cell_probs: np.ndarray
-
-    def marginal(self, name: str) -> np.ndarray:
-        return self.marginals[self.var_names.index(name)]
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw joint categorical assignments; returns (size, q) level codes."""
@@ -167,7 +154,7 @@ class CategoricalProbTable:
 
 
 def fit_categorical_probs(ds: MixedDataset) -> CategoricalProbTable:
-    """Tabulate per-variable frequencies and the joint cross-classification.
+    """Tabulate the joint cross-classification of the categorical columns.
 
     Only observed joint cells carry mass, so combinations absent from the
     data (structural zeros) can never be synthesized.
@@ -176,17 +163,8 @@ def fit_categorical_probs(ds: MixedDataset) -> CategoricalProbTable:
     if not cat_cols:
         raise NoCategoricalColumnsError("dataset declares no categorical columns")
     codes = np.column_stack([ds.columns[c.name] for c in cat_cols])
-    marginals = []
-    for j, c in enumerate(cat_cols):
-        counts = np.bincount(codes[:, j], minlength=c.k)
-        marginals.append(counts / ds.n)
     cells, counts = np.unique(codes, axis=0, return_counts=True)
-    return CategoricalProbTable(
-        tuple(c.name for c in cat_cols),
-        tuple(marginals),
-        cells,
-        counts / ds.n,
-    )
+    return CategoricalProbTable(tuple(c.name for c in cat_cols), cells, counts / ds.n)
 
 
 def ks_distance(a, b) -> float:
@@ -198,32 +176,3 @@ def ks_distance(a, b) -> float:
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
 
-
-def marginal_to_dict(est) -> dict:
-    """JSON-friendly form of a fitted marginal (for the model archive)."""
-    if isinstance(est, DiscreteMarginal):
-        return {
-            "type": "discrete",
-            "values": est.values.tolist(),
-            "counts": est.counts.tolist(),
-        }
-    if isinstance(est, ContinuousMarginal):
-        return {
-            "type": "continuous",
-            "sample": est.sample.tolist(),
-            "bandwidth": est.bandwidth,
-        }
-    if isinstance(est, DegenerateMarginal):
-        return {"type": "degenerate", "value": est.value, "n": est.n}
-    raise TypeError(f"unknown marginal estimator {type(est)!r}")
-
-
-def marginal_from_dict(doc: dict):
-    t = doc["type"]
-    if t == "discrete":
-        return DiscreteMarginal(np.asarray(doc["values"]), np.asarray(doc["counts"]))
-    if t == "continuous":
-        return ContinuousMarginal(np.asarray(doc["sample"]), float(doc["bandwidth"]))
-    if t == "degenerate":
-        return DegenerateMarginal(float(doc["value"]), int(doc.get("n", 1)))
-    raise ValueError(f"unknown marginal type '{t}'")

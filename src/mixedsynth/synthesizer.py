@@ -90,15 +90,12 @@ class SynthesisPlan:
     m: int = 1
     n_out: int | None = None  # None: same size as the fitted data
     seed: int = 0
-    draw_selection: str = "round_robin"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.n_out is not None and self.n_out < 1:
             raise ValueError("n_out must be >= 1")
-        if self.draw_selection not in ("round_robin", "random"):
-            raise ValueError(f"unknown draw_selection '{self.draw_selection}'")
 
 
 @dataclass
@@ -328,13 +325,6 @@ def _synthesize_batch(
     return cols
 
 
-def _select_draws(plan: SynthesisPlan, n: int, rng) -> np.ndarray:
-    n_draws = plan.model.draws.n_draws
-    if plan.draw_selection == "round_robin":
-        return np.arange(n) % n_draws
-    return rng.integers(0, n_draws, size=n)
-
-
 def synthesize_datasets(
     plan: SynthesisPlan, diagnostics: list | None = None
 ) -> list[MixedDataset]:
@@ -350,7 +340,7 @@ def synthesize_datasets(
     out = []
     for i in range(plan.m):
         rng = substream(plan.seed, "synth", i)
-        draw_idx = _select_draws(plan, n_out, rng)
+        draw_idx = np.arange(n_out) % plan.model.draws.n_draws
         stats = OrthantStats()
         parts = [
             _synthesize_batch(plan.model, draw_idx[s : s + SYNTH_CHUNK], rng, stats)

@@ -11,7 +11,7 @@ draws on already-synthesized covariates through the response's inverse CDF.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -21,8 +21,9 @@ from .bart import (
     BartConfig,
     BartSampler,
     CovariateMatrix,
+    Forest,
     ensemble_predict,
-    tree_shape,
+    forest_shapes,
 )
 from .errors import (
     DegenerateResponseError,
@@ -30,7 +31,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .factor_model import RankGroups, update_rank_column
-from .marginals import fit_marginal, marginal_from_dict, marginal_to_dict
+from .marginals import fit_marginal
 from .schema import Kind, MixedDataset
 from .streams import substream
 
@@ -66,44 +67,16 @@ class TargetConfig:
 
 @dataclass
 class TargetModelSummary:
-    """Posterior-mean predictor: kept tree ensembles plus mean sigma^2.
-
-    ``marginal`` is ``marginal_doc`` decoded once, so a continuous
-    response's inverse-CDF grid is built once however many datasets are
-    synthesized from this summary.
-    """
+    """Posterior-mean predictor: every kept ensemble's trees in one forest,
+    in kept order, plus the mean sigma^2 and the response's marginal."""
 
     response: str
     kind: str  # response column kind (count/ordinal/continuous)
     covariate_sig: tuple  # (name, kind value, levels) per covariate, in order
-    ensembles: list
+    forest: Forest
+    kept: int  # ensembles joined in the forest
     sigma2: float
-    marginal_doc: dict
-    marginal: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.marginal = marginal_from_dict(self.marginal_doc)
-
-    def to_doc(self) -> dict:
-        return {
-            "response": self.response,
-            "kind": self.kind,
-            "covariates": [list(c) for c in self.covariate_sig],
-            "ensembles": self.ensembles,
-            "sigma2": self.sigma2,
-            "marginal": self.marginal_doc,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TargetModelSummary":
-        sig = tuple(
-            (c[0], c[1], tuple(c[2]) if c[2] is not None else None)
-            for c in doc["covariates"]
-        )
-        return cls(
-            doc["response"], doc["kind"], sig, doc["ensembles"],
-            float(doc["sigma2"]), doc["marginal"],
-        )
+    marginal: object
 
 
 def _covariate_signature(ds: MixedDataset, response: str) -> tuple:
@@ -173,25 +146,25 @@ def fit_target_model(
             iteration_hook(it, z)
     _log_diagnostics(response, sampler, ensembles[-1])
 
-    marg = fit_marginal(y, rs.kind)
     return TargetModelSummary(
         response,
         rs.kind.value,
         sig,
-        ensembles,
+        Forest.join(ensembles),
+        len(ensembles),
         float(np.mean(sigmas)),
-        marginal_to_dict(marg),
+        fit_marginal(y, rs.kind),
     )
 
 
-def _log_diagnostics(response: str, sampler: BartSampler, last: list) -> None:
+def _log_diagnostics(response: str, sampler: BartSampler, last: Forest) -> None:
     """Move acceptance by type over the whole chain, and the shape of the
     last kept ensemble."""
     rates = ", ".join(
         f"{name} {a / p if p else 0.0:.3f} ({a}/{p})"
         for name, a, p in zip(MOVES, sampler.accepted, sampler.proposed)
     )
-    depth, leaves = np.mean([tree_shape(doc) for doc in last] or [(0, 0)], axis=0)
+    depth, leaves = np.mean(forest_shapes(last) or [(0, 0)], axis=0)
     log.info("response '%s': BART acceptance %s; last kept ensemble: mean depth "
              "%.3f, mean leaves %.3f", response, rates, depth, leaves)
 
@@ -214,7 +187,8 @@ def synthesize_response(
                     f"covariate '{name}' missing or mismatched in synthetic records"
                 )
     per_set = [_covariate_columns(r, summary.covariate_sig)[0] for r in record_sets]
-    f_hat = ensemble_predict(summary.ensembles, [np.concatenate(c) for c in zip(*per_set)])
+    f_hat = ensemble_predict(summary.forest, summary.kept,
+                             [np.concatenate(c) for c in zip(*per_set)])
     ends = np.cumsum([r.n for r in record_sets])
     dtype = np.float64 if summary.kind == Kind.CONTINUOUS.value else np.int64
     out = []

@@ -6,7 +6,6 @@ synthetic replicates), so this module dominates suite runtime; everything
 else in tests/ runs the same checks at unit scale.
 """
 import json
-import os
 import subprocess
 import sys
 import time
@@ -493,7 +492,7 @@ def test_criterion_8_targeted_regression():
 
     from mixedsynth.bart import ensemble_predict
 
-    f_hat = ensemble_predict(summary.ensembles, [ds.columns["x"]])
+    f_hat = ensemble_predict(summary.forest, summary.kept, [ds.columns["x"]])
     ranks = np.argsort(np.argsort(y)) + 1.0
     target = stats.norm.ppf(ranks / (n + 1.0))
     errs = [f_hat[x == c].mean() - target[x == c].mean() for c in range(3)]
@@ -543,15 +542,14 @@ def _tiny_inputs(root):
     return data, schema
 
 
-def test_criterion_9_byte_reproducibility(tmp_path):
+def test_criterion_9_byte_reproducibility(tmp_path, src_env):
     data, schema = _tiny_inputs(tmp_path)
 
     # fit twice in separate processes with different BLAS worker counts
     archives = []
     for tag, threads in (("one", "1"), ("four", "4")):
         out = tmp_path / f"model_{tag}.mxs"
-        env = dict(os.environ,
-                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env = dict(src_env, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "mixedsynth.cli", "fit",
              "--data", str(data), "--schema", str(schema),

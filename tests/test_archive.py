@@ -1,4 +1,8 @@
-"""Single-file model container: round-trip fidelity and failure modes."""
+"""Single-file model container: round-trip fidelity, what it holds, and
+failure modes."""
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,6 @@ import mixedsynth.archive as archive_mod
 from mixedsynth.archive import load_archive, save_archive
 from mixedsynth.errors import ArchiveError
 from mixedsynth.factor_model import ChainConfig
-from mixedsynth.marginals import marginal_to_dict
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash
 from mixedsynth.synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from mixedsynth.target_regression import TargetConfig, fit_target_model, synthesize_response
@@ -50,6 +53,27 @@ def _save(fitted, path, **kw):
     return load_archive(path)
 
 
+def _stored(put, obj):
+    """An object's stored form: its JSON doc in meta and its arrays."""
+    arrays = {}
+    doc = put(arrays, "x", obj)
+    return json.loads(json.dumps(doc)), arrays
+
+
+def _same_stored(put, a, b) -> bool:
+    (doc_a, arr_a), (doc_b, arr_b) = _stored(put, a), _stored(put, b)
+    return doc_a == doc_b and arr_a.keys() == arr_b.keys() and all(
+        arr_a[k].dtype == arr_b[k].dtype and np.array_equal(arr_a[k], arr_b[k])
+        for k in arr_a)
+
+
+def _entries(path) -> dict:
+    with open(path, "rb") as fh:
+        fh.read(len(archive_mod.MAGIC))
+        with np.load(io.BytesIO(fh.read())) as npz:
+            return dict(npz)
+
+
 def test_arrays_and_metadata_round_trip(fitted, tmp_path):
     ds, model, _ = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
@@ -70,20 +94,18 @@ def test_marginals_and_cat_table_round_trip(fitted, tmp_path):
     ar = _save(fitted, tmp_path / "m.mxs")
     assert set(ar.model.marginals) == set(model.marginals)
     for name, m in model.marginals.items():
-        assert marginal_to_dict(ar.model.marginals[name]) == marginal_to_dict(m)
+        assert _same_stored(archive_mod._put_marginal, ar.model.marginals[name], m)
     t0, t1 = model.cat_table, ar.model.cat_table
     assert t1.var_names == t0.var_names
     assert np.array_equal(t1.cells, t0.cells)
     assert np.array_equal(t1.cell_probs, t0.cell_probs)
-    for a, b in zip(t1.marginals, t0.marginals):
-        assert np.array_equal(a, b)
 
 
 def test_targets_round_trip_and_predict_identically(fitted, tmp_path):
     ds, _, target = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
     assert set(ar.targets) == {"r"}
-    assert ar.targets["r"].to_doc() == target.to_doc()
+    assert _same_stored(archive_mod._put_target, ar.targets["r"], target)
 
     records = ds.subset(["g", "y", "w"])
     a = synthesize_response(target, [records], [np.random.default_rng(5)])[0]
@@ -136,9 +158,84 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     _, model, _ = fitted
-    path = tmp_path / "future.mxs"
-    monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", 99)
-    save_archive(path, model)
-    monkeypatch.undo()
-    with pytest.raises(ArchiveError, match="version 99"):
+    for version in (99, 1):
+        path = tmp_path / f"v{version}.mxs"
+        monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
+        save_archive(path, model)
+        monkeypatch.undo()
+        with pytest.raises(ArchiveError, match=f"version {version} unsupported"):
+            load_archive(path)
+
+
+def test_version_1_layout_gets_the_version_error(tmp_path):
+    """A file in the first layout (everything but the draws in JSON, each
+    marginal keyed by column name) is refused by version, not as corrupt."""
+    meta = {
+        "format_version": 1,
+        "schema": [{"name": "w", "kind": "continuous", "levels": None}],
+        "marginals": {"w": {"type": "continuous", "sample": [0.1, 0.5, 0.9],
+                            "bandwidth": 0.2}},
+        "cat_table": None,
+        "targets": {},
+    }
+    payload = io.BytesIO()
+    np.savez_compressed(
+        payload,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        corr=np.eye(1)[None], alpha=np.zeros((1, 1)),
+    )
+    path = tmp_path / "v1.mxs"
+    path.write_bytes(archive_mod.MAGIC + payload.getvalue())
+    with pytest.raises(ArchiveError,
+                       match=r"archive format version 1 unsupported \(expected 2\)"):
         load_archive(path)
+
+
+def test_continuous_values_stay_out_of_the_archive(tmp_path):
+    """No value of a continuous column is written except its minimum and
+    maximum (which synthesis clamps to anyway): not of a copula column, not
+    of a targeted response.  One known exposure is held to the one entry
+    that has it: a tree's numeric split cut is an observed covariate value."""
+    rng = np.random.default_rng(3)
+    n = 200
+    g = rng.integers(0, 3, n)
+    w = rng.normal(g * 0.5, 1.0)
+    v = np.exp(rng.normal(0.3 * g + 0.4 * w, 0.5))
+    ds = MixedDataset(
+        (
+            ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),
+            ColumnSchema("w", Kind.CONTINUOUS),
+            ColumnSchema("v", Kind.CONTINUOUS, role="response"),
+        ),
+        {"g": g, "w": w, "v": v},
+    )
+    model = fit_copula_model(ds, ChainConfig(iters=60, burn_in=30, thin=3, seed=1))
+    target = fit_target_model(
+        ds, "v", TargetConfig(iters=30, burn_in=10, trees=4, keep_every=5, seed=2))
+    path = tmp_path / "m.mxs"
+    save_archive(path, model, targets={"v": target}, full_schema=ds.schema)
+
+    def numbers(doc):
+        if isinstance(doc, dict):
+            return [x for value in doc.values() for x in numbers(value)]
+        if isinstance(doc, list):
+            return [x for value in doc for x in numbers(value)]
+        if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+            return [float(doc)]
+        return []
+
+    stored = {
+        name: np.asarray(numbers(json.loads(bytes(entry).decode("utf-8"))))
+        if name == "meta" else entry.astype(np.float64).ravel()
+        for name, entry in _entries(path).items()
+    }
+    everything = np.concatenate(list(stored.values()))
+    for col in (w, v):
+        assert np.isin([col.min(), col.max()], everything).all()
+
+    def holding(col):
+        inner = np.sort(col)[1:-1]
+        return {name for name, values in stored.items() if np.isin(values, inner).any()}
+
+    assert holding(v) == set()
+    assert holding(w) <= {"target0.forest.cut"}

@@ -8,6 +8,7 @@ per leaf), and compares chain visit frequencies to the exact posterior.
 import hashlib
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,10 +19,76 @@ from mixedsynth.bart import (
     BartConfig,
     BartSampler,
     CovariateMatrix,
+    Forest,
     ensemble_predict,
-    tree_shape,
-    tree_to_doc,
+    forest_shapes,
 )
+
+# The oracle form of a tree is a nested doc: {"f": covariate, "cut": value}
+# or {"f": covariate, "in": [levels]} with children "l" and "r" at a split,
+# {"v": value} at a leaf.
+
+
+def forest_docs(forest: Forest) -> list:
+    """Each tree of a flat forest as a nested doc."""
+    ptr = np.concatenate(([0], np.cumsum(forest.n_levels)))
+
+    def doc(start, i):
+        j = start + i
+        if forest.feature[j] < 0:
+            return {"v": float(forest.value[j])}
+        out = {"f": int(forest.feature[j])}
+        if forest.n_levels[j]:
+            out["in"] = [int(v) for v in forest.levels[ptr[j]:ptr[j + 1]]]
+        else:
+            out["cut"] = float(forest.cut[j])
+        out["l"] = doc(start, int(forest.left[j]))
+        out["r"] = doc(start, int(forest.right[j]))
+        return out
+
+    starts = np.concatenate(([0], np.cumsum(forest.size)[:-1]))
+    return [doc(int(s), 0) for s in starts[:forest.size.size]]
+
+
+def docs_forest(docs: list) -> Forest:
+    """Nested docs as one flat forest, each tree's nodes in pre-order."""
+    a = {f.name: [] for f in fields(Forest)}
+    for tree in docs:
+        rows = []
+
+        def visit(d):
+            k = len(rows)
+            rows.append(None)
+            if "v" in d:
+                rows[k] = (-1, -1, -1, 0.0, d["v"], [])
+            else:
+                left, right = visit(d["l"]), visit(d["r"])
+                rows[k] = (d["f"], left, right, d.get("cut", 0.0), 0.0, d.get("in", []))
+            return k
+
+        visit(tree)
+        a["size"].append(len(rows))
+        for f, left, right, cut, value, levels in rows:
+            a["feature"].append(f)
+            a["left"].append(left)
+            a["right"].append(right)
+            a["cut"].append(cut)
+            a["value"].append(value)
+            a["n_levels"].append(len(levels))
+            a["levels"].extend(levels)
+    return Forest(**{
+        k: np.asarray(v, dtype=np.float64 if k in ("cut", "value") else np.int64)
+        for k, v in a.items()
+    })
+
+
+def doc_shape(doc: dict) -> tuple:
+    """(depth, leaf count) of a tree doc."""
+    if "v" in doc:
+        return 0, 1
+    dl, nl = doc_shape(doc["l"])
+    dr, nr = doc_shape(doc["r"])
+    return 1 + max(dl, dr), nl + nr
 
 
 def structure_signature(doc: dict) -> str:
@@ -138,7 +205,7 @@ def _chain_frequencies(xmat, y, cfg, sweeps, burn, seed, batches=40):
     for it in range(sweeps + burn):
         sampler.sweep()
         if it >= burn:
-            seen.append(structure_signature(tree_to_doc(sampler.trees[0])))
+            seen.append(structure_signature(forest_docs(sampler.snapshot())[0]))
     freq = {}
     batch_hits = {}
     per_batch = len(seen) // batches
@@ -216,8 +283,8 @@ def test_fit_total_matches_recompute_after_sweeps():
     for _ in range(60):
         sampler.sweep()
     assert np.allclose(sampler.fit_total, sampler.recompute_fit(), atol=1e-9)
-    # per-tree cached predictions agree with walking the serialized trees
-    docs = sampler.snapshot()
+    # per-tree cached predictions agree with walking the stored trees
+    docs = forest_docs(sampler.snapshot())
     for t, doc in enumerate(docs):
         assert np.allclose(
             predict_doc(doc, xmat.columns), sampler.tree_pred[t], atol=1e-12
@@ -269,7 +336,7 @@ def test_sampler_reproducible():
         s = BartSampler(xmat, y, cfg, np.random.default_rng(7))
         for _ in range(30):
             s.sweep()
-        runs.append((s.snapshot(), s.sigma2, s.fit_total.copy()))
+        runs.append((forest_docs(s.snapshot()), s.sigma2, s.fit_total.copy()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
     assert np.array_equal(runs[0][2], runs[1][2])
@@ -287,7 +354,8 @@ def test_sampler_trajectory_pinned():
                           BartConfig(trees=20), np.random.default_rng(3))
     for _ in range(40):
         sampler.sweep()
-    digest = hashlib.sha256(json.dumps(sampler.snapshot()).encode()).hexdigest()
+    docs = forest_docs(sampler.snapshot())
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
     assert digest == "e5f1cdfc2f9beea4fa1100470a0e4135543803ff9c2cf22c3d4e967b0f0cbd3d"
     assert repr(float(sampler.sigma2)) == "0.09924189579555129"
 
@@ -316,8 +384,32 @@ def test_docs_are_json_safe_and_signature_ignores_values():
 def test_tree_shape():
     doc = {"f": 0, "cut": 1.0, "l": {"v": 0.0},
            "r": {"f": 1, "in": [2], "l": {"v": 1.0}, "r": {"v": 2.0}}}
-    assert tree_shape(doc) == (2, 3)
-    assert tree_shape({"v": 0.5}) == (0, 1)
+    assert doc_shape(doc) == (2, 3)
+    assert doc_shape({"v": 0.5}) == (0, 1)
+    assert forest_shapes(docs_forest([doc, {"v": 0.5}])) == [(2, 3), (0, 1)]
+    # and on a real chain's trees
+    xmat, y = _random_training()
+    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    for _ in range(60):
+        sampler.sweep()
+    forest = sampler.snapshot()
+    assert forest_shapes(forest) == [doc_shape(d) for d in forest_docs(forest)]
+
+
+def test_snapshot_is_the_pre_order_of_each_tree():
+    """The flat forest is exactly the pre-order of the nested trees: both
+    converters invert each other on a real chain's snapshot."""
+    xmat, y = _random_training()
+    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    for _ in range(60):
+        sampler.sweep()
+    forest = sampler.snapshot()
+    back = docs_forest(forest_docs(forest))
+    for f in fields(Forest):
+        a, b = getattr(forest, f.name), getattr(back, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    assert forest.n_levels.any() and (forest.feature >= 0).any()
+    assert forest.size.size == 12 and forest.size.sum() == forest.feature.size
 
 
 def test_predict_doc_routes_subset_and_threshold():
@@ -328,11 +420,12 @@ def test_predict_doc_routes_subset_and_threshold():
         "l": {"v": 10.0},
         "r": {"f": 0, "cut": 2.0, "l": {"v": 1.0}, "r": {"v": 2.0}},
     }
+    forest = docs_forest([doc])
     # a value equal to the cut goes left
-    got = ensemble_predict([[doc]], cols)
+    got = ensemble_predict(forest, 1, cols)
     assert np.array_equal(got, [10.0, 1.0, 1.0, 2.0, 10.0])
     # unseen categorical levels fall to the right branch
-    got = ensemble_predict([[doc]], [np.array([3.0, 1.0]), np.array([7, -1])])
+    got = ensemble_predict(forest, 1, [np.array([3.0, 1.0]), np.array([7, -1])])
     assert np.array_equal(got, [2.0, 1.0])
 
 
@@ -354,20 +447,22 @@ def test_ensemble_predict_matches_recursive_oracle():
         np.concatenate([x1, rng.normal(0, 1.5, 100)]),
         np.concatenate([xmat.columns[1], rng.integers(-1, 7, 100)]),
     ]
-    got = ensemble_predict(ensembles, cols)
-    assert np.array_equal(got, predict_oracle(ensembles, cols))
-    assert any("in" in json.dumps(e) for e in ensembles)
+    got = ensemble_predict(Forest.join(ensembles), len(ensembles), cols)
+    docs = [forest_docs(e) for e in ensembles]
+    assert np.array_equal(got, predict_oracle(docs, cols))
+    assert any("in" in json.dumps(d) for d in docs)
     # the training rows reproduce the chain's own per-tree fit
-    last = ensemble_predict([sampler.snapshot()], xmat.columns)
-    assert np.array_equal(last, predict_oracle([sampler.snapshot()], xmat.columns))
+    last = ensemble_predict(sampler.snapshot(), 1, xmat.columns)
+    assert np.array_equal(
+        last, predict_oracle([forest_docs(sampler.snapshot())], xmat.columns))
     assert np.allclose(last, sampler.fit_total, atol=1e-9)
 
 
 def test_ensemble_predict_averages_snapshots():
-    e1 = [{"v": 1.0}, {"v": 2.0}]  # two stump trees sum to 3
-    e2 = [{"v": 5.0}, {"v": 1.0}]  # sum 6
+    e1 = docs_forest([{"v": 1.0}, {"v": 2.0}])  # two stump trees sum to 3
+    e2 = docs_forest([{"v": 5.0}, {"v": 1.0}])  # sum 6
     cols = [np.zeros(4)]
-    assert np.allclose(ensemble_predict([e1, e2], cols), 4.5)
+    assert np.allclose(ensemble_predict(Forest.join([e1, e2]), 2, cols), 4.5)
 
 
 def test_covariate_matrix_validation():

@@ -1,24 +1,19 @@
 """Command-line behavior: exit codes, precedence, manifests, reproducibility."""
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mixedsynth
 from mixedsynth.cli import (
     ConfigError,
-    StageError,
     _build_parser,
     _config_hash,
     _csv_list,
     _int_list,
     _merge_config,
-    end_to_end,
     main,
 )
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, load_dataset, write_csv
@@ -281,10 +276,18 @@ def test_synth_reports_orthant_diagnostics(workspace, tmp_path, caplog):
 
 
 def test_synth_builds_the_response_grid_once(workspace, tmp_path, monkeypatch):
-    """A continuous response's inverse-CDF grid is built once per archive,
-    not once per synthetic dataset."""
-    from mixedsynth.marginals import _GRID_POINTS, ContinuousMarginal
+    """A continuous response's inverse-CDF grid is built once, by fit, and
+    stored; synth only reads it back."""
+    import mixedsynth.marginals as marginals
 
+    builds = []
+    kernel_cdf = marginals._kernel_cdf
+
+    def counting_kernel_cdf(sample, h, x):
+        builds.append(x.size)
+        return kernel_cdf(sample, h, x)
+
+    monkeypatch.setattr(marginals, "_kernel_cdf", counting_kernel_cdf)
     model = tmp_path / "m.mxs"
     assert main([
         "fit", "--data", str(workspace["data"]),
@@ -293,18 +296,12 @@ def test_synth_builds_the_response_grid_once(workspace, tmp_path, monkeypatch):
         "--iters", "40", "--burn-in", "20", "--thin", "5",
         "--target-iters", "20", "--target-burn-in", "5", "--target-trees", "3",
     ]) == 0
-    builds = []
-    cdf = ContinuousMarginal.cdf
-
-    def counting_cdf(self, x):
-        builds.append(np.size(x) == _GRID_POINTS)
-        return cdf(self, x)
-
-    monkeypatch.setattr(ContinuousMarginal, "cdf", counting_cdf)
+    # w is the only continuous column, and it is a response here
+    assert builds == [marginals._GRID_POINTS]
+    builds.clear()
     assert main(["synth", "--model", str(model), "--out-dir", str(tmp_path / "syn"),
                  "--m", "3", "--seed", "1"]) == 0
-    # w is the only continuous column, and it is a response here
-    assert sum(builds) == 1
+    assert builds == []
 
 
 def test_config_file_and_flag_precedence(workspace, tmp_path):
@@ -439,62 +436,10 @@ def test_simulate_rejects_unknown_study(tmp_path):
     assert rc == 1
 
 
-def test_end_to_end_bundle(workspace, tmp_path):
-    bundle = {
-        "seed": 5,
-        "fit": {
-            "data": str(workspace["data"]),
-            "schema": str(workspace["schema"]),
-            "out": str(tmp_path / "m.mxs"),
-            "iters": 200, "burn_in": 100, "thin": 4,
-            "target_iters": 40, "target_burn_in": 5, "target_trees": 4,
-        },
-        "synth": {
-            "model": str(tmp_path / "m.mxs"),
-            "out_dir": str(tmp_path / "syn"),
-            "m": 2,
-        },
-        "utility": {
-            "conf": str(workspace["data"]),
-            "schema": str(workspace["schema"]),
-            "syn_dir": str(tmp_path / "syn"),
-            "response": "w", "predictors": "g,y",
-            "iters": 300, "burn_in": 100,
-            "out": str(tmp_path / "u.json"),
-        },
-        "risk": {
-            "conf": str(workspace["data"]),
-            "schema": str(workspace["schema"]),
-            "pool_dir": str(tmp_path / "syn"),
-            "known": "g,y", "target": "r",
-            "m": "2", "eps": "0,1", "reps": 2,
-            "out": str(tmp_path / "r.json"),
-        },
-    }
-    results = end_to_end(bundle)
-    assert set(results) == {"fit", "synth", "utility", "risk"}
-    assert (tmp_path / "u.json").exists() and (tmp_path / "r.json").exists()
-
-
-def test_end_to_end_names_failing_stage(workspace, tmp_path):
-    junk = tmp_path / "junk.mxs"
-    junk.write_bytes(b"garbage")
-    bundle = {
-        "seed": 5,
-        "synth": {"model": str(junk), "out_dir": str(tmp_path / "syn"), "m": 1},
-    }
-    with pytest.raises(StageError) as err:
-        end_to_end(bundle)
-    assert err.value.stage == "synth"
-
-
-def test_console_entry_point_help():
-    # the child imports the same package as this process, installed or not
-    src = str(Path(mixedsynth.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_console_entry_point_help(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "mixedsynth.cli", "--help"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "simulate" in proc.stdout

@@ -1,11 +1,8 @@
 """Import surface: every exported name resolves, and the benchmark tracer
 can still wrap every function it traces."""
-import os
 import subprocess
 import sys
 from pathlib import Path
-
-import mixedsynth
 
 _CHECK = """
 import importlib, pkgutil, sys
@@ -25,13 +22,11 @@ sys.exit(1 if missing else 0)
 """
 
 
-def test_exports_resolve_after_tracer_install():
+def test_exports_resolve_after_tracer_install(src_env):
     # a subprocess, since install() rebinds module attributes for good
-    src = str(Path(mixedsynth.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     proc = subprocess.run(
         [sys.executable, "-c", _CHECK, str(bench)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

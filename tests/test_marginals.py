@@ -1,18 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from mixedsynth import archive
 from mixedsynth.errors import EmptyColumnError, NoCategoricalColumnsError
 from mixedsynth.marginals import (
-    CategoricalProbTable,
     ContinuousMarginal,
     DegenerateMarginal,
     DiscreteMarginal,
+    _silverman_bandwidth,
     fit_categorical_probs,
     fit_marginal,
     ks_distance,
-    marginal_from_dict,
-    marginal_to_dict,
 )
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
 
@@ -55,11 +56,18 @@ def test_continuous_cdf_matches_kernel_mixture():
     x = rng.standard_normal(40)
     m = fit_marginal(x, Kind.CONTINUOUS)
     assert isinstance(m, ContinuousMarginal)
+    h = _silverman_bandwidth(x)
+
+    def mixture(q):
+        return np.array([stats.norm.cdf(v, loc=x, scale=h).sum() / (len(x) + 1) for v in q])
+
+    # the grid spans the sample's range and holds the mixture at its points
+    assert m.grid_x.size == 4097
+    assert m.grid_x[0] == x.min() and m.grid_x[-1] == x.max()
+    np.testing.assert_allclose(m.grid_u[::256], mixture(m.grid_x[::256]), rtol=1e-12)
+    # and interpolates it closely in between
     q = np.array([-1.0, 0.0, 0.7])
-    expect = np.array(
-        [stats.norm.cdf(v, loc=x, scale=m.bandwidth).sum() / (len(x) + 1) for v in q]
-    )
-    np.testing.assert_allclose(m.cdf(q), expect, rtol=1e-12)
+    np.testing.assert_allclose(m.cdf(q), mixture(q), atol=1e-6)
 
 
 def test_continuous_cdf_monotone_and_bounded():
@@ -87,19 +95,17 @@ def test_continuous_inverse_clamped_to_hull():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     m = fit_marginal(x, Kind.CONTINUOUS)
     lo, hi = m.inverse(np.array([1e-9, 1 - 1e-9]))
-    # extreme quantiles stay within the evaluation hull around the sample
-    assert lo >= x.min() - 6 * m.bandwidth
-    assert hi <= x.max() + 6 * m.bandwidth
+    # extreme quantiles clamp to the sample's range
+    assert lo == x.min() and hi == x.max()
 
 
 def test_silverman_bandwidth_value():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(1000)
-    m = fit_marginal(x, Kind.CONTINUOUS)
     sd = x.std(ddof=1)
     iqr = np.subtract(*np.percentile(x, [75, 25]))
     expect = 0.9 * min(sd, iqr / 1.34) * 1000 ** (-0.2)
-    assert m.bandwidth == pytest.approx(expect, rel=1e-12)
+    assert _silverman_bandwidth(x) == pytest.approx(expect, rel=1e-12)
 
 
 def test_constant_continuous_degenerates():
@@ -176,8 +182,10 @@ def test_categorical_marginals_match_observed():
     ds, counts = _nc_like_dataset()
     table = fit_categorical_probs(ds)
     n = counts.sum()
-    np.testing.assert_allclose(table.marginals[0], counts.sum(axis=1) / n)
-    np.testing.assert_allclose(table.marginals[1], counts.sum(axis=0) / n)
+    for j, axis in ((0, 1), (1, 0)):
+        per_level = np.bincount(table.cells[:, j], weights=table.cell_probs,
+                                minlength=counts.shape[j])
+        np.testing.assert_allclose(per_level, counts.sum(axis=axis) / n)
 
 
 def test_categorical_draw_frequencies():
@@ -232,6 +240,11 @@ def test_marginal_dict_round_trip(vals, kind):
             m = fit_marginal(vals, kind)
     else:
         m = fit_marginal(vals, kind)
-    m2 = marginal_from_dict(marginal_to_dict(m))
+    # the archive's form: a JSON-safe doc plus arrays
+    arrays = {}
+    doc = json.loads(json.dumps(archive._put_marginal(arrays, "m", m)))
+    assert all(isinstance(a, np.ndarray) for a in arrays.values())
+    m2 = archive._get_marginal(arrays, "m", doc)
+    assert type(m2) is type(m)
     u = np.linspace(0.01, 0.99, 37)
     np.testing.assert_allclose(m2.inverse(u), m.inverse(u))

@@ -14,7 +14,6 @@ from mixedsynth.synthesizer import (
     _batched_orthant_gibbs,
     _orthant_rejection,
     _prep_draw,
-    _select_draws,
     fit_copula_model,
     synthesize_datasets,
 )
@@ -323,17 +322,22 @@ def test_orthant_underflow_resamples_then_gives_up(monkeypatch):
     assert batches == [40] * 21  # one draw plus 20 resamples
 
 
-def test_draw_selection_schemes():
+def test_draw_selection_schemes(monkeypatch):
+    """Records cycle over the posterior draws round-robin, across chunks."""
     _, model = _mixed_fit(n=150, iters=200, burn_in=100)
     n_draws = model.draws.n_draws
-    plan = SynthesisPlan(model, m=1, seed=0)
-    idx = _select_draws(plan, 10, np.random.default_rng(0))
-    assert np.array_equal(idx, np.arange(10) % n_draws)
-    plan = SynthesisPlan(model, m=1, seed=0, draw_selection="random")
-    idx = _select_draws(plan, 500, np.random.default_rng(0))
-    assert idx.min() >= 0 and idx.max() < n_draws
-    with pytest.raises(ValueError):
-        SynthesisPlan(model, draw_selection="bogus")
+    seen = []
+    real = synthesizer._synthesize_batch
+
+    def spy(model, draw_idx, rng, stats):
+        seen.append(draw_idx)
+        return real(model, draw_idx, rng, stats)
+
+    monkeypatch.setattr(synthesizer, "_synthesize_batch", spy)
+    monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)
+    synthesize_datasets(SynthesisPlan(model, m=1, n_out=10, seed=0))
+    assert [len(idx) for idx in seen] == [7, 3]
+    assert np.array_equal(np.concatenate(seen), np.arange(10) % n_draws)
 
 
 def test_no_categorical_dataset_roundtrip(monkeypatch):

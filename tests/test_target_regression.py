@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from mixedsynth import archive
 from mixedsynth.bart import ensemble_predict
 from mixedsynth.errors import (
     DegenerateResponseError,
@@ -14,10 +15,21 @@ from mixedsynth.errors import (
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
 from mixedsynth.target_regression import (
     TargetConfig,
-    TargetModelSummary,
     fit_target_model,
     synthesize_response,
 )
+
+
+def _stored(summary):
+    """A summary's stored form: the archive's JSON doc and its arrays."""
+    arrays = {}
+    doc = json.loads(json.dumps(archive._put_target(arrays, "t", summary)))
+    return doc, arrays
+
+
+def _same_arrays(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
 
 
 def _step_dataset(n=300, seed=0, effects=(-1.0, 0.0, 1.0), noise=0.5):
@@ -45,7 +57,7 @@ def test_fitted_surface_recovers_binned_latent_means():
     cfg = TargetConfig(iters=400, burn_in=150, trees=40, keep_every=5, seed=3)
     summary = fit_target_model(ds, "y", cfg)
 
-    f_hat = ensemble_predict(summary.ensembles, [ds.columns["x"]])
+    f_hat = ensemble_predict(summary.forest, summary.kept, [ds.columns["x"]])
     target = _normal_scores(ds.columns["y"])
     binned_err = [
         f_hat[x == c].mean() - target[x == c].mean() for c in range(3)
@@ -126,7 +138,8 @@ def test_zero_trees_yields_flat_predictor():
     ds, _ = _step_dataset(n=120, seed=7)
     cfg = TargetConfig(iters=60, burn_in=10, trees=0, keep_every=5, seed=2)
     summary = fit_target_model(ds, "y", cfg)
-    assert all(len(ens) == 0 for ens in summary.ensembles)
+    assert summary.forest.size.size == 0 and summary.forest.feature.size == 0
+    assert summary.kept == 10
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
     out = synthesize_response(summary, [records], [np.random.default_rng(1)])[0]
     y = ds.columns["y"]
@@ -145,8 +158,10 @@ def test_summary_doc_round_trip_and_json_safety():
     ds, _ = _step_dataset(n=120, seed=9)
     cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
     summary = fit_target_model(ds, "y", cfg)
-    doc = summary.to_doc()
-    clone = TargetModelSummary.from_doc(json.loads(json.dumps(doc)))
+    doc, arrays = _stored(summary)
+    clone = archive._get_target(arrays, "t", doc)
+    assert _same_arrays(_stored(clone)[1], arrays)
+    assert clone.kept == summary.kept
     assert clone.response == summary.response
     assert clone.kind == summary.kind
     assert clone.covariate_sig == summary.covariate_sig
@@ -177,12 +192,12 @@ def test_sets_synthesized_together_match_one_at_a_time():
 def test_fit_is_deterministic_in_seed():
     ds, _ = _step_dataset(n=100, seed=10)
     cfg = TargetConfig(iters=50, burn_in=10, trees=6, keep_every=4, seed=11)
-    a = fit_target_model(ds, "y", cfg).to_doc()
-    b = fit_target_model(ds, "y", cfg).to_doc()
-    assert a == b
-    c = fit_target_model(ds, "y", TargetConfig(
-        iters=50, burn_in=10, trees=6, keep_every=4, seed=12)).to_doc()
-    assert c != a
+    a = _stored(fit_target_model(ds, "y", cfg))
+    b = _stored(fit_target_model(ds, "y", cfg))
+    assert a[0] == b[0] and _same_arrays(a[1], b[1])
+    c = _stored(fit_target_model(ds, "y", TargetConfig(
+        iters=50, burn_in=10, trees=6, keep_every=4, seed=12)))
+    assert not _same_arrays(c[1], a[1])
 
 
 def test_other_response_columns_never_enter_the_covariates():
