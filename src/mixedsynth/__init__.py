@@ -11,7 +11,7 @@ from .archive import ModelArchive, load_archive, save_archive
 from .bart import BartConfig, BartSampler
 from .errors import MixedSynthError
 from .factor_model import ChainConfig, Hyperparams, PosteriorDraws, run_chain
-from .marginals import fit_categorical_probs, fit_marginal, ks_distance
+from .marginals import fit_categorical_probs, fit_marginal
 from .risk import AdversaryScenario, RiskReport, cmap_mean, risk_study
 from .schema import (
     ColumnSchema,
@@ -57,7 +57,6 @@ __all__ = [
     "run_chain",
     "fit_marginal",
     "fit_categorical_probs",
-    "ks_distance",
     "Kind",
     "ColumnSchema",
     "MixedDataset",

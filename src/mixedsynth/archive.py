@@ -13,8 +13,9 @@ Every array is an entry of its own, keyed by position, never by column name:
   targeted response's marginal and its kept trees (`bart.Forest`).
 
 Each fitted object is stored in the one form it has in memory, so a
-continuous column appears only as its inverse-CDF grid, which holds none of
-its values but the minimum and maximum.  Nothing in the file needs
+continuous column appears only as its inverse-CDF grid (the two grid ends
+in meta, the CDF values as an array), which holds none of its values but the
+minimum and maximum.  Nothing in the file needs
 pickling.  This module is the only one that knows the layout; the loader
 reads ``meta`` first and rejects any other format version.
 """
@@ -35,7 +36,7 @@ from .marginals import (
     DegenerateMarginal,
     DiscreteMarginal,
 )
-from .schema import ColumnSchema, Kind, expand_layout, schema_hash, schema_to_doc
+from .schema import expand_layout, schema_from_doc, schema_hash, schema_to_doc
 from .synthesizer import FittedCopula
 from .target_regression import TargetModelSummary
 
@@ -119,18 +120,6 @@ def _get_target(arrays: dict, key: str, doc: dict) -> TargetModelSummary:
     )
 
 
-def _schema_from_doc(doc) -> tuple:
-    return tuple(
-        ColumnSchema(
-            d["name"],
-            Kind(d["kind"]),
-            tuple(d["levels"]) if d["levels"] else None,
-            d.get("role", "copula"),
-        )
-        for d in doc
-    )
-
-
 def save_archive(
     path,
     model: FittedCopula,
@@ -196,7 +185,7 @@ def load_archive(path) -> ModelArchive:
             f"{_FORMAT_VERSION})"
         )
 
-    schema = _schema_from_doc(meta["schema"])
+    schema = schema_from_doc(meta["schema"], path)
     draws = PosteriorDraws(
         arrays["corr"], arrays["alpha"], tuple(meta["latent_names"]),
         int(meta["n_factors"]),
@@ -222,6 +211,6 @@ def load_archive(path) -> ModelArchive:
         targets,
         meta["schema_hash"],
         meta["seed"],
-        _schema_from_doc(meta["full_schema"]),
+        schema_from_doc(meta["full_schema"], path),
         meta,
     )

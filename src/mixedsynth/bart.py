@@ -385,14 +385,6 @@ class BartSampler:
         """Swap the regression response (latent two-block schemes)."""
         self.y = np.asarray(y, dtype=np.float64)
 
-    def recompute_fit(self) -> np.ndarray:
-        """Fitted values recomputed from scratch (invariant checking)."""
-        out = np.zeros(self.x.n)
-        for tree in self.trees:
-            for i in tree.leaves:
-                out[tree.rows(i)] += tree.value[i]
-        return out
-
     def snapshot(self) -> "Forest":
         """The current trees, nodes in pre-order, as one `Forest`."""
         a = {f.name: [] for f in fields(Forest)}

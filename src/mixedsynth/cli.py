@@ -52,10 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_UNHASHED_KEYS = {"out", "out_dir", "keep_datasets", "config"}
+# output paths and logging leave the outputs unchanged, so the hash skips them
+_UNHASHED_KEYS = {"out", "out_dir", "keep_datasets", "config", "verbose"}
 
 _PRESETS = {
-    # copula chain length / targeted-regression settings at full study scale
+    # fit's copula chain length / targeted-regression settings; simulate
+    # takes the same names, with its settings in simulation.preset
     "paper": {"iters": 50000, "burn_in": 25000, "thin": 25,
               "target_iters": 1100, "target_burn_in": 100},
     "desk": {"iters": 3000, "burn_in": 1500, "thin": 5,
@@ -127,11 +129,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file '{path}' must hold a JSON object")
     cfg = dict(defaults)
     preset_name = given.get("preset", from_file.get("preset"))
-    if preset_name is not None:
-        if preset_name not in _PRESETS:
-            raise ConfigError(
-                f"unknown preset '{preset_name}'; choose from {sorted(_PRESETS)}"
-            )
+    if preset_name is not None and preset_name not in _PRESETS:
+        raise ConfigError(
+            f"unknown preset '{preset_name}'; choose from {sorted(_PRESETS)}"
+        )
+    if preset_name is not None and args.subcommand == "fit":
         cfg.update(_PRESETS[preset_name])
     cfg.update(from_file)
     cfg.update(given)
@@ -227,9 +229,8 @@ def _cmd_synth(cfg: dict) -> dict:
     orthant = []
     sets = synthesize_datasets(plan, diagnostics=orthant)
     log.info(
-        "orthant draws per dataset (accepted by rejection/fell back to "
-        "Gibbs/rejection rounds): %s",
-        ", ".join(f"{o.accepted}/{o.fallback}/{o.rounds}" for o in orthant),
+        "orthant draws per dataset (tilted proposals/rejection rounds): %s",
+        ", ".join(f"{o.proposed}/{o.rounds}" for o in orthant),
     )
 
     out_dir = Path(cfg["out_dir"])

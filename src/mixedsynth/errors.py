@@ -42,7 +42,8 @@ class SingularBlockError(MixedSynthError):
 
 
 class OrthantUnderflowError(MixedSynthError):
-    """A categorical orthant has numerically zero probability mass."""
+    """A categorical orthant's minimax tilting point could not be solved,
+    so its draws cannot be made exact; synthesis never falls back."""
 
 
 class NumericalOverflowError(MixedSynthError):
@@ -92,6 +93,3 @@ class ConstantColumnWarning(UserWarning):
 class SeparationWarning(UserWarning):
     """Logistic fit hit separation; a ridge penalty was applied."""
 
-
-class OrthantResampleWarning(UserWarning):
-    """A categorical assignment was redrawn after orthant-probability underflow."""

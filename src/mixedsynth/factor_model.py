@@ -215,18 +215,6 @@ class FactorState:
     def tau(self) -> np.ndarray:
         return np.cumprod(self.delta)
 
-    def copy(self) -> "FactorState":
-        return FactorState(
-            self.z.copy(),
-            self.lam.copy(),
-            self.eta.copy(),
-            self.sigma2.copy(),
-            self.phi.copy(),
-            self.delta.copy(),
-            self.alpha.copy(),
-            self.rng,
-        )
-
 
 @dataclass
 class PosteriorDraws:

@@ -2,9 +2,10 @@
 
 Ordinal/count/binary columns get rescaled empirical CDFs; continuous columns
 get a Gaussian-kernel-smoothed CDF with Silverman bandwidth, tabulated once,
-at fit time, on a 4097-point grid over the sample's range.  The grid is all a
-continuous marginal keeps: synthesis inverts it by linear interpolation, and
-no observed value survives in it except the minimum and maximum.  All CDFs
+at fit time, on a 4097-point even grid over the sample's range.  The grid's
+ends and CDF values are all a continuous marginal keeps: synthesis inverts
+the grid by linear interpolation, and no observed value survives in it
+except the minimum and maximum.  All CDFs
 carry the n/(n+1) rescale so no observed value maps to a 0/1 probability (and
 hence to an infinite latent Gaussian value).  Categorical columns are
 summarized by the joint cross-classification table over all categorical
@@ -29,7 +30,6 @@ __all__ = [
     "CategoricalProbTable",
     "fit_marginal",
     "fit_categorical_probs",
-    "ks_distance",
 ]
 
 _GRID_POINTS = 4097
@@ -64,11 +64,17 @@ class DiscreteMarginal:
 
 @dataclass
 class ContinuousMarginal:
-    """Kernel CDF values ``grid_u`` at the grid points ``grid_x`` spanning
-    the sample's range; the inverse therefore clamps to [min, max]."""
+    """Kernel CDF values ``grid_u`` at evenly spaced grid points ``grid_x``
+    from the sample's minimum ``lo`` to its maximum ``hi``; the inverse
+    therefore clamps to [lo, hi]."""
 
-    grid_x: np.ndarray
+    lo: float
+    hi: float
     grid_u: np.ndarray
+    grid_x: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.grid_x = np.linspace(self.lo, self.hi, len(self.grid_u))
 
     def cdf(self, x):
         """The tabulated CDF, linear between grid points, flat outside."""
@@ -133,8 +139,9 @@ def fit_marginal(column, kind: Kind):
             )
             return DegenerateMarginal(float(col[0]), n=col.size)
         sample = np.sort(col)
-        grid_x = np.linspace(float(sample[0]), float(sample[-1]), _GRID_POINTS)
-        return ContinuousMarginal(grid_x, _kernel_cdf(sample, h, grid_x))
+        lo, hi = float(sample[0]), float(sample[-1])
+        grid_x = np.linspace(lo, hi, _GRID_POINTS)
+        return ContinuousMarginal(lo, hi, _kernel_cdf(sample, h, grid_x))
     values, counts = np.unique(col.astype(np.int64), return_counts=True)
     return DiscreteMarginal(values, counts)
 
@@ -148,9 +155,9 @@ class CategoricalProbTable:
     cell_probs: np.ndarray
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw joint categorical assignments; returns (size, q) level codes."""
-        idx = rng.choice(self.cells.shape[0], size=size, p=self.cell_probs)
-        return self.cells[idx]
+        """Draw joint categorical assignments; returns (size,) row indices
+        into ``cells``."""
+        return rng.choice(self.cells.shape[0], size=size, p=self.cell_probs)
 
 
 def fit_categorical_probs(ds: MixedDataset) -> CategoricalProbTable:
@@ -165,14 +172,4 @@ def fit_categorical_probs(ds: MixedDataset) -> CategoricalProbTable:
     codes = np.column_stack([ds.columns[c.name] for c in cat_cols])
     cells, counts = np.unique(codes, axis=0, return_counts=True)
     return CategoricalProbTable(tuple(c.name for c in cat_cols), cells, counts / ds.n)
-
-
-def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
 

@@ -38,6 +38,7 @@ __all__ = [
     "expand_layout",
     "write_csv",
     "schema_to_doc",
+    "schema_from_doc",
     "schema_hash",
 ]
 
@@ -55,10 +56,6 @@ class Kind(str, Enum):
     CONTINUOUS = "continuous"
 
 
-#: kinds modeled through the rank likelihood (one latent column each)
-RANK_KINDS = (Kind.BINARY, Kind.ORDINAL, Kind.COUNT, Kind.CONTINUOUS)
-#: kinds whose values are integers
-INTEGER_KINDS = (Kind.BINARY, Kind.ORDINAL, Kind.COUNT)
 #: kinds allowed in the response role
 RESPONSE_KINDS = (Kind.ORDINAL, Kind.COUNT, Kind.CONTINUOUS)
 
@@ -177,12 +174,6 @@ class MixedDataset:
                 )
         return arr
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise UnknownColumnError(f"no column named '{name}'") from None
-
     def col_schema(self, name: str) -> ColumnSchema:
         for c in self.schema:
             if c.name == name:
@@ -198,10 +189,6 @@ class MixedDataset:
     def copula_columns(self) -> tuple[ColumnSchema, ...]:
         return tuple(c for c in self.schema if c.role == "copula")
 
-    @property
-    def response_columns(self) -> tuple[ColumnSchema, ...]:
-        return tuple(c for c in self.schema if c.role == "response")
-
 
 @dataclass(frozen=True)
 class ExpandedLayout:
@@ -210,12 +197,6 @@ class ExpandedLayout:
     columns: tuple[ColumnSchema, ...]
     offsets: tuple[int, ...]
     p_star: int
-
-    def block(self, name: str) -> slice:
-        for col, off in zip(self.columns, self.offsets):
-            if col.name == name:
-                return slice(off, off + col.width)
-        raise UnknownColumnError(f"no column named '{name}' in layout")
 
     @property
     def cat_columns(self) -> tuple[ColumnSchema, ...]:
@@ -289,21 +270,7 @@ def load_schema(path) -> tuple[ColumnSchema, ...]:
             raise SchemaError(f"{path}: schema file needs a 'columns' list")
     else:
         entries = doc
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError(f"{path}: schema 'columns' must be a non-empty list")
-    out = []
-    for ent in entries:
-        if not isinstance(ent, dict) or "name" not in ent or "kind" not in ent:
-            raise SchemaError(f"{path}: each column needs 'name' and 'kind' keys")
-        name = str(ent["name"])
-        kind = _parse_kind(ent["kind"], name)
-        levels = ent.get("levels")
-        if levels is not None:
-            levels = tuple(str(lv) for lv in levels)
-        out.append(
-            ColumnSchema(name, kind, levels=levels, role=str(ent.get("role", "copula")))
-        )
-    return tuple(out)
+    return schema_from_doc(entries, path)
 
 
 def _convert_cell(col: ColumnSchema, raw: str, row: int):
@@ -426,6 +393,27 @@ def schema_to_doc(schema) -> list:
         }
         for c in schema
     ]
+
+
+def schema_from_doc(doc, source="schema") -> tuple[ColumnSchema, ...]:
+    """Inverse of schema_to_doc: a non-empty list of column entries with keys
+    ``name``, ``kind``, optional ``levels`` and ``role``; errors name
+    ``source``."""
+    if not isinstance(doc, list) or not doc:
+        raise SchemaError(f"{source}: schema 'columns' must be a non-empty list")
+    out = []
+    for ent in doc:
+        if not isinstance(ent, dict) or "name" not in ent or "kind" not in ent:
+            raise SchemaError(f"{source}: each column needs 'name' and 'kind' keys")
+        name = str(ent["name"])
+        kind = _parse_kind(ent["kind"], name)
+        levels = ent.get("levels")
+        if levels is not None:
+            levels = tuple(str(lv) for lv in levels)
+        out.append(
+            ColumnSchema(name, kind, levels=levels, role=str(ent.get("role", "copula")))
+        )
+    return tuple(out)
 
 
 def schema_hash(schema) -> str:

@@ -5,44 +5,45 @@ cell table, draw the categorical latent block from the matching diagonal
 orthant of N(alpha_cat, C_cat,cat), draw the remaining latents from the exact
 Gaussian conditional, and push them through the inverse marginal CDFs.
 synthesize_datasets is the only entry point; there is no per-record API.
-The orthant's sign pattern (+1 at each observed level, -1 elsewhere), its
-truncation bounds and the Gibbs start 0.5 * sign come from the same helpers
-the factor model's fit uses (factor_model._level_signs, _sign_bounds).
+The orthant's sign pattern (+1 at each observed level, -1 elsewhere) comes
+from the helper the factor model's fit uses (factor_model._level_signs).
 
-The orthant draw is rejection first: each round proposes alpha_cat + L eps
-(L the Cholesky factor of C_cat,cat) for every record still pending and keeps
-the proposals that land in the record's orthant, so every accepted draw is
-exact.  Records still pending after ORTHANT_ROUNDS rounds, or once the rounds
-have accepted too few records to beat Gibbs on cost, fall back to coordinate
-Gibbs: the state after ORTHANT_SWEEPS sweeps from a fixed start inside the
-orthant.  The fallback draw does not depend on the rejected proposals, so
-each record targets the same distribution either way.
+Every orthant draw is exact, by minimax-tilted rejection (Botev 2017, JRSS-B).
+Write the block as alpha_cat + C eps with C the Cholesky factor, d = diag(C)
+and L = C / d - I (strictly lower triangular).  The orthant then bounds each
+eps_k given eps_{<k} to a half-line, [-a_k/d_k - (L eps)_k, inf) at the
+record's level and (-inf, -a_k/d_k - (L eps)_k] elsewhere.  The proposal
+draws eps_k = mu_k + a standard normal truncated to the shifted half-line,
+coordinate by coordinate, and its log weight is
+
+    psi(eps, mu) = sum_k log P_k + mu_k^2 / 2 - mu_k eps_k,
+
+P_k the normal mass of coordinate k's interval.  The tilting point
+(x*, mu*) solves grad psi = 0 (Newton, x_d = mu_d = 0); psi is concave in
+its first argument, so psi(eps, mu*) <= psi* = psi(x*, mu*) for every
+proposal, and accepting when Exp(1) > psi* - psi(eps, mu*) keeps exactly
+the target.  The tilting point depends only on the posterior draw and the
+cell, so it is solved once per (draw, cell) pair and cached on the model.
 
 Records of one dataset go through in chunks of SYNTH_CHUNK, one vectorized
 batch each, so per-record tensors stay bounded as n_out grows; posterior
 draws cycle over records (round-robin) so parameter uncertainty enters every
-dataset.  Per dataset, OrthantStats counts the records accepted by rejection,
-the records that fell back and the rounds run.
+dataset.  Per dataset, OrthantStats counts the tilted proposals made and the
+rejection rounds run.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from .errors import (
-    OrthantResampleWarning,
-    OrthantUnderflowError,
-    SingularBlockError,
-)
+from .errors import OrthantUnderflowError, SingularBlockError
 from .factor_model import (
     ChainConfig,
     Hyperparams,
     PosteriorDraws,
     _level_signs,
-    _sign_bounds,
     run_chain,
 )
 from .marginals import (
@@ -62,13 +63,12 @@ __all__ = [
     "synthesize_datasets",
 ]
 
-ORTHANT_SWEEPS = 100
-ORTHANT_ROUNDS = 200  # rejection rounds before a record falls back to Gibbs
 SYNTH_CHUNK = 4096  # records per vectorized batch
-# one Gibbs fallback costs about as much as this many rejection proposals
-# (measured 375-380 at d_cat 5 and 14, 1000 records)
-_GIBBS_COST = 4 * ORTHANT_SWEEPS
+_TILT_CHUNK = 256  # tilting points per batched Newton solve
 _JITTER = 1e-8
+_NEWTON_TOL = 1e-10  # max |grad psi| at a solved tilting point
+_NEWTON_ITERS = 100
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -102,9 +102,8 @@ class SynthesisPlan:
 class OrthantStats:
     """How one dataset's categorical latent blocks were drawn."""
 
-    accepted: int = 0  # records drawn exactly by rejection
-    fallback: int = 0  # records handed to coordinate Gibbs
     rounds: int = 0  # rejection rounds run, summed over record chunks
+    proposed: int = 0  # tilted proposals made, one per record per round
 
 
 def fit_copula_model(
@@ -148,16 +147,9 @@ def _prep_draw(corr, alpha, cat_idx, rest_idx):
     c_rc = corr[np.ix_(rest_idx, cat_idx)]
     if cat_idx.size:
         c_cc, low = _cat_chol_or_raise(c_cc)
-        inv_low = np.linalg.inv(low)
-        prec = inv_low.T @ inv_low
-        cond_sd = 1.0 / np.sqrt(np.diag(prec))
-        weights = -prec / np.diag(prec)[:, None]
-        np.fill_diagonal(weights, 0.0)
         b = np.linalg.solve(c_cc, c_rc.T).T  # C_rc C_cc^-1
     else:
         low = np.empty((0, 0))
-        cond_sd = np.empty(0)
-        weights = np.empty((0, 0))
         b = np.empty((rest_idx.size, 0))
     c_star = corr[np.ix_(rest_idx, rest_idx)] - b @ c_rc.T
     c_star = 0.5 * (c_star + c_star.T)
@@ -168,7 +160,14 @@ def _prep_draw(corr, alpha, cat_idx, rest_idx):
             l_star = np.linalg.cholesky(c_star + _JITTER * np.eye(rest_idx.size))
     else:
         l_star = np.empty((0, 0))
-    return weights, cond_sd, low, b, l_star, alpha[cat_idx], alpha[rest_idx]
+    return low, b, l_star, alpha[cat_idx], alpha[rest_idx]
+
+
+def _tilt_setup(low, a_cat):
+    """Botev's standardized form of N(a_cat, low low') on an orthant:
+    h = a_cat / d and L = low / d - I, d = diag(low) (rows divided)."""
+    d = np.diagonal(low, axis1=-2, axis2=-1)
+    return a_cat / d, low / d[..., None] - np.eye(low.shape[-1])
 
 
 def _draw_tables(model: FittedCopula):
@@ -178,78 +177,145 @@ def _draw_tables(model: FittedCopula):
     mask = model.layout.cat_latent_mask()
     cat_idx = np.flatnonzero(mask)
     rest_idx = np.flatnonzero(~mask)
-    ws, sds, cs, bs, ls, acs, ars = [], [], [], [], [], [], []
+    lows, bcs, ls, acs, ars = [], [], [], [], []
     for d in range(model.draws.n_draws):
-        w, sd, low, b, l_star, ac, ar = _prep_draw(
+        low, b, l_star, ac, ar = _prep_draw(
             model.draws.corr[d], model.draws.alpha[d], cat_idx, rest_idx
         )
-        ws.append(w)
-        sds.append(sd)
-        cs.append(low)
-        bs.append(b)
+        lows.append(low)
+        bcs.append(b @ low)  # z_cat - a_cat = low eps
         ls.append(l_star)
         acs.append(ac)
         ars.append(ar)
+    h, ltri = _tilt_setup(np.asarray(lows), np.asarray(acs))
     tables = {
         "cat_idx": cat_idx,
         "rest_idx": rest_idx,
-        "w": np.asarray(ws),
-        "sd": np.asarray(sds),
-        "chol": np.asarray(cs),
-        "b": np.asarray(bs),
+        "h": h,
+        "ltri": ltri,
+        "bc": np.asarray(bcs),
         "l": np.asarray(ls),
-        "a_cat": np.asarray(acs),
         "a_rest": np.asarray(ars),
     }
     model._cache["tables"] = tables
     return tables
 
 
-def _orthant_rejection(rng, a_cat, chol, sign, rounds):
-    """Exact orthant draws by plain rejection from N(a_cat, chol chol').
+def _tilt_terms(s, h, sign):
+    """At shifts s = mu + L x, per coordinate: log P_k, the mean m_k of the
+    standard normal on coordinate k's shifted interval, and d m_k / d s_k.
 
-    Each round proposes once for every pending record and accepts the
-    proposals with sign(z) == sign; a record's first accepted proposal is an
-    exact draw.  Rounds stop after `rounds`, or as soon as fewer than one
-    record has been accepted per _GIBBS_COST proposals so far, when finishing
-    the pending records by rejection would cost more than Gibbs.  The rule
-    reads only hit counts, so accepted draws stay exact.  Returns the draws,
-    the records still pending (their rows of z are unset) and the rounds run.
+    Multiplying by sign maps each interval onto a lower half-line [t, inf),
+    so P_k = Phi(-t) comes from log_ndtr with no infinite bound in sight.
     """
-    n, d_cat = a_cat.shape
-    z = np.empty((n, d_cat))
+    t = -sign * (h + s)
+    log_p = log_ndtr(-t)
+    r = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_p)  # phi(t) / Phi(-t)
+    return log_p, sign * r, r * (t - r)
+
+
+def _tilting_point(h, ltri, sign):
+    """Minimax tilting point of each row's orthant: returns mu* (n, d) and
+    psi* (n,).
+
+    Batched Newton on grad psi(x, mu) = 0 over the first d - 1 coordinates of
+    x and mu, from zero.  Each row stops once its own max |grad psi| is below
+    _NEWTON_TOL, so a row's result does not depend on the rows solved with
+    it.  A row still unsolved after _NEWTON_ITERS steps raises.
+    """
+    n, d = h.shape
+    m = d - 1
+    eye = np.eye(m)
+    y = np.zeros((n, 2 * m))  # (x, mu) without their last coordinates
+    mu_out = np.zeros((n, d))
+    psi_out = np.empty(n)
     rows = np.arange(n)
-    used = proposed = 0
-    while rows.size and used < rounds:
-        if proposed >= _GIBBS_COST and (n - rows.size) * _GIBBS_COST < proposed:
-            break
-        used += 1
-        proposed += rows.size
-        eps = rng.standard_normal((rows.size, d_cat))
-        cand = a_cat + np.einsum("ijk,ik->ij", chol, eps)
-        hit = np.all(cand * sign > 0, axis=1)
-        z[rows[hit]] = cand[hit]
-        miss = ~hit
-        rows, a_cat, chol, sign = rows[miss], a_cat[miss], chol[miss], sign[miss]
-    return z, rows, used
+    for _ in range(_NEWTON_ITERS):
+        lt, sg = ltri[rows], sign[rows]
+        x = np.pad(y[rows, :m], ((0, 0), (0, 1)))
+        mu = np.pad(y[rows, m:], ((0, 0), (0, 1)))
+        s = mu + (lt @ x[:, :, None])[:, :, 0]
+        log_p, mean, slope = _tilt_terms(s, h[rows], sg)
+        grad = np.concatenate([
+            (mean[:, None, :] @ lt)[:, 0, :m] - mu[:, :m],  # L'm - mu
+            mean[:, :m] + mu[:, :m] - x[:, :m],
+        ], axis=1)
+        done = np.max(np.abs(grad), axis=1) < _NEWTON_TOL
+        fin = rows[done]
+        mu_out[fin] = mu[done]
+        psi_out[fin] = np.sum(
+            log_p[done] + 0.5 * mu[done] ** 2 - x[done] * mu[done], axis=1
+        )
+        keep = ~done
+        rows = rows[keep]
+        if not rows.size:
+            return mu_out, psi_out
+        lt, slope = lt[keep][:, :, :m], slope[keep]
+        dl = slope[:, :, None] * lt  # diag(slope) L
+        jac = np.empty((rows.size, 2 * m, 2 * m))
+        jac[:, :m, :m] = np.swapaxes(lt, 1, 2) @ dl
+        jac[:, m:, :m] = dl[:, :m] - eye
+        jac[:, :m, m:] = np.swapaxes(jac[:, m:, :m], 1, 2)
+        jac[:, m:, m:] = eye
+        jac[:, m + np.arange(m), m + np.arange(m)] += slope[:, :m]
+        y[rows] -= np.linalg.solve(jac, grad[keep][:, :, None])[:, :, 0]
+    raise OrthantUnderflowError(
+        f"minimax tilting point unsolved for {rows.size} categorical orthants "
+        f"after {_NEWTON_ITERS} Newton steps"
+    )
 
 
-def _batched_orthant_gibbs(rng, a_cat, weights, cond_sd, sign, sweeps):
-    """Coordinate Gibbs across a batch of records, each with its own draw.
+def _tilted_proposal(rng, h, ltri, sign, mu):
+    """One tilted proposal eps per row, coordinate by coordinate, and its
+    log weight psi(eps, mu)."""
+    n, d = h.shape
+    eps = np.empty((n, d))
+    log_w = np.zeros(n)
+    for k in range(d):
+        s = mu[:, k] + np.einsum("ij,ij->i", ltri[:, k, :k], eps[:, :k])
+        t = -sign[:, k] * (h[:, k] + s)
+        eps[:, k] = mu[:, k] + sign[:, k] * truncnorm_sample(rng, 0.0, 1.0, t, np.inf)
+        log_w += log_ndtr(-t) + mu[:, k] * (0.5 * mu[:, k] - eps[:, k])
+    return eps, log_w
 
-    Starts inside the orthant at 0.5 * sign and returns the state after
-    `sweeps` full sweeps, visiting coordinates in ascending order.
-    """
-    lo, hi = _sign_bounds(sign)
-    z = 0.5 * sign
-    d_cat = sign.shape[1]
-    for _ in range(sweeps):
-        centered = z - a_cat
-        for j in range(d_cat):
-            m = a_cat[:, j] + np.einsum("il,il->i", weights[:, j, :], centered)
-            z[:, j] = truncnorm_sample(rng, m, cond_sd[:, j], lo[:, j], hi[:, j])
-            centered[:, j] = z[:, j] - a_cat[:, j]
-    return z
+
+def _tilted_orthant(rng, h, ltri, sign, mu, psi, stats: OrthantStats):
+    """Exact orthant draws of eps by rejection from the tilted proposal:
+    each round proposes once for every pending row and accepts where
+    Exp(1) > psi* - log w."""
+    eps = np.empty(h.shape)
+    rows = np.arange(h.shape[0])
+    while rows.size:
+        stats.rounds += 1
+        stats.proposed += rows.size
+        cand, log_w = _tilted_proposal(
+            rng, h[rows], ltri[rows], sign[rows], mu[rows]
+        )
+        hit = rng.standard_exponential(rows.size) > psi[rows] - log_w
+        eps[rows[hit]] = cand[hit]
+        rows = rows[~hit]
+    return eps
+
+
+def _cell_tilts(model: FittedCopula, draw_idx, cell_idx):
+    """Tilting points (mu*, psi*) of each record's (draw, cell) pair, solved
+    once per pair and cached on the model."""
+    t = _draw_tables(model)
+    cache = model._cache.setdefault("tilt", {})
+    n_cells = model.cat_table.cells.shape[0]
+    codes, inv = np.unique(draw_idx * n_cells + cell_idx, return_inverse=True)
+    keys = [divmod(c, n_cells) for c in codes.tolist()]
+    new = np.array([k for k in keys if k not in cache], dtype=np.int64)
+    widths = [c.k for c in model.layout.cat_columns]
+    # rows are solved independently, so blocks only bound the Newton tensors
+    for s in range(0, len(new), _TILT_CHUNK):
+        di, ci = new[s : s + _TILT_CHUNK].T
+        sign = _level_signs(model.cat_table.cells[ci], widths)
+        mu, psi = _tilting_point(t["h"][di], t["ltri"][di], sign)
+        cache.update(zip(zip(di.tolist(), ci.tolist()), zip(mu, psi)))
+    mu = np.array([cache[k][0] for k in keys])
+    psi = np.array([cache[k][1] for k in keys])
+    return mu[inv], psi[inv]
 
 
 def _synthesize_batch(
@@ -260,51 +326,24 @@ def _synthesize_batch(
     n = draw_idx.size
     d_cat = t["cat_idx"].size
     layout = model.layout
-    a_cat = t["a_cat"][draw_idx]
     if d_cat:
-        widths = [c.k for c in layout.cat_columns]
-        assign = model.cat_table.draw(rng, n)
-        sign = _level_signs(assign, widths)
-        z_cat, rows, used = _orthant_rejection(
-            rng, a_cat, t["chol"][draw_idx], sign, ORTHANT_ROUNDS
+        cell_idx = model.cat_table.draw(rng, n)
+        assign = model.cat_table.cells[cell_idx]
+        sign = _level_signs(assign, [c.k for c in layout.cat_columns])
+        mu, psi = _cell_tilts(model, draw_idx, cell_idx)
+        eps = _tilted_orthant(
+            rng, t["h"][draw_idx], t["ltri"][draw_idx], sign, mu, psi, stats
         )
-        stats.accepted += n - rows.size
-        stats.fallback += rows.size
-        stats.rounds += used
-        # records rejection missed go to Gibbs; one whose Gibbs draw
-        # underflowed gets a fresh assignment and a redraw
-        for tries in range(21):  # one draw plus up to 20 resamples
-            if not rows.size:
-                break
-            if tries:
-                warnings.warn(
-                    f"resampling {rows.size} categorical assignments after "
-                    "orthant underflow",
-                    OrthantResampleWarning,
-                    stacklevel=3,
-                )
-                assign[rows] = model.cat_table.draw(rng, rows.size)
-                sign[rows] = _level_signs(assign[rows], widths)
-            di = draw_idx[rows]
-            z_cat[rows] = _batched_orthant_gibbs(
-                rng, a_cat[rows], t["w"][di], t["sd"][di], sign[rows],
-                ORTHANT_SWEEPS,
-            )
-            rows = rows[~np.all(np.isfinite(z_cat[rows]), axis=1)]
-        else:
-            raise OrthantUnderflowError(
-                f"{rows.size} records kept underflowing their orthant"
-            )
     else:
         assign = np.empty((n, 0), dtype=np.int64)
-        z_cat = np.empty((n, 0))
+        eps = np.empty((n, 0))
     r = t["rest_idx"].size
     if r:
-        eps = rng.standard_normal((n, r))
-        mu = t["a_rest"][draw_idx] + np.einsum(
-            "irc,ic->ir", t["b"][draw_idx], z_cat - a_cat
+        noise = rng.standard_normal((n, r))
+        mean = t["a_rest"][draw_idx] + np.einsum(
+            "irc,ic->ir", t["bc"][draw_idx], eps
         )
-        z_rest = mu + np.einsum("irs,is->ir", t["l"][draw_idx], eps)
+        z_rest = mean + np.einsum("irs,is->ir", t["l"][draw_idx], noise)
     else:
         z_rest = np.empty((n, 0))
     cols: dict[str, np.ndarray] = {}

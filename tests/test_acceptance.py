@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixedsynth import synthesizer
 from mixedsynth.cli import main
 from mixedsynth.errors import SeparationWarning
 from mixedsynth.factor_model import (
@@ -38,9 +37,11 @@ from mixedsynth.simulation import (
     run_rpl_study,
 )
 from mixedsynth.synthesizer import (
-    _batched_orthant_gibbs,
-    _orthant_rejection,
+    OrthantStats,
     _prep_draw,
+    _tilt_setup,
+    _tilted_orthant,
+    _tilting_point,
     fit_copula_model,
 )
 from mixedsynth.target_regression import TargetConfig, fit_target_model
@@ -201,17 +202,25 @@ def _random_corr(rng, d):
     return c
 
 
-def _orthant_draw(corr, alpha, sign, rng, sweeps):
-    """One record's categorical block drawn as synthesis draws it: rejection
-    rounds, then `sweeps` Gibbs sweeps if they all missed."""
-    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
-                                            np.empty(0, int))
-    z, pending, _ = _orthant_rejection(rng, a_cat[None], low[None], sign[None],
-                                       synthesizer.ORTHANT_ROUNDS)
-    if pending.size:
-        z = _batched_orthant_gibbs(rng, a_cat[None], w[None], sd[None],
-                                   sign[None], sweeps)
-    return z[0]
+def _tilted_draws(corr, alpha, sign, rng, n):
+    """n draws of one orthant block as synthesis draws them: the tilting
+    point, then tilted rejection, mapped back to z."""
+    low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
+                                     np.empty(0, int))
+    h, ltri = _tilt_setup(low, a_cat)
+    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    eps = _tilted_orthant(rng, np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
+                          np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
+                          np.repeat(psi, n), OrthantStats())
+    return a_cat + eps @ low.T
+
+
+def _copy_state(state: FactorState) -> FactorState:
+    """An independent copy of every array; the generator is shared."""
+    return FactorState(
+        state.z.copy(), state.lam.copy(), state.eta.copy(), state.sigma2.copy(),
+        state.phi.copy(), state.delta.copy(), state.alpha.copy(), state.rng,
+    )
 
 
 def test_criterion_4_sampler_unit_oracles():
@@ -224,8 +233,7 @@ def test_criterion_4_sampler_unit_oracles():
         cat_idx = np.sort(rng.choice(dim, int(rng.integers(1, dim)), replace=False))
         rest_idx = np.setdiff1d(np.arange(dim), cat_idx)
         z_cat = rng.normal(0.0, 1.0, cat_idx.size)
-        _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx,
-                                                       rest_idx)
+        _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
         inv = np.linalg.inv(corr[np.ix_(cat_idx, cat_idx)])
         c_rc = corr[np.ix_(rest_idx, cat_idx)]
         mean = alpha[rest_idx] + c_rc @ inv @ (z_cat - alpha[cat_idx])
@@ -244,9 +252,7 @@ def test_criterion_4_sampler_unit_oracles():
     cand = alpha3 + rng.standard_normal((400000, 3)) @ root.T
     oracle = cand[(cand[:, 0] < 0) & (cand[:, 1] > 0) & (cand[:, 2] < 0)]
     n_draws = 800
-    draws = np.empty((n_draws, 3))
-    for r in range(n_draws):
-        draws[r] = _orthant_draw(corr3, alpha3, sign, rng, sweeps=120)
+    draws = _tilted_draws(corr3, alpha3, sign, rng, n_draws)
     tmvn_ok = bool(np.all(draws[:, 1] > 0) and np.all(draws[:, [0, 2]] < 0))
     worst = 0.0
     for j in range(3):
@@ -273,7 +279,7 @@ def test_criterion_4_sampler_unit_oracles():
     reps = 1500
     draws_l = np.empty(reps)
     for r in range(reps):
-        s = state.copy()
+        s = _copy_state(state)
         update_loadings(s, Hyperparams())
         draws_l[r] = s.lam[j, 0]
     tau = float(state.tau[0])

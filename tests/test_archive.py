@@ -239,3 +239,11 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
 
     assert holding(v) == set()
     assert holding(w) <= {"target0.forest.cut"}
+
+    # a continuous marginal stores its grid ends as scalars and the CDF
+    # values as its only array; the grid points are rebuilt on load
+    for key in ("marginal0", "target0.marginal"):
+        assert {k for k in stored if k.startswith(key + ".")} == {key + ".grid_u"}
+    meta = json.loads(bytes(_entries(path)["meta"]).decode("utf-8"))
+    assert meta["marginals"][0][1] == {"type": "continuous", "lo": w.min(),
+                                       "hi": w.max()}

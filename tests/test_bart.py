@@ -276,13 +276,22 @@ def _random_training(n=150, seed=4):
     return CovariateMatrix([x1, x2], [False, True]), y
 
 
+def _recompute_fit(sampler) -> np.ndarray:
+    """Fitted values recomputed from scratch, leaf by leaf."""
+    out = np.zeros(sampler.x.n)
+    for tree in sampler.trees:
+        for i in tree.leaves:
+            out[tree.rows(i)] += tree.value[i]
+    return out
+
+
 def test_fit_total_matches_recompute_after_sweeps():
     xmat, y = _random_training()
     cfg = BartConfig(trees=12)
     sampler = BartSampler(xmat, y, cfg, np.random.default_rng(5))
     for _ in range(60):
         sampler.sweep()
-    assert np.allclose(sampler.fit_total, sampler.recompute_fit(), atol=1e-9)
+    assert np.allclose(sampler.fit_total, _recompute_fit(sampler), atol=1e-9)
     # per-tree cached predictions agree with walking the stored trees
     docs = forest_docs(sampler.snapshot())
     for t, doc in enumerate(docs):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mixedsynth.cli import (
+    _DEFAULTS,
     ConfigError,
     _build_parser,
     _config_hash,
@@ -255,8 +256,8 @@ def test_fit_logs_bart_diagnostics(workspace, tmp_path, caplog):
 
 
 def test_synth_reports_orthant_diagnostics(workspace, tmp_path, caplog):
-    """Per dataset, the manifest and one INFO line give the records accepted
-    by rejection, those that fell back to Gibbs and the rounds run."""
+    """Per dataset, the manifest and one INFO line give the tilted proposals
+    made and the rejection rounds run."""
     caplog.set_level("INFO", logger="mixedsynth")
     out_dir = tmp_path / "syn"
     assert main(["synth", "--model", str(workspace["archive"]),
@@ -265,14 +266,14 @@ def test_synth_reports_orthant_diagnostics(workspace, tmp_path, caplog):
     orthant = json.loads((out_dir / "manifest.json").read_text())["orthant"]
     assert len(orthant) == 3
     for doc in orthant:
-        assert sorted(doc) == ["accepted", "fallback", "rounds"]
-        assert doc["accepted"] + doc["fallback"] == 120
+        assert sorted(doc) == ["proposed", "rounds"]
+        assert doc["proposed"] >= 120
         assert doc["rounds"] >= 1
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("orthant draws")]
     assert len(lines) == 1
     assert lines[0].endswith(", ".join(
-        f"{d['accepted']}/{d['fallback']}/{d['rounds']}" for d in orthant))
+        f"{d['proposed']}/{d['rounds']}" for d in orthant))
 
 
 def test_synth_builds_the_response_grid_once(workspace, tmp_path, monkeypatch):
@@ -374,6 +375,32 @@ def test_config_hash_ignores_output_paths():
     assert _config_hash(base) == _config_hash(moved)
     assert _config_hash(dict(base, m=4)) != _config_hash(base)
     assert len(_config_hash(base)) == 16
+
+
+def _hashed(argv):
+    args = _build_parser().parse_args(argv)
+    cfg = _merge_config(args, _DEFAULTS[args.subcommand])
+    return cfg, _config_hash(cfg)
+
+
+def test_config_hash_ignores_logging_flag():
+    """-v changes only what goes to stderr, so it leaves the hash (and hence
+    archive and manifest bytes) unchanged."""
+    argv = ["synth", "--model", "m", "--out-dir", "o", "--seed", "1"]
+    assert _hashed(argv)[1] == _hashed(["-v", *argv])[1]
+
+
+def test_chain_presets_merge_into_fit_only():
+    """fit's chain presets configure fit alone: simulate's settings come from
+    simulation.preset, so naming its default preset leaves the hash as it
+    is, and no fit chain length enters a simulate config."""
+    base = ["simulate", "--seed", "1", "--out", "s.json"]
+    assert _hashed(base)[1] == _hashed([*base, "--preset", "desk"])[1]
+    cfg, _ = _hashed([*base, "--preset", "paper"])
+    assert not {"iters", "burn_in", "thin", "target_iters"} & cfg.keys()
+    fit, _ = _hashed(["fit", "--preset", "paper", "--data", "d.csv",
+                      "--schema", "s.json", "--out", "m.mxs"])
+    assert (fit["iters"], fit["burn_in"], fit["thin"]) == (50000, 25000, 25)
 
 
 def test_fit_archive_independent_of_input_location(tmp_path):

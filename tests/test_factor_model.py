@@ -144,11 +144,19 @@ def _toy_state(seed, n=25, p_star=3, k=1):
     )
 
 
+def _copy_state(state: FactorState) -> FactorState:
+    """An independent copy of every array; the generator is shared."""
+    return FactorState(
+        state.z.copy(), state.lam.copy(), state.eta.copy(), state.sigma2.copy(),
+        state.phi.copy(), state.delta.copy(), state.alpha.copy(), state.rng,
+    )
+
+
 def _repeat_update(state, update, pick, reps=1500):
     """Re-run one conditional update from the same conditioning state."""
     out = np.empty(reps)
     for r in range(reps):
-        s = state.copy()
+        s = _copy_state(state)
         update(s)
         out[r] = pick(s)
     return out
@@ -244,7 +252,7 @@ def test_global_shrink_conditional_matches_grid_oracle(h):
     pit = np.empty(reps)
     grid = np.linspace(1e-9, 25.0, 6001)
     for r in range(reps):
-        s = state.copy()
+        s = _copy_state(state)
         update_global_shrink(s, HYP)
         # entries before h are this repeat's new draws, entries after are old
         fixed = np.where(np.arange(k) < h, s.delta, state.delta)
@@ -315,7 +323,7 @@ def test_categorical_latent_conditional_is_sign_truncated_normal():
     pos_draws = np.empty(reps)
     neg_draws = np.empty(reps)
     for r in range(reps):
-        s = state.copy()
+        s = _copy_state(state)
         update_latent(s, plan)
         pos_draws[r] = s.z[i_pos, 0]  # level-0 column, record observed at 0
         neg_draws[r] = s.z[i_neg, 0]  # same column, record observed at 1

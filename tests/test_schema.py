@@ -15,7 +15,9 @@ from mixedsynth.schema import (
     expand_layout,
     load_dataset,
     load_schema,
+    schema_from_doc,
     schema_hash,
+    schema_to_doc,
     write_csv,
 )
 
@@ -99,6 +101,14 @@ def test_binary_values_enforced():
     assert ds.n == 3
 
 
+def _block(layout, name) -> slice:
+    """The latent columns of one column's block."""
+    for col, off in zip(layout.columns, layout.offsets):
+        if col.name == name:
+            return slice(off, off + col.width)
+    raise KeyError(name)
+
+
 def test_expand_layout_widths():
     cols = [
         ColumnSchema("c1", Kind.CATEGORICAL, levels=tuple("abcde")),
@@ -106,13 +116,13 @@ def test_expand_layout_widths():
     ] + [ColumnSchema(f"n{i}", Kind.COUNT) for i in range(21)]
     lay = expand_layout(cols)
     assert lay.p_star == 30
-    assert lay.block("c1") == slice(0, 5)
-    assert lay.block("c2") == slice(5, 9)
-    assert lay.block("n0") == slice(9, 10)
+    assert _block(lay, "c1") == slice(0, 5)
+    assert _block(lay, "c2") == slice(5, 9)
+    assert _block(lay, "n0") == slice(9, 10)
     # blocks partition [0, p_star)
     seen = np.zeros(lay.p_star, dtype=int)
     for c in lay.columns:
-        seen[lay.block(c.name)] += 1
+        seen[_block(lay, c.name)] += 1
     assert np.all(seen == 1)
 
 
@@ -120,7 +130,7 @@ def test_expand_layout_no_categoricals():
     cols = [ColumnSchema(f"n{i}", Kind.CONTINUOUS) for i in range(4)]
     lay = expand_layout(cols)
     assert lay.p_star == 4
-    assert [lay.block(c.name) for c in cols] == [slice(i, i + 1) for i in range(4)]
+    assert [_block(lay, c.name) for c in cols] == [slice(i, i + 1) for i in range(4)]
 
 
 def test_expand_layout_single_categorical():
@@ -173,6 +183,20 @@ def test_schema_hash_tracks_content():
     c = (ColumnSchema("x", Kind.ORDINAL),)
     assert schema_hash(a) == schema_hash(b)
     assert schema_hash(a) != schema_hash(c)
+
+
+def test_schema_from_doc_inverts_schema_to_doc():
+    """The archive reads schemas back through the parser load_schema uses,
+    so a malformed entry gets load_schema's error, naming its source."""
+    schema = (
+        ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b")),
+        ColumnSchema("y", Kind.COUNT, role="response"),
+    )
+    assert schema_from_doc(schema_to_doc(schema)) == schema
+    with pytest.raises(SchemaError, match="m.mxs: each column needs 'name'"):
+        schema_from_doc([{"name": "x"}], "m.mxs")
+    with pytest.raises(SchemaError, match="must be a non-empty list"):
+        schema_from_doc([], "m.mxs")
 
 
 def test_schema_validation_errors():

@@ -1,19 +1,23 @@
 """Posterior-predictive synthesis: exact conditionals, orthant sampling,
 support closure, and reproducibility."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from mixedsynth import synthesizer
-from mixedsynth.errors import OrthantResampleWarning, OrthantUnderflowError
+from mixedsynth.errors import OrthantUnderflowError
 from mixedsynth.factor_model import ChainConfig, _level_signs
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
 from mixedsynth.synthesizer import (
     OrthantStats,
     SynthesisPlan,
-    _batched_orthant_gibbs,
-    _orthant_rejection,
     _prep_draw,
+    _tilt_setup,
+    _tilted_orthant,
+    _tilted_proposal,
+    _tilting_point,
     fit_copula_model,
     synthesize_datasets,
 )
@@ -40,7 +44,7 @@ def test_conditional_moments_match_direct_inverse(dim, seed):
     z_cat = rng.normal(0.0, 1.0, n_cat)
 
     # synthesis draws z_rest = a_rest + b (z_cat - a_cat) + l_star eps
-    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
+    _, b, l_star, a_cat, a_rest = _prep_draw(corr, alpha, cat_idx, rest_idx)
 
     inv = np.linalg.inv(corr[np.ix_(cat_idx, cat_idx)])
     c_rc = corr[np.ix_(rest_idx, cat_idx)]
@@ -53,29 +57,31 @@ def test_conditional_moments_match_direct_inverse(dim, seed):
 def test_conditional_moments_all_categorical():
     rng = np.random.default_rng(5)
     corr = _random_corr(rng, 4)
-    _, _, _, b, l_star, a_cat, a_rest = _prep_draw(
+    _, b, l_star, a_cat, a_rest = _prep_draw(
         corr, np.zeros(4), np.arange(4), np.empty(0, int)
     )
     assert (a_rest + b @ (rng.normal(size=4) - a_cat)).size == 0
     assert l_star.shape == (0, 0)
 
 
-def _orthant_draw(corr, alpha, sign, rng, sweeps):
-    """One record's categorical block drawn as _synthesize_batch draws it:
-    rejection rounds, then `sweeps` Gibbs sweeps if they all missed."""
-    w, sd, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
-                                            np.empty(0, int))
-    z, pending, _ = _orthant_rejection(rng, a_cat[None], low[None], sign[None],
-                                       synthesizer.ORTHANT_ROUNDS)
-    if pending.size:
-        z = _batched_orthant_gibbs(rng, a_cat[None], w[None], sd[None],
-                                   sign[None], sweeps)
-    return z[0]
+def _tilted_draws(corr, alpha, sign, rng, n):
+    """n draws of one orthant block as _synthesize_batch draws them: the
+    tilting point, then tilted rejection, mapped back to z."""
+    low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
+                                     np.empty(0, int))
+    h, ltri = _tilt_setup(low, a_cat)
+    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    stats = OrthantStats()
+    eps = _tilted_orthant(rng, np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
+                          np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
+                          np.repeat(psi, n), stats)
+    assert stats.proposed >= n
+    return a_cat + eps @ low.T
 
 
 def test_orthant_block_moments_match_rejection():
-    """One 3-level block: the Gibbs draw targets N(alpha, C) restricted to
-    {z_lvl > 0, others < 0}; rejection sampling gives the exact reference."""
+    """One 3-level block: the tilted draw targets N(alpha, C) restricted to
+    {z_lvl > 0, others < 0}; plain rejection gives the exact reference."""
     rng = np.random.default_rng(21)
     corr = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
     alpha = np.array([-0.3, 0.2, -0.5])
@@ -88,9 +94,7 @@ def test_orthant_block_moments_match_rejection():
     oracle = cand[keep]
 
     n_draws = 600
-    draws = np.empty((n_draws, 3))
-    for r in range(n_draws):
-        draws[r] = _orthant_draw(corr, alpha, sign, rng, sweeps=60)
+    draws = _tilted_draws(corr, alpha, sign, rng, n_draws)
     assert np.all(draws[:, level] > 0)
     assert np.all(np.delete(draws, level, axis=1) < 0)
     for j in range(3):
@@ -103,17 +107,22 @@ def test_orthant_block_moments_match_rejection():
 
 def test_orthant_block_independent_case_exact():
     """With identity correlation every coordinate is an independent univariate
-    truncated normal (each sweep is an exact draw), so the means are known in
-    closed form."""
+    truncated normal, so the tilted proposal is the target itself: every
+    proposal is accepted, and the means are known in closed form."""
     rng = np.random.default_rng(9)
     alpha = np.array([0.4, -0.3, 0.1])
     level = 0
     sign = _level_signs(np.array([[level]]), (3,))[0]
     n_draws = 4000
-    draws = np.array([
-        _orthant_draw(np.eye(3), alpha, sign, rng, sweeps=2)
-        for _ in range(n_draws)
-    ])
+    h, ltri = _tilt_setup(np.eye(3), alpha)
+    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    counts = OrthantStats()
+    draws = alpha + _tilted_orthant(
+        rng, np.tile(h, (n_draws, 1)), np.tile(ltri, (n_draws, 1, 1)),
+        np.tile(sign, (n_draws, 1)), np.tile(mu, (n_draws, 1)),
+        np.repeat(psi, n_draws), counts,
+    )
+    assert counts == OrthantStats(rounds=1, proposed=n_draws)
     for j in range(3):
         lo, hi = (0.0, np.inf) if j == level else (-np.inf, 0.0)
         exact = stats.truncnorm(lo - alpha[j], hi - alpha[j], loc=alpha[j])
@@ -136,9 +145,9 @@ def _two_block_orthant():
 
 
 def test_rejection_draws_match_brute_force_oracle():
-    """Rejection-first draws on a low-mass orthant over two categorical
-    blocks against plain rejection from the untruncated Gaussian: every draw
-    lies strictly inside the orthant, and first and second moments agree."""
+    """Tilted draws on a low-mass orthant over two categorical blocks
+    against plain rejection from the untruncated Gaussian: every draw lies
+    strictly inside the orthant, and first and second moments agree."""
     corr, alpha, sign = _two_block_orthant()
     assert np.array_equal(sign, [-1.0, -1.0, 1.0, -1.0, 1.0])
     rng = np.random.default_rng(8)
@@ -146,13 +155,7 @@ def test_rejection_draws_match_brute_force_oracle():
     oracle = cand[np.all(cand * sign > 0, axis=1)]
     assert oracle.shape[0] / cand.shape[0] <= 0.05
 
-    n = 4000
-    _, _, low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5), np.empty(0, int))
-    z, pending, rounds = _orthant_rejection(
-        rng, np.tile(a_cat, (n, 1)), np.tile(low, (n, 1, 1)), np.tile(sign, (n, 1)),
-        5000,
-    )
-    assert pending.size == 0 and rounds > 100
+    z = _tilted_draws(corr, alpha, sign, rng, 4000)
     assert np.all(z * sign > 0)
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
     for f in [lambda x, j=j: x[:, j] for j in range(5)] + [
@@ -163,48 +166,82 @@ def test_rejection_draws_match_brute_force_oracle():
         assert abs(a.mean() - b.mean()) < 4 * se
 
 
-def test_rejection_stops_early_when_gibbs_is_cheaper():
-    """On an orthant holding far less than 1/_GIBBS_COST of the mass the
-    rounds stop long before the cap and hand the records to Gibbs; any
-    record accepted before that is still inside its orthant.  A single
-    record never gathers enough proposals to stop early."""
-    # level 0 of one 5-level block under N(alpha, I): mass about 5.7e-4
-    alpha = np.array([-2.0, 1.0, 1.0, 1.0, 1.0])
-    sign = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
-    n = 2000
-    z, pending, rounds = _orthant_rejection(
-        np.random.default_rng(6), np.tile(alpha, (n, 1)),
-        np.tile(np.eye(5), (n, 1, 1)), np.tile(sign, (n, 1)), 200,
-    )
-    assert rounds <= 3 and pending.size >= n - 10
-    done = np.setdiff1d(np.arange(n), pending)
-    assert np.all(z[done] * sign > 0)
-
-    _, pending, rounds = _orthant_rejection(
-        np.random.default_rng(6), alpha[None, :], np.eye(5)[None, :, :],
-        sign[None, :], 200,
-    )
-    assert rounds == 200 and pending.size == 1
-    assert synthesizer._GIBBS_COST > 200
+def _wide_orthant():
+    """Three categorical blocks of 5, 5 and 4 levels (d_cat = 14) at
+    assignment (2, 1, 1), under a fixed random correlation: the orthant
+    holds about 1.8e-3 of the mass."""
+    rng = np.random.default_rng(3)
+    corr = _random_corr(rng, 14)
+    alpha = rng.normal(-0.8, 0.5, 14)
+    return corr, alpha, _level_signs(np.array([[2, 1, 1]]), (5, 5, 4))[0]
 
 
-def test_zero_rejection_rounds_is_the_gibbs_kernel(monkeypatch):
-    """With the rejection cap at 0 every record falls back, and the draw is
-    the Gibbs kernel's output on the same stream: the rounds draw nothing."""
-    corr, alpha, sign = _two_block_orthant()
-    monkeypatch.setattr(synthesizer, "ORTHANT_ROUNDS", 0)
-    z = _orthant_draw(corr, alpha, sign, np.random.default_rng(4), sweeps=7)
-    w, sd, _, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(5),
-                                          np.empty(0, int))
-    ref = _batched_orthant_gibbs(np.random.default_rng(4), a_cat[None, :],
-                                 w[None, :, :], sd[None, :], sign[None, :], 7)
-    assert np.array_equal(z, ref[0])
+def _wide_tilt():
+    corr, alpha, sign = _wide_orthant()
+    low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(14), np.empty(0, int))
+    h, ltri = _tilt_setup(low, a_cat)
+    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    return h, ltri, sign, mu[0], psi[0]
+
+
+def test_tilted_draws_match_brute_force_oracle_wide():
+    """At d_cat = 14 on an orthant of mass <= 2e-3, every coordinate's mean
+    and variance agree with plain rejection within 3 SE, and no step warns."""
+    corr, alpha, sign = _wide_orthant()
+    rng = np.random.default_rng(17)
+    root = np.linalg.cholesky(corr)
+    kept, total = [], 0
+    for _ in range(20):
+        cand = alpha + rng.standard_normal((200_000, 14)) @ root.T
+        kept.append(cand[np.all(cand * sign > 0, axis=1)])
+        total += cand.shape[0]
+    oracle = np.concatenate(kept)
+    assert oracle.shape[0] / total <= 2e-3
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _tilted_draws(corr, alpha, sign, rng, 8000)
     assert np.all(z * sign > 0)
+    se = np.sqrt(z.var(0) / len(z) + oracle.var(0) / len(oracle))
+    assert np.all(np.abs(z.mean(0) - oracle.mean(0)) < 3 * se)
+    sq_z, sq_o = (z - z.mean(0)) ** 2, (oracle - oracle.mean(0)) ** 2
+    se = np.sqrt(sq_z.var(0) / len(z) + sq_o.var(0) / len(oracle))
+    assert np.all(np.abs(sq_z.mean(0) - sq_o.mean(0)) < 3 * se)
 
-    _, model = _mixed_fit(n=150, iters=100, burn_in=50)
-    stats = []
-    synthesize_datasets(SynthesisPlan(model, m=2, n_out=30, seed=1), stats)
-    assert stats == [OrthantStats(accepted=0, fallback=30, rounds=0)] * 2
+
+def test_tilted_log_weight_never_exceeds_psi_star():
+    """psi(., mu*) peaks at x*, so no proposal's log weight exceeds psi*:
+    the acceptance test Exp(1) > psi* - log w is exact."""
+    h, ltri, sign, mu, psi = _wide_tilt()
+    n = 40_000
+    eps, log_w = _tilted_proposal(
+        np.random.default_rng(5), np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
+        np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
+    )
+    assert np.all(np.isfinite(log_w))
+    assert np.max(log_w) <= psi
+
+
+def test_tilting_points_batched_equal_one_at_a_time(monkeypatch):
+    """Each row stops on its own gradient, so a batch of orthants of one
+    correlation gives, bitwise, the tilting points solved alone; a solve
+    that runs out of Newton steps raises instead of falling back."""
+    corr, alpha, _ = _wide_orthant()
+    low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(14), np.empty(0, int))
+    h, ltri = _tilt_setup(low, a_cat)
+    cells = np.array([[c0, c1, c2] for c0 in range(5) for c1 in (0, 3)
+                      for c2 in range(4)])
+    sign = _level_signs(cells, (5, 5, 4))
+    n = cells.shape[0]
+    mu, psi = _tilting_point(np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)), sign)
+    for i in range(n):
+        mu_i, psi_i = _tilting_point(h[None], ltri[None], sign[i : i + 1])
+        assert np.array_equal(mu_i[0], mu[i]) and psi_i[0] == psi[i]
+    assert np.all(mu[:, -1] == 0.0)
+
+    monkeypatch.setattr(synthesizer, "_NEWTON_ITERS", 2)
+    with pytest.raises(OrthantUnderflowError, match="unsolved for 40 "):
+        _tilting_point(np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)), sign)
 
 
 def _mixed_fit(n=400, seed=0, iters=400, burn_in=200):
@@ -283,43 +320,10 @@ def test_chunked_synthesis_deterministic_across_chunk_boundary(monkeypatch):
             assert np.array_equal(c.columns[name], r.columns[name])
             assert np.array_equal(c.columns[name][:64], h.columns[name])
     assert len(stats) == 2
-    assert all(st.accepted + st.fallback == 150 and st.rounds >= 3 for st in stats)
+    assert all(st.proposed >= 150 and st.rounds >= 3 for st in stats)
     # chunks draw from one stream in turn, so they are not copies of each other
     assert not np.array_equal(chunked[0].columns["w"][64:128],
                               chunked[0].columns["w"][:64])
-
-
-def test_orthant_underflow_resamples_then_gives_up(monkeypatch):
-    """Underflow can only come from the Gibbs fallback, so with the rejection
-    cap at 0 every record falls back and the resample loop sees them all."""
-    _, model = _mixed_fit(n=150, iters=100, burn_in=50)
-    monkeypatch.setattr(synthesizer, "ORTHANT_ROUNDS", 0)
-    real = synthesizer._batched_orthant_gibbs
-    batches = []
-
-    def flaky(*args):
-        z = real(*args)
-        batches.append(z.shape[0])
-        z[: 2 if len(batches) == 1 else 0] = np.nan  # first pass: two rows fail
-        return z
-
-    monkeypatch.setattr(synthesizer, "_batched_orthant_gibbs", flaky)
-    plan = SynthesisPlan(model, m=1, n_out=40, seed=1)
-    with pytest.warns(OrthantResampleWarning, match="resampling 2 "):
-        (out,) = synthesize_datasets(plan)
-    assert batches == [40, 2]
-    assert set(np.unique(out.columns["g"]).tolist()) <= {0, 1, 2}
-
-    def always_nan(*args):
-        batches.append(args[4].shape[0])
-        return np.full(args[4].shape, np.nan)
-
-    batches.clear()
-    monkeypatch.setattr(synthesizer, "_batched_orthant_gibbs", always_nan)
-    with pytest.warns(OrthantResampleWarning):
-        with pytest.raises(OrthantUnderflowError, match="40 records"):
-            synthesize_datasets(plan)
-    assert batches == [40] * 21  # one draw plus 20 resamples
 
 
 def test_draw_selection_schemes(monkeypatch):
