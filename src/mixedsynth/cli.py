@@ -137,7 +137,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         cfg.update(_PRESETS[preset_name])
     cfg.update(from_file)
     cfg.update(given)
-    missing = [k for k in _REQUIRED[args.subcommand] if cfg.get(k) is None]
+    missing = [k for k in _REQUIRED[args.subcommand] if cfg.get(k) in (None, "")]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ConfigError(f"missing required settings for '{args.subcommand}': {flags}")
@@ -270,11 +270,6 @@ def _cmd_synth(cfg: dict) -> dict:
 
 
 def _cmd_utility(cfg: dict) -> dict:
-    schema = load_schema(cfg["schema"])
-    conf = load_dataset(cfg["conf"], schema)
-    syn, _ = _load_pool(cfg, "syn", schema)
-    if not cfg.get("response") or not cfg.get("predictors"):
-        raise ConfigError("utility needs --response and --predictors")
     spec = RegressionSpec(
         response=cfg["response"],
         predictors=tuple(_csv_list(cfg["predictors"])),
@@ -287,6 +282,9 @@ def _cmd_utility(cfg: dict) -> dict:
         burn_in=int(cfg["burn_in"]),
         seed=int(cfg.get("seed") or 0),
     )
+    schema = load_schema(cfg["schema"])
+    conf = load_dataset(cfg["conf"], schema)
+    syn, _ = _load_pool(cfg, "syn", schema)
     report = evaluate_utility(conf, syn, spec, hc)
     doc = {
         "config_hash": _config_hash(cfg),
@@ -303,20 +301,22 @@ def _cmd_utility(cfg: dict) -> dict:
 
 
 def _cmd_risk(cfg: dict) -> dict:
+    known = tuple(_csv_list(cfg["known"]))
+    if cfg["target"] in known:
+        raise ConfigError(f"--target '{cfg['target']}' is also listed in --known")
+    m_grid = tuple(_int_list(cfg["m"]))
+    eps_grid = tuple(_int_list(cfg["eps"]))
+    seed = int(cfg.get("seed") or 0)
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
     pool, _ = _load_pool(cfg, "pool", schema)
-    known = tuple(_csv_list(cfg.get("known")))
-    if not known or not cfg.get("target"):
-        raise ConfigError("risk needs --known and --target")
-    seed = int(cfg.get("seed") or 0)
     cells = risk_study(
         conf,
         pool,
         known=known,
         target=cfg["target"],
-        m_grid=tuple(_int_list(cfg["m"])),
-        eps_grid=tuple(_int_list(cfg["eps"])),
+        m_grid=m_grid,
+        eps_grid=eps_grid,
         reps=int(cfg["reps"]),
         seed=seed,
     )
@@ -395,8 +395,8 @@ def _cmd_simulate(cfg: dict) -> dict:
 _REQUIRED = {
     "fit": ("data", "schema", "out"),
     "synth": ("model", "out_dir"),
-    "utility": ("conf", "schema", "out"),
-    "risk": ("conf", "schema", "out"),
+    "utility": ("conf", "schema", "out", "response", "predictors"),
+    "risk": ("conf", "schema", "out", "known", "target"),
     "simulate": ("out",),
 }
 

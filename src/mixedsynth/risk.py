@@ -21,8 +21,6 @@ __all__ = [
     "AdversaryScenario",
     "RiskReport",
     "RiskCell",
-    "match_set",
-    "cmap_record",
     "cmap_mean",
     "risk_study",
 ]
@@ -33,7 +31,6 @@ class AdversaryScenario:
     known: tuple
     target: str
     epsilon: int = 0
-    m: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "known", tuple(self.known))
@@ -65,11 +62,11 @@ class RiskCell:
     report: RiskReport
 
 
-def _check_columns(ds: MixedDataset, scenario: AdversaryScenario):
-    for name in scenario.known + (scenario.target,):
+def _check_columns(ds: MixedDataset, known: tuple, target: str):
+    for name in known + (target,):
         if name not in ds.columns:
             raise UnknownColumnError(f"column '{name}' not in dataset")
-    for name in scenario.known:
+    for name in known:
         if ds.col_schema(name).kind is Kind.CONTINUOUS:
             raise SchemaError(
                 f"known column '{name}' is continuous; exact matching needs "
@@ -81,14 +78,16 @@ def _key_rows(ds: MixedDataset, known) -> np.ndarray:
     return np.column_stack([ds.columns[name] for name in known])
 
 
-def _key_index(conf: MixedDataset, release, known):
-    """Integer key ids shared between confidential and released records.
+def _key_index(conf: MixedDataset, pool, known):
+    """Integer key ids shared between confidential and pooled records.
 
-    Returns (rec_key: per confidential record, syn_keys: one array per
-    released dataset with -1 where the key never occurs in conf, n_keys).
+    A confidential key's id is its rank among the confidential keys, so it
+    does not depend on which pooled rows are keyed with it.  Returns
+    (rec_key: per confidential record, syn_keys: one array per pool dataset
+    with -1 where the key never occurs in conf, n_keys).
     """
     conf_rows = _key_rows(conf, known)
-    stacked = [conf_rows] + [_key_rows(s, known) for s in release]
+    stacked = [conf_rows] + [_key_rows(s, known) for s in pool]
     lengths = [r.shape[0] for r in stacked]
     _, inv = np.unique(np.concatenate(stacked), axis=0, return_inverse=True)
     inv = inv.astype(np.int64)
@@ -103,7 +102,11 @@ def _key_index(conf: MixedDataset, release, known):
 
 
 def _group_medians(keys: np.ndarray, values: np.ndarray, n_keys: int):
-    """Lower-middle median of values per key; nan where a key has no rows."""
+    """Lower-middle median of values per key; nan where a key has no rows.
+
+    The lower-middle order statistic of an even-sized group keeps the median
+    on the integer grid for count targets.
+    """
     med = np.full(n_keys, np.nan)
     ok = keys >= 0
     keys, values = keys[ok], values[ok]
@@ -116,72 +119,78 @@ def _group_medians(keys: np.ndarray, values: np.ndarray, n_keys: int):
     return med
 
 
-def match_set(
-    conf: MixedDataset, release: list, scenario: AdversaryScenario, record_index: int
-) -> np.ndarray:
-    """Pooled target values of every released record matching one confidential
-    record's known tuple exactly.  Empty array when nothing matches."""
-    row = _key_rows(conf, scenario.known)[record_index]
-    out = [np.empty(0)]
-    for s in release:
-        hit = np.all(_key_rows(s, scenario.known) == row, axis=1)
-        out.append(s.columns[scenario.target][hit].astype(np.float64))
-    return np.concatenate(out)
+class _Prefix:
+    """The attack for one known-column prefix, keyed once against a pool.
 
-
-def cmap_record(match_values: np.ndarray, target_value, epsilon: int) -> int:
-    """1 iff the pooled match set is non-empty and its median is within slack.
-
-    The median of an even-sized multiset is the lower-middle order statistic,
-    which keeps it on the integer grid for count targets.
+    One `_key_index` call keys the confidential records and every pool
+    dataset; the confidential data attacks itself once, which scores the
+    baseline for every epsilon.
     """
-    vals = np.sort(np.asarray(match_values))
-    if vals.size == 0:
-        return 0
-    med = vals[(vals.size - 1) // 2]
-    return int(abs(float(med) - float(target_value)) <= epsilon)
 
+    def __init__(self, conf: MixedDataset, pool: list, known: tuple, target: str,
+                 eps_grid):
+        self.rec_key, self.keys, self.n_keys = _key_index(conf, pool, known)
+        self.truth = conf.columns[target].astype(np.float64)
+        self.targets = [s.columns[target].astype(np.float64) for s in pool]
+        self.eps = np.asarray(eps_grid, dtype=np.float64)[:, None]
+        # the baseline attack includes each record's match with itself
+        self.base, _ = self._hits(self.rec_key, self.truth)
+        self.uniq = np.bincount(self.rec_key)[self.rec_key] == 1
 
-def _cmap_vector(rec_key, n_keys, conf_targets, syn_keys, syn_targets, eps):
-    keys = np.concatenate(syn_keys) if syn_keys else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(syn_targets) if syn_targets else np.empty(0)
-    med = _group_medians(keys, vals, n_keys)
-    rec_med = med[rec_key]
-    hit = np.isfinite(rec_med) & (np.abs(rec_med - conf_targets) <= eps)
-    return hit, np.isfinite(rec_med)
+    def _hits(self, keys, values):
+        med = _group_medians(keys, values, self.n_keys)[self.rec_key]
+        matched = np.isfinite(med)
+        return matched & (np.abs(med - self.truth) <= self.eps), matched
+
+    def _uniq_rate(self, hits):
+        # 0 when no confidential key is unique
+        return hits[:, self.uniq].sum(axis=1) / max(self.uniq.sum(), 1)
+
+    def attack(self, picks):
+        """Per-record hits (one row per epsilon) and the matched mask for
+        the release made of pool datasets `picks`: one median pass."""
+        keys = np.concatenate([np.empty(0, np.int64)] + [self.keys[i] for i in picks])
+        vals = np.concatenate([np.empty(0)] + [self.targets[i] for i in picks])
+        return self._hits(keys, vals)
+
+    def reports(self, releases) -> list:
+        """One RiskReport per epsilon, averaged over releases (each a list of
+        pool indices).  The baseline fields do not depend on the release."""
+        syn, syn_uniq = np.empty((2, self.eps.shape[0], len(releases)))
+        matched = np.empty(len(releases), dtype=np.int64)
+        for r, picks in enumerate(releases):
+            hits, hit_any = self.attack(picks)
+            syn[:, r] = hits.mean(axis=1)
+            syn_uniq[:, r] = self._uniq_rate(hits)
+            matched[r] = hit_any.sum()
+        base = self.base.mean(axis=1)
+        base_uniq = self._uniq_rate(self.base)
+        n = self.truth.size
+        reports = []
+        for j in range(syn.shape[0]):
+            cmap_syn = float(np.mean(syn[j]))
+            reports.append(RiskReport(
+                cmap_syn=cmap_syn,
+                cmap_base=float(base[j]),
+                cmap_syn_uniques=float(np.mean(syn_uniq[j])),
+                cmap_base_uniques=float(base_uniq[j]),
+                risk_reduction=float(base[j]) - cmap_syn,
+                n_matched=int(round(np.mean(matched))),
+                n_unmatched=int(round(np.mean(n - matched))),
+                n_uniques=int(self.uniq.sum()),
+            ))
+        return reports
 
 
 def cmap_mean(
     conf: MixedDataset, release: list, scenario: AdversaryScenario
 ) -> RiskReport:
     """Score a release and the confidential baseline for one scenario."""
-    _check_columns(conf, scenario)
-    for s in release:
-        _check_columns(s, scenario)
-    rec_key, syn_keys, n_keys = _key_index(conf, release, scenario.known)
-    t_conf = conf.columns[scenario.target].astype(np.float64)
-    syn_targets = [s.columns[scenario.target].astype(np.float64) for s in release]
-
-    hit_syn, matched = _cmap_vector(
-        rec_key, n_keys, t_conf, syn_keys, syn_targets, scenario.epsilon
-    )
-    # baseline: the confidential data attacks itself (self-match included)
-    hit_base, _ = _cmap_vector(
-        rec_key, n_keys, t_conf, [rec_key], [t_conf], scenario.epsilon
-    )
-    counts = np.bincount(rec_key, minlength=n_keys)
-    uniq = counts[rec_key] == 1
-
-    return RiskReport(
-        cmap_syn=float(hit_syn.mean()),
-        cmap_base=float(hit_base.mean()),
-        cmap_syn_uniques=float(hit_syn[uniq].mean()) if uniq.any() else 0.0,
-        cmap_base_uniques=float(hit_base[uniq].mean()) if uniq.any() else 0.0,
-        risk_reduction=float(hit_base.mean() - hit_syn.mean()),
-        n_matched=int(matched.sum()),
-        n_unmatched=int((~matched).sum()),
-        n_uniques=int(uniq.sum()),
-    )
+    for ds in [conf, *release]:
+        _check_columns(ds, scenario.known, scenario.target)
+    prefix = _Prefix(conf, release, scenario.known, scenario.target,
+                     (scenario.epsilon,))
+    return prefix.reports([range(len(release))])[0]
 
 
 def risk_study(
@@ -197,9 +206,11 @@ def risk_study(
 ) -> list[RiskCell]:
     """Average scenario risk over bootstrap re-releases drawn from a pool.
 
-    For each rep and pool size m, a release is drawn without replacement;
-    every (known-prefix length, epsilon) cell is scored on the same release
-    so cells stay comparable.  cmap_base depends only on (prefix, epsilon).
+    For each rep and pool size m, a release is drawn without replacement
+    from substream (seed, "risk", m, rep); every (known-prefix length,
+    epsilon) cell is scored on the same release so cells stay comparable.
+    Each prefix is keyed once against the whole pool, and one median pass
+    per release scores every epsilon.
     """
     known = tuple(known)
     if k_grid is None:
@@ -210,34 +221,20 @@ def risk_study(
         )
     if max(k_grid) > len(known) or min(k_grid) < 1:
         raise ValueError("known-prefix lengths must be within the known list")
+    for k_len in k_grid:
+        for eps in eps_grid:
+            AdversaryScenario(known[:k_len], target, eps)
+    for ds in [conf, *pool]:
+        _check_columns(ds, known[: max(k_grid)], target)
 
+    prefixes = {k: _Prefix(conf, pool, known[:k], target, eps_grid) for k in k_grid}
     cells = []
     for m in m_grid:
-        acc: dict[tuple, list] = {(k, e): [] for k in k_grid for e in eps_grid}
-        for rep in range(reps):
-            rng = substream(seed, "risk", m, rep)
-            release = [pool[i] for i in rng.choice(len(pool), size=m, replace=False)]
-            for k_len in k_grid:
-                for eps in eps_grid:
-                    scen = AdversaryScenario(known[:k_len], target, eps, m)
-                    acc[(k_len, eps)].append(cmap_mean(conf, release, scen))
+        releases = [
+            substream(seed, "risk", m, rep).choice(len(pool), size=m, replace=False)
+            for rep in range(reps)
+        ]
         for k_len in k_grid:
-            for eps in eps_grid:
-                cells.append(RiskCell(m, k_len, eps, _avg_reports(acc[(k_len, eps)])))
+            reports = prefixes[k_len].reports(releases)
+            cells += [RiskCell(m, k_len, e, r) for e, r in zip(eps_grid, reports)]
     return cells
-
-
-def _avg_reports(reports: list) -> RiskReport:
-    """Bootstrap average; baseline fields are rep-invariant by construction."""
-    syn = float(np.mean([r.cmap_syn for r in reports]))
-    base = reports[0].cmap_base
-    return RiskReport(
-        cmap_syn=syn,
-        cmap_base=base,
-        cmap_syn_uniques=float(np.mean([r.cmap_syn_uniques for r in reports])),
-        cmap_base_uniques=reports[0].cmap_base_uniques,
-        risk_reduction=base - syn,
-        n_matched=int(round(np.mean([r.n_matched for r in reports]))),
-        n_unmatched=int(round(np.mean([r.n_unmatched for r in reports]))),
-        n_uniques=reports[0].n_uniques,
-    )

@@ -118,7 +118,7 @@ def _study_config(design: SimDesign, config: ChainConfig | None, p_star: int):
     # shrinkage prior prunes what the data do not support, and the expanded
     # categorical block needs the extra columns to track the count column
     if config is None:
-        config = ChainConfig(iters=15000, burn_in=9000, thin=10, seed=design.seed)
+        config = ChainConfig(seed=design.seed)
     if config.n_factors is None:
         config = replace(config, n_factors=p_star)
     return config
@@ -127,7 +127,6 @@ def _study_config(design: SimDesign, config: ChainConfig | None, p_star: int):
 def run_rpl_study(
     design: SimDesign,
     config: ChainConfig | None = None,
-    n_reps: int | None = None,
     keep_data: bool = False,
 ) -> SimResult:
     """Fit once on the categorical encoding, synthesize, score group means.
@@ -141,8 +140,7 @@ def run_rpl_study(
 
     p_star = design.n_levels + 1
     model = fit_copula_model(data, _study_config(design, config, p_star))
-    reps = n_reps if n_reps is not None else design.n_reps
-    synth = synthesize_datasets(SynthesisPlan(model, m=reps, seed=design.seed))
+    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
 
     means = [
         _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
@@ -165,7 +163,6 @@ def _indicator_dataset(data: MixedDataset, n_levels: int) -> MixedDataset:
 def run_rl_workaround_study(
     design: SimDesign,
     config: ChainConfig | None = None,
-    n_reps: int | None = None,
     keep_data: bool = False,
 ) -> SimResult:
     """Same engine, but the categorical column enters as k-1 binary rank
@@ -182,8 +179,7 @@ def run_rl_workaround_study(
     ind = _indicator_dataset(data, design.n_levels)
     p_star = design.n_levels  # k-1 indicators + the count column
     model = fit_copula_model(ind, _study_config(design, config, p_star))
-    reps = n_reps if n_reps is not None else design.n_reps
-    synth = synthesize_datasets(SynthesisPlan(model, m=reps, seed=design.seed))
+    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
 
     means, rates = [], []
     for s in synth:
@@ -204,7 +200,6 @@ def run_rl_workaround_study(
 def run_ordinal_rl_study(
     design: SimDesign,
     config: ChainConfig | None = None,
-    n_reps: int | None = None,
     keep_data: bool = False,
 ) -> SimResult:
     """The categorical column recoded as ordered integers under the plain
@@ -218,8 +213,7 @@ def run_ordinal_rl_study(
         {"x1": data.columns["x1"].astype(np.int64), "x2": data.columns["x2"]},
     )
     model = fit_copula_model(ord_ds, _study_config(design, config, 2))
-    reps = n_reps if n_reps is not None else design.n_reps
-    synth = synthesize_datasets(SynthesisPlan(model, m=reps, seed=design.seed))
+    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
 
     means = [
         _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
@@ -232,7 +226,7 @@ def preset(name: str, seed: int = 0):
     """Named (design, chain config) pairs: 'paper' scale or a fast 'desk'."""
     if name == "paper":
         design = SimDesign(n=5000, n_reps=500, seed=seed)
-        config = ChainConfig(iters=15000, burn_in=9000, thin=10, seed=seed)
+        config = ChainConfig(seed=seed)
     elif name == "desk":
         design = SimDesign(n=1000, n_reps=50, seed=seed)
         config = ChainConfig(iters=3000, burn_in=1500, thin=5, seed=seed)

@@ -25,7 +25,7 @@ from mixedsynth.factor_model import (
     _level_signs,
     update_loadings,
 )
-from mixedsynth.risk import AdversaryScenario, cmap_mean, cmap_record, match_set, risk_study
+from mixedsynth.risk import AdversaryScenario, _Prefix, cmap_mean, risk_study
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, write_csv
 from mixedsynth.simulation import (
     SimDesign,
@@ -424,12 +424,12 @@ def test_criterion_7_risk_oracle_equivalence():
             n = int(rng.integers(10, 51))
             conf = _risk_ds(rng, n)
             release = [_risk_ds(rng, int(rng.integers(5, 40))) for _ in range(3)]
-            scen = AdversaryScenario(("g", "h"), "t", epsilon=eps, m=3)
+            scen = AdversaryScenario(("g", "h"), "t", epsilon=eps)
             hits = _brute_force(conf, release, scen)
+            got, _ = _Prefix(conf, release, scen.known, scen.target,
+                             [eps]).attack(range(len(release)))
             for i in range(conf.n):
-                got = cmap_record(match_set(conf, release, scen, i),
-                                  conf.columns["t"][i], eps)
-                equal_ok &= got == hits[i]
+                equal_ok &= got[0, i] == hits[i]
             rep = cmap_mean(conf, release, scen)
             equal_ok &= abs(rep.cmap_syn - hits.mean()) <= 1e-15
 
@@ -440,7 +440,7 @@ def test_criterion_7_risk_oracle_equivalence():
     mono_ok = True
     for eps in (0, 1, 2, 5):
         cur = cmap_mean(conf, release,
-                        AdversaryScenario(("g", "h"), "t", epsilon=eps, m=4))
+                        AdversaryScenario(("g", "h"), "t", epsilon=eps))
         mono_ok &= cur.cmap_syn >= last
         last = cur.cmap_syn
 

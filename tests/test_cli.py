@@ -171,6 +171,63 @@ def test_risk_command(workspace, tmp_path):
         assert 0.0 <= c["cmap_syn"] <= 1.0
 
 
+def _risk_inputs(root):
+    """Confidential table plus a four-dataset pool drawn straight from numpy,
+    so a risk report depends on the risk code alone, not on fit or synth."""
+    data, schema = _make_inputs(root)
+    rng = np.random.default_rng(5)
+    cols = [
+        ColumnSchema(d["name"], Kind(d["kind"]),
+                     tuple(d["levels"]) if "levels" in d else None)
+        for d in _SCHEMA_DOC["columns"]
+    ]
+    pool = root / "pool"
+    pool.mkdir()
+    for i in range(4):
+        n = 150
+        g = rng.integers(0, 3, n)
+        write_csv(MixedDataset(tuple(cols), {
+            "g": g,
+            "y": rng.poisson(4.0 + 2.0 * g).astype(np.int64),
+            "w": rng.normal(0.0, 1.0, n),
+            "r": rng.poisson(np.exp(0.3 * g) + 1.0).astype(np.int64),
+        }), pool / f"pool_{i}.csv")
+    return data, schema, pool
+
+
+def test_risk_report_digest(tmp_path):
+    """A small risk report is pinned byte for byte: key indexing, the
+    median pass and the averaging over reps may be rewritten, not moved."""
+    data, schema, pool = _risk_inputs(tmp_path)
+    out = tmp_path / "risk.json"
+    assert main([
+        "risk", "--conf", str(data), "--schema", str(schema),
+        "--pool-dir", str(pool), "--known", "g,y", "--target", "r",
+        "--m", "1,2,3", "--eps", "0,1,2", "--reps", "4", "--seed", "9",
+        "--out", str(out),
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "660eeda02cf9ef586d4dfa2656660ea066c53610535fc67eec120023a1aad127"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("risk", ["--target", "c1"]),
+    ("risk", ["--known", "g1,c1", "--target", "c1"]),
+    ("risk", ["--known", "g1", "--target", "c1", "--eps", "0,zap"]),
+    ("utility", ["--predictors", "g"]),
+])
+def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags):
+    """Missing or contradictory settings are configuration errors (exit 1),
+    found before the confidential CSV or the pool is read."""
+    pool = "--pool-dir" if command == "risk" else "--syn-dir"
+    rc = main([command, "--conf", str(tmp_path / "nope.csv"),
+               "--schema", str(tmp_path / "nope.json"), pool, str(tmp_path),
+               "--out", str(tmp_path / "out.json")] + flags)
+    assert rc == 1
+    assert "configuration error" in caplog.text
+    assert "No such file" not in caplog.text
+
+
 def test_missing_seed_is_config_error(workspace, tmp_path):
     rc = main(["synth", "--model", str(workspace["archive"]),
                "--out-dir", str(tmp_path / "x")])

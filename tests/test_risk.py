@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from mixedsynth.errors import InsufficientPoolError, SchemaError, UnknownColumnError
+import mixedsynth.risk as risk
 from mixedsynth.risk import (
     AdversaryScenario,
+    _group_medians,
+    _key_index,
+    _Prefix,
     cmap_mean,
-    cmap_record,
-    match_set,
     risk_study,
 )
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
@@ -43,13 +45,22 @@ def _random_instance(rng, n_conf, n_syn, m):
 # ---------------------------------------------------------- hand examples
 
 
+def _one_record_cap(match_values, truth, eps):
+    """cmap_syn of one confidential record whose match set is match_values;
+    a decoy row with another key carries the true value and must not count."""
+    k = len(match_values)
+    conf = _ds([0], [1], [truth])
+    rel = [_ds([0] * k + [1], [1] * k + [1], list(match_values) + [truth])]
+    return cmap_mean(conf, rel, AdversaryScenario(("g", "h"), "t", eps)).cmap_syn
+
+
 def test_cmap_record_hand_examples():
-    assert cmap_record(np.array([340, 342, 350]), 342, 0) == 1
+    assert _one_record_cap([340, 342, 350], 342, 0) == 1.0
     # even count: the lower-middle order statistic is the median
-    assert cmap_record(np.array([340, 344]), 342, 1) == 0
-    assert cmap_record(np.array([340, 344]), 342, 2) == 1
-    assert cmap_record(np.array([]), 342, 5) == 0
-    assert cmap_record(np.array([344, 340]), 342, 2) == 1  # order-insensitive
+    assert _one_record_cap([340, 344], 342, 1) == 0.0
+    assert _one_record_cap([340, 344], 342, 2) == 1.0
+    assert _one_record_cap([], 342, 5) == 0.0
+    assert _one_record_cap([344, 340], 342, 2) == 1.0  # order-insensitive
 
 
 def test_match_set_contents():
@@ -58,11 +69,13 @@ def test_match_set_contents():
         _ds([0, 0, 1], [1, 1, 0], [3, 4, 5]),
         _ds([0, 2], [1, 0], [6, 7]),
     ]
-    scen = AdversaryScenario(("g", "h"), "t", epsilon=0)
-    got = np.sort(match_set(conf, rel, scen, 0))
-    assert np.array_equal(got, [3, 4, 6])
-    got = np.sort(match_set(conf, rel, scen, 1))
-    assert np.array_equal(got, [5])
+    rec_key, syn_keys, n_keys = _key_index(conf, rel, ("g", "h"))
+    keys = np.concatenate(syn_keys)
+    vals = np.concatenate([s.columns["t"] for s in rel]).astype(np.float64)
+    assert np.array_equal(np.sort(vals[keys == rec_key[0]]), [3, 4, 6])
+    assert np.array_equal(np.sort(vals[keys == rec_key[1]]), [5])
+    assert keys[-1] == -1  # (c, 0) never occurs in the confidential data
+    assert np.array_equal(_group_medians(keys, vals, n_keys)[rec_key], [4, 5])
 
 
 # ------------------------------------------------------ oracle equivalence
@@ -106,15 +119,17 @@ def test_pipeline_equals_brute_force_record_for_record(seed, eps):
     n_conf = int(rng.integers(5, 51))
     n_syn = int(rng.integers(3, 40))
     conf, release = _random_instance(rng, n_conf, n_syn, m=3)
-    scen = AdversaryScenario(("g", "h"), "t", epsilon=eps, m=3)
+    scen = AdversaryScenario(("g", "h"), "t", epsilon=eps)
 
     hits_syn, hits_base, matched, uniq = _brute_force(conf, release, scen)
 
-    # record-level: the public per-record path agrees with the double loop
+    # record-level: the kernel's per-record hit vectors agree with the double loop
+    prefix = _Prefix(conf, release, scen.known, scen.target, [eps])
+    hits, kernel_matched = prefix.attack(range(len(release)))
     for i in range(conf.n):
-        got = cmap_record(match_set(conf, release, scen, i),
-                          conf.columns["t"][i], eps)
-        assert got == hits_syn[i], f"record {i}"
+        assert hits[0, i] == hits_syn[i], f"record {i}"
+        assert kernel_matched[i] == matched[i], f"record {i}"
+        assert prefix.base[0, i] == hits_base[i], f"record {i}"
 
     rep = cmap_mean(conf, release, scen)
     assert rep.cmap_syn == pytest.approx(hits_syn.mean(), abs=1e-15)
@@ -237,7 +252,7 @@ def test_risk_study_exhaustive_release_is_deterministic():
     conf, pool = _study_pool(size=3)
     cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),
                        eps_grid=(1,), reps=1, seed=42)
-    direct = cmap_mean(conf, pool, AdversaryScenario(("g", "h"), "t", 1, m=3))
+    direct = cmap_mean(conf, pool, AdversaryScenario(("g", "h"), "t", 1))
     assert cells[0].report.cmap_syn == direct.cmap_syn
     assert cells[0].report.cmap_base == direct.cmap_base
 
@@ -257,3 +272,58 @@ def test_substream_isolated_by_key():
     c = substream(0, "risk", 2, 0).integers(0, 1000, 5)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+def test_risk_study_equals_mean_of_cmap_mean():
+    """Every cell equals, exactly, the average of cmap_mean over the same
+    releases re-drawn from substream(seed, "risk", m, rep)."""
+    conf, pool = _study_pool(seed=12, size=5)
+    m_grid, k_grid, eps_grid, reps, seed = (1, 3, 5), (1, 2), (0, 1, 2), 7, 4
+    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=m_grid, k_grid=k_grid,
+                       eps_grid=eps_grid, reps=reps, seed=seed)
+    assert [(c.m, c.n_known, c.epsilon) for c in cells] == [
+        (m, k, e) for m in m_grid for k in k_grid for e in eps_grid
+    ]
+    for c in cells:
+        direct = []
+        for rep in range(reps):
+            rng = substream(seed, "risk", c.m, rep)
+            release = [pool[i] for i in rng.choice(len(pool), size=c.m, replace=False)]
+            scen = AdversaryScenario(("g", "h")[: c.n_known], "t", c.epsilon)
+            direct.append(cmap_mean(conf, release, scen))
+        syn = float(np.mean([r.cmap_syn for r in direct]))
+        base = direct[0].cmap_base
+        assert {r.cmap_base for r in direct} == {base}
+        assert c.report.cmap_syn == syn
+        assert c.report.cmap_base == base
+        assert c.report.cmap_syn_uniques == float(
+            np.mean([r.cmap_syn_uniques for r in direct]))
+        assert c.report.cmap_base_uniques == direct[0].cmap_base_uniques
+        assert c.report.risk_reduction == base - syn
+        assert c.report.n_matched == int(round(np.mean([r.n_matched for r in direct])))
+        assert c.report.n_unmatched == int(
+            round(np.mean([r.n_unmatched for r in direct])))
+        assert c.report.n_uniques == direct[0].n_uniques
+
+
+def test_risk_study_keys_each_prefix_once(monkeypatch):
+    """Per risk_study call: one key index and one baseline pass per prefix,
+    then one median pass per (release, prefix) that scores every epsilon."""
+    keyed, passes = [], []
+    key_index, group_medians = risk._key_index, risk._group_medians
+
+    def counting_key_index(conf, pool, known):
+        keyed.append(known)
+        return key_index(conf, pool, known)
+
+    def counting_group_medians(keys, values, n_keys):
+        passes.append(keys.size)
+        return group_medians(keys, values, n_keys)
+
+    monkeypatch.setattr(risk, "_key_index", counting_key_index)
+    monkeypatch.setattr(risk, "_group_medians", counting_group_medians)
+    conf, pool = _study_pool(seed=9)
+    risk_study(conf, pool, ("g", "h"), "t", m_grid=(2, 3, 4), k_grid=(1, 2),
+               eps_grid=(0, 1, 2), reps=5, seed=2)
+    assert keyed == [("g",), ("g", "h")]
+    assert len(passes) == 2 + 3 * 5 * 2

@@ -1,4 +1,6 @@
 """Benchmark-study plumbing: data generation, scoring, and the study variants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,8 @@ class TestTinyStudies:
         assert again.datasets == []  # keep_data defaults off
 
     def test_rl_decode_and_discard_accounting(self):
-        res = run_rl_workaround_study(_TINY, _TINY_CFG, n_reps=3, keep_data=True)
+        res = run_rl_workaround_study(replace(_TINY, n_reps=3), _TINY_CFG,
+                                      keep_data=True)
         assert res.group_means.shape == (3, _TINY.n_levels)
         assert 0.0 <= res.multi_rate <= 1.0
         # recompute one replicate's decode by hand
@@ -161,13 +164,13 @@ class TestTinyStudies:
         assert np.allclose(gm, res.group_means[0], equal_nan=True)
 
     def test_ordinal_variant_runs_and_scores(self):
-        res = run_ordinal_rl_study(_TINY, _TINY_CFG, n_reps=2)
+        res = run_ordinal_rl_study(replace(_TINY, n_reps=2), _TINY_CFG)
         assert res.group_means.shape == (2, _TINY.n_levels)
         assert res.multi_rate == 0.0
         assert np.isfinite(res.avg_mse)
 
     def test_rep_count_override(self, rpl):
-        res = run_rpl_study(_TINY, _TINY_CFG, n_reps=2)
+        res = run_rpl_study(replace(_TINY, n_reps=2), _TINY_CFG)
         assert res.group_means.shape == (2, _TINY.n_levels)
         assert np.array_equal(res.group_means, rpl.group_means[:2], equal_nan=True)
 
