@@ -25,13 +25,7 @@ from .archive import load_archive, save_archive
 from .factor_model import ChainConfig
 from .risk import risk_study
 from .schema import MixedDataset, load_dataset, load_schema, write_csv
-from .simulation import (
-    SimDesign,
-    preset,
-    run_ordinal_rl_study,
-    run_rl_workaround_study,
-    run_rpl_study,
-)
+from .simulation import STUDIES, preset, run_studies
 from .streams import substream
 from .synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from .target_regression import TargetConfig, fit_target_model, synthesize_response
@@ -343,30 +337,23 @@ def _cmd_risk(cfg: dict) -> dict:
 # ---------------------------------------------------------------- simulate
 
 
-_STUDIES = {
-    "rpl": run_rpl_study,
-    "rl": run_rl_workaround_study,
-    "ordinal": run_ordinal_rl_study,
-}
-
-
 def _cmd_simulate(cfg: dict) -> dict:
     seed = _require_seed(cfg, "simulate")
     design, chain = preset(cfg["preset"], seed=seed)
     if cfg.get("reps") is not None:
         design = dataclasses.replace(design, n_reps=int(cfg["reps"]))
-    names = _csv_list(cfg.get("studies")) or ["rpl", "rl", "ordinal"]
-    bad = [s for s in names if s not in _STUDIES]
+    names = _csv_list(cfg.get("studies")) or list(STUDIES)
+    bad = [s for s in names if s not in STUDIES]
     if bad:
-        raise ConfigError(f"unknown studies {bad}; choose from {sorted(_STUDIES)}")
+        raise ConfigError(f"unknown studies {bad}; choose from {sorted(STUDIES)}")
 
     keep_dir = Path(cfg["keep_datasets"]) if cfg.get("keep_datasets") else None
-    studies = {}
-    for name in names:
-        log.info("running %s study (n=%d, reps=%d)", name, design.n, design.n_reps)
-        res = _STUDIES[name](design, chain, keep_data=keep_dir is not None)
-        studies[name] = res.to_doc()
-        if keep_dir is not None:
+    log.info("running %s studies (n=%d, reps=%d)",
+             ", ".join(names), design.n, design.n_reps)
+    results = run_studies(names, design, chain, keep_data=keep_dir is not None)
+    studies = {name: res.to_doc() for name, res in results.items()}
+    if keep_dir is not None:
+        for name, res in results.items():
             sub = keep_dir / name
             sub.mkdir(parents=True, exist_ok=True)
             for i, s in enumerate(res.datasets):

@@ -103,6 +103,8 @@ class RankGroups:
     order: np.ndarray  # cell indices sorted by observed value (stable)
     starts: np.ndarray  # group start offsets into order
     gid: np.ndarray  # group index of each cell
+    # per group parity (even, odd): ascending cell indices and their group ids
+    sides: tuple
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "RankGroups":
@@ -115,7 +117,8 @@ class RankGroups:
         sizes = np.diff(np.append(starts, order.size))
         gid = np.empty(order.size, dtype=np.int64)
         gid[order] = np.repeat(np.arange(starts.size), sizes)
-        return cls(order, starts, gid)
+        cells = [np.flatnonzero((gid & 1) == side) for side in (0, 1)]
+        return cls(order, starts, gid, tuple((c, gid[c]) for c in cells))
 
     def bounds(self, z_col: np.ndarray):
         """Per-group truncation interval (lo, hi) given current latents.
@@ -349,12 +352,9 @@ def update_rank_column(
     """
     if not groups.starts.size:
         return
-    gid = groups.gid
-    for side in (0, 1):
+    for cells, g in groups.sides:
         lo, hi = groups.bounds(z_col)
-        m = (gid & 1) == side
-        g = gid[m]
-        z_col[m] = truncnorm_sample(rng, mu[m], sd, lo[g], hi[g])
+        z_col[cells] = truncnorm_sample(rng, mu[cells], sd, lo[g], hi[g])
 
 
 def update_latent(state: FactorState, plan: FactorModelPlan) -> None:

@@ -8,10 +8,16 @@ multiple categories.  Companion variants fit the same engine on degraded
 encodings of the categorical column -- k-1 binary indicators, or an ordinal
 recoding -- which is where multiple classification and biased group means
 come from.
+
+``run_studies`` runs several studies at once, one worker process per study.
+Each study draws only from generators seeded by its design and chain
+config, so its result does not depend on the worker count.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +33,8 @@ __all__ = [
     "run_rpl_study",
     "run_rl_workaround_study",
     "run_ordinal_rl_study",
+    "STUDIES",
+    "run_studies",
     "preset",
 ]
 
@@ -220,6 +228,64 @@ def run_ordinal_rl_study(
         for s in synth
     ]
     return _score(obs, means, [0.0], keep_data, synth)
+
+
+STUDIES = {
+    "rpl": run_rpl_study,
+    "rl": run_rl_workaround_study,
+    "ordinal": run_ordinal_rl_study,
+}
+
+
+def _run_study(name, design, config, keep_data):
+    # looked up by name in the worker, so only picklable arguments cross over
+    return STUDIES[name](design, config, keep_data=keep_data)
+
+
+def _die_with_parent(parent_pid):
+    # Linux prctl(PR_SET_PDEATHSIG): the kernel SIGKILLs this worker when the
+    # thread that forked it exits, so a killed parent leaves no worker behind.
+    # A parent that died before this call shows as a changed parent pid.
+    import ctypes
+    import signal
+
+    PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
+def run_studies(
+    names,
+    design: SimDesign,
+    config: ChainConfig | None = None,
+    keep_data: bool = False,
+) -> dict:
+    """Run the named studies of ``STUDIES``, concurrently: name -> SimResult.
+
+    One forked worker process per study, up to the CPUs this process may
+    run on; workers die with this process.  A study's failure is raised
+    here once the pool has shut down.
+    """
+    names = list(dict.fromkeys(names))
+    unknown = [n for n in names if n not in STUDIES]
+    if unknown:
+        raise ValueError(f"unknown studies {unknown}; choose from {sorted(STUDIES)}")
+    # imported here so that commands which never fan out do not pay for it
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # fork, not spawn: workers inherit numpy and scipy instead of importing
+    # them again
+    ctx = multiprocessing.get_context("fork")
+    workers = min(len(names), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_die_with_parent,
+                             initargs=(os.getpid(),)) as pool:
+        results = pool.map(_run_study, names, repeat(design), repeat(config),
+                           repeat(keep_data))
+        return dict(zip(names, results))
 
 
 def preset(name: str, seed: int = 0):

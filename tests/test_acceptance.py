@@ -32,9 +32,7 @@ from mixedsynth.simulation import (
     _study_config,
     generate_sim_data,
     preset,
-    run_ordinal_rl_study,
-    run_rl_workaround_study,
-    run_rpl_study,
+    run_studies,
 )
 from mixedsynth.synthesizer import (
     OrthantStats,
@@ -66,18 +64,24 @@ def _gate(num, label, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def rpl_full():
-    return run_rpl_study(DESIGN, CHAIN, keep_data=True)
+def full_studies():
+    # the fan-out `simulate` runs, one worker per study
+    return run_studies(("rpl", "rl", "ordinal"), DESIGN, CHAIN, keep_data=True)
 
 
 @pytest.fixture(scope="module")
-def rl_full():
-    return run_rl_workaround_study(DESIGN, CHAIN)
+def rpl_full(full_studies):
+    return full_studies["rpl"]
 
 
 @pytest.fixture(scope="module")
-def ordinal_full():
-    return run_ordinal_rl_study(DESIGN, CHAIN)
+def rl_full(full_studies):
+    return full_studies["rl"]
+
+
+@pytest.fixture(scope="module")
+def ordinal_full(full_studies):
+    return full_studies["ordinal"]
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +112,8 @@ def test_criterion_1_benchmark_group_mean_fidelity(rpl_full, rl_full):
     # the reduced preset must show the same orderings inside ten minutes
     t0 = time.monotonic()
     ddesign, dchain = preset("desk", seed=0)
-    drpl = run_rpl_study(ddesign, dchain)
-    drl = run_rl_workaround_study(ddesign, dchain)
+    desk = run_studies(("rpl", "rl"), ddesign, dchain)
+    drpl, drl = desk["rpl"], desk["rl"]
     desk_elapsed = time.monotonic() - t0
     ok = ok and (
         drl.avg_mse > drpl.avg_mse

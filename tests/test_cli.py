@@ -1,12 +1,17 @@
 """Command-line behavior: exit codes, precedence, manifests, reproducibility."""
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedsynth import cli, simulation
 from mixedsynth.cli import (
     _DEFAULTS,
     ConfigError,
@@ -17,7 +22,15 @@ from mixedsynth.cli import (
     _merge_config,
     main,
 )
+from mixedsynth.errors import NumericalOverflowError
+from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, load_dataset, write_csv
+from mixedsynth.simulation import (
+    SimDesign,
+    preset,
+    run_rl_workaround_study,
+    run_rpl_study,
+)
 
 _SCHEMA_DOC = {
     "columns": [
@@ -512,6 +525,90 @@ def test_simulate_command_smoke(tmp_path):
     assert doc["studies"]["rpl"]["multi_rate"] == 0.0
     assert "orderings" not in doc  # needs both rpl and rl
     assert len(list((keep / "rpl").glob("rpl_syn_*.csv"))) == 2
+
+
+def test_simulate_studies_match_in_process_runs(tmp_path):
+    """The fanned-out studies report and keep exactly what the same studies
+    give when run one after the other in this process."""
+    out = tmp_path / "sim.json"
+    keep = tmp_path / "kept"
+    rc = main([
+        "simulate", "--preset", "desk", "--reps", "2", "--studies", "rpl,rl",
+        "--seed", "1", "--keep-datasets", str(keep), "--out", str(out),
+    ])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    design, chain = preset("desk", seed=1)
+    design = replace(design, n_reps=2)
+    ref = tmp_path / "ref.csv"
+    for name, study in (("rpl", run_rpl_study), ("rl", run_rl_workaround_study)):
+        res = study(design, chain, keep_data=True)
+        assert doc["studies"][name] == json.loads(json.dumps(res.to_doc()))
+        assert len(list((keep / name).glob("*.csv"))) == len(res.datasets) == 2
+        for i, s in enumerate(res.datasets):
+            write_csv(s, ref)
+            kept = keep / name / f"{name}_syn_{i}.csv"
+            assert kept.read_bytes() == ref.read_bytes()
+
+
+def test_simulate_study_failure_is_stage_failure(tmp_path, monkeypatch, caplog):
+    def overflow(design, config, keep_data=False):
+        raise NumericalOverflowError("latent matrix non-finite at iteration 7")
+
+    monkeypatch.setitem(simulation.STUDIES, "rl", overflow)
+    # a short chain keeps the study that succeeds quick
+    monkeypatch.setattr(cli, "preset", lambda name, seed: (
+        SimDesign(n=100, n_reps=2, seed=seed),
+        ChainConfig(iters=20, burn_in=10, thin=2, seed=seed),
+    ))
+    out = tmp_path / "s.json"
+    rc = main(["simulate", "--studies", "rpl,rl", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "latent matrix non-finite at iteration 7" in caplog.text
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def _children(pid):
+    kids = set()
+    for task in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            kids.update(int(c) for c in task.read_text().split())
+        except OSError:  # the thread exited
+            pass
+    return kids
+
+
+def _running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+
+
+def test_simulate_workers_die_with_killed_parent(tmp_path, src_env):
+    """SIGKILL of `simulate` (a harness deadline, say) takes its study
+    workers with it instead of leaving them computing, then blocked."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mixedsynth.cli", "simulate", "--preset", "desk",
+         "--studies", "rpl,rl", "--seed", "0", "--out", str(tmp_path / "s.json")],
+        stderr=subprocess.DEVNULL, env=src_env,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        workers = set()
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
 
 
 def test_simulate_rejects_unknown_study(tmp_path):

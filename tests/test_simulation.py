@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixedsynth import simulation
 from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import Kind
 from mixedsynth.simulation import (
@@ -13,6 +14,7 @@ from mixedsynth.simulation import (
     run_ordinal_rl_study,
     run_rl_workaround_study,
     run_rpl_study,
+    run_studies,
 )
 from mixedsynth.simulation import _group_means, _indicator_dataset, _score
 
@@ -173,6 +175,26 @@ class TestTinyStudies:
         res = run_rpl_study(replace(_TINY, n_reps=2), _TINY_CFG)
         assert res.group_means.shape == (2, _TINY.n_levels)
         assert np.array_equal(res.group_means, rpl.group_means[:2], equal_nan=True)
+
+
+def test_run_studies_independent_of_worker_count(monkeypatch):
+    design = replace(_TINY, n_reps=2)
+    pooled = run_studies(["rl", "rpl", "rl"], design, _TINY_CFG, keep_data=True)
+    assert list(pooled) == ["rl", "rpl"]  # first-seen order, run once each
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0})
+    serial = run_studies(["rl", "rpl"], design, _TINY_CFG, keep_data=True)
+    for name, res in serial.items():
+        other = pooled[name]
+        assert res.to_doc() == other.to_doc()
+        assert len(res.datasets) == len(other.datasets) == 2
+        for a, b in zip(res.datasets, other.datasets):
+            assert a.schema == b.schema
+            assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+
+
+def test_run_studies_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown studies"):
+        run_studies(["rpl", "bogus"], _TINY, _TINY_CFG)
 
 
 def test_presets():
