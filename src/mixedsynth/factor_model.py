@@ -35,9 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.special import ndtri
 
+from ._lapack import cho_solve_lower, cholesky_lower, solve_lower_t
 from .errors import NumericalOverflowError
 from .schema import ExpandedLayout, Kind, MixedDataset, expand_layout
 from .truncated import truncnorm_sample
@@ -279,11 +279,9 @@ def update_loadings(state: FactorState, hyper: Hyperparams) -> None:
     etr = state.eta.T @ resid  # (k, p_star)
     for j in range(state.lam.shape[0]):
         prec = np.diag(state.phi[j] * tau) + ete / state.sigma2[j]
-        low = cholesky(prec, lower=True)
-        mean = cho_solve((low, True), etr[:, j] / state.sigma2[j])
-        state.lam[j] = mean + solve_triangular(
-            low.T, state.rng.standard_normal(k), lower=False
-        )
+        low = cholesky_lower(prec)
+        mean = cho_solve_lower(low, etr[:, j] / state.sigma2[j])
+        state.lam[j] = mean + solve_lower_t(low, state.rng.standard_normal(k))
 
 
 def update_idio_var(state: FactorState, hyper: Hyperparams) -> None:
@@ -299,11 +297,10 @@ def update_factors(state: FactorState, hyper: Hyperparams) -> None:
     k = state.lam.shape[1]
     m = state.lam / state.sigma2[:, None]  # Sigma^-1 Lambda
     prec = np.eye(k) + state.lam.T @ m
-    cf = cho_factor(prec, lower=True)
-    cov = cho_solve(cf, np.eye(k))
+    cov = cho_solve_lower(cholesky_lower(prec), np.eye(k))
     cov = 0.5 * (cov + cov.T)
     means = (state.z - state.alpha) @ m @ cov.T
-    root = cholesky(cov, lower=True)
+    root = cholesky_lower(cov)
     state.eta = means + state.rng.standard_normal(state.eta.shape) @ root.T
 
 
@@ -367,11 +364,12 @@ def update_latent(state: FactorState, plan: FactorModelPlan) -> None:
         c = rc.latent
         update_rank_column(rng, state.z[:, c], fit[:, c], sd[c], rc.groups)
     for cc in plan.cat_cols:
-        for lvl in range(cc.k):
-            c = cc.offset + lvl
-            state.z[:, c] = truncnorm_sample(
-                rng, fit[:, c], sd[c], cc.lo[lvl], cc.hi[lvl]
-            )
+        # one (k, n) call: a block's columns are conditionally independent,
+        # and row-major order draws them level by level
+        block = slice(cc.offset, cc.offset + cc.k)
+        state.z[:, block] = truncnorm_sample(
+            rng, fit[:, block].T, sd[block, None], cc.lo, cc.hi
+        ).T
 
 
 def gibbs_sweep(state: FactorState, plan: FactorModelPlan, hyper: Hyperparams) -> None:

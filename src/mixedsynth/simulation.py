@@ -24,7 +24,12 @@ import numpy as np
 from .factor_model import ChainConfig
 from .schema import ColumnSchema, Kind, MixedDataset
 from .streams import substream
-from .synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
+from .synthesizer import (
+    FittedCopula,
+    SynthesisPlan,
+    fit_copula_model,
+    synthesize_datasets,
+)
 
 __all__ = [
     "SimDesign",
@@ -73,6 +78,7 @@ class SimResult:
     sd_mse: float | None  # spread (sd) of the per-rep MSEs; None when reps=1
     multi_rate: float
     datasets: list = field(default_factory=list, repr=False)
+    model: FittedCopula | None = field(default=None, repr=False)  # kept with datasets
 
     def to_doc(self) -> dict:
         return {
@@ -107,7 +113,7 @@ def _group_means(x1, x2, n_levels):
     return out
 
 
-def _score(obs_means, rep_means_list, multi_flags, keep_data, datasets):
+def _score(obs_means, rep_means_list, multi_flags, keep_data, datasets, model=None):
     gm = np.asarray(rep_means_list)
     per_rep = np.nanmean((gm - obs_means) ** 2, axis=1)
     return SimResult(
@@ -118,6 +124,7 @@ def _score(obs_means, rep_means_list, multi_flags, keep_data, datasets):
         sd_mse=float(per_rep.std(ddof=1)) if per_rep.size > 1 else None,
         multi_rate=float(np.mean(multi_flags)),
         datasets=datasets if keep_data else [],
+        model=model if keep_data else None,
     )
 
 
@@ -154,7 +161,7 @@ def run_rpl_study(
         _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
         for s in synth
     ]
-    return _score(obs, means, [0.0], keep_data, synth)
+    return _score(obs, means, [0.0], keep_data, synth, model)
 
 
 def _indicator_dataset(data: MixedDataset, n_levels: int) -> MixedDataset:
@@ -202,7 +209,7 @@ def run_rl_workaround_study(
             _group_means(level[keep], s.columns["x2"][keep], design.n_levels)
         )
         rates.append(multi.mean())
-    return _score(obs, means, rates, keep_data, synth)
+    return _score(obs, means, rates, keep_data, synth, model)
 
 
 def run_ordinal_rl_study(
@@ -227,7 +234,7 @@ def run_ordinal_rl_study(
         _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
         for s in synth
     ]
-    return _score(obs, means, [0.0], keep_data, synth)
+    return _score(obs, means, [0.0], keep_data, synth, model)
 
 
 STUDIES = {

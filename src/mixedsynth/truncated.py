@@ -35,29 +35,39 @@ def truncnorm_sample(rng: np.random.Generator, mu, sigma, lo, hi) -> np.ndarray:
     """Draw from N(mu, sigma^2) restricted to [lo, hi], elementwise.
 
     All arguments broadcast; lo/hi may be -inf/+inf.  Zero-width intervals
-    return their endpoint.
+    return their endpoint.  Cells beyond 6 sd in the far tail, if any, draw
+    first; every other cell then takes one uniform, in C order.
     """
-    mu, sigma, lo, hi = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (mu, sigma, lo, hi))
-    )
+    mu, sigma, lo, hi = (np.asarray(v, dtype=np.float64) for v in (mu, sigma, lo, hi))
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     if np.any(a > b):
         raise ValueError("truncnorm_sample: lower bound exceeds upper bound")
     # mirror right-half intervals so the hard tail is always the left one
     flip = a > 0
     a2 = np.where(flip, -b, a)
     b2 = np.where(flip, -a, b)
-    x = np.empty(a2.shape)
     tail = b2 < -_TAIL
-    if np.any(tail):
+    if tail.any():
+        x = np.empty(a2.shape)
         x[tail] = -_tail_reject(rng, -b2[tail], -a2[tail])
-    main = ~tail
-    if np.any(main):
-        fa = ndtr(a2[main])
-        fb = ndtr(b2[main])
-        u = rng.uniform(size=int(main.sum()))
-        x[main] = ndtri(fa + u * (fb - fa))
-    x = np.where(flip, -x, x)
-    x = np.clip(x, a, b)  # guard ndtri round-off at interval edges
+        main = ~tail
+        x[main] = _inverse_cdf(rng, a2[main], b2[main])
+    else:
+        x = _inverse_cdf(rng, a2, b2)
+    np.negative(x, out=x, where=flip)
+    np.clip(x, a, b, out=x)  # guard ndtri round-off at interval edges
     return mu + sigma * x
+
+
+def _inverse_cdf(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Standard normal restricted to [a, b] by inverting its CDF; one
+    uniform per cell, in C order."""
+    fa = ndtr(a)
+    x = ndtr(b, out=np.empty(a.shape))  # an array even when a is 0-d
+    x -= fa
+    x *= rng.uniform(size=a.shape)
+    x += fa
+    return ndtri(x, out=x)

@@ -10,9 +10,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import expit
 
+from ._lapack import cho_solve_lower, cholesky_lower, solve_lower_t
 from .errors import (
     DegenerateResponseError,
     MismatchedCoefficientSetsError,
@@ -140,19 +140,18 @@ def design_matrix(ds: MixedDataset, spec: RegressionSpec):
 def _beta_draw(rng, xtx, xty, prior_prec, sigma2):
     a = xtx / sigma2 + np.diag(prior_prec)
     try:
-        low = cho_factor(a, lower=True)
+        low = cholesky_lower(a)
     except np.linalg.LinAlgError:
         try:
-            low = cho_factor(a + 1e-8 * np.eye(a.shape[0]), lower=True)
+            low = cholesky_lower(a + 1e-8 * np.eye(a.shape[0]))
         except np.linalg.LinAlgError:
             raise RankDeficientError(
                 "design matrix rank deficient even after ridge jitter"
             ) from None
-    mean = cho_solve(low, xty / sigma2)
+    mean = cho_solve_lower(low, xty / sigma2)
     z = rng.standard_normal(a.shape[0])
     # solving L' u = z gives a draw with covariance A^{-1}
-    u = solve_triangular(low[0], z, lower=True, trans="T")
-    return mean + u
+    return mean + solve_lower_t(low, z)
 
 
 def fit_bayes_lm(

@@ -29,7 +29,6 @@ from mixedsynth.risk import AdversaryScenario, _Prefix, cmap_mean, risk_study
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, write_csv
 from mixedsynth.simulation import (
     SimDesign,
-    _study_config,
     generate_sim_data,
     preset,
     run_studies,
@@ -40,7 +39,6 @@ from mixedsynth.synthesizer import (
     _tilt_setup,
     _tilted_orthant,
     _tilting_point,
-    fit_copula_model,
 )
 from mixedsynth.target_regression import TargetConfig, fit_target_model
 from mixedsynth.utility import (
@@ -85,10 +83,10 @@ def ordinal_full(full_studies):
 
 
 @pytest.fixture(scope="module")
-def copula_fit():
-    data = generate_sim_data(DESIGN)
-    model = fit_copula_model(data, _study_config(DESIGN, CHAIN, 6))
-    return data, model
+def copula_fit(rpl_full):
+    # the rpl study's own fit: bitwise the draws of refitting
+    # generate_sim_data(DESIGN) with _study_config(DESIGN, CHAIN, 6)
+    return generate_sim_data(DESIGN), rpl_full.model
 
 
 # --------------------------------------------------------------- gate 1

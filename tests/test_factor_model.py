@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
+from mixedsynth import factor_model
 from mixedsynth.factor_model import (
     ChainConfig,
     FactorModelPlan,
@@ -572,3 +573,39 @@ def test_default_factor_count_rule():
     assert default_n_factors(6) == 3
     assert default_n_factors(7) == 4
     assert default_n_factors(100) == 15
+
+
+def test_latent_update_draws_every_cell_once(monkeypatch):
+    """The benchmark tracer counts truncated-normal cells through
+    factor_model.truncnorm_sample: one sweep draws n * p* of them, in two
+    calls per rank column and one (k, n) call per categorical block."""
+    rng = np.random.default_rng(18)
+    n = 120
+    ds = MixedDataset(
+        (
+            ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),
+            ColumnSchema("h", Kind.CATEGORICAL, levels=("x", "y")),
+            ColumnSchema("y", Kind.COUNT),
+            ColumnSchema("w", Kind.CONTINUOUS),
+        ),
+        {
+            "g": rng.integers(0, 3, n),
+            "h": rng.integers(0, 2, n),
+            "y": rng.poisson(3.0, n),
+            "w": rng.normal(0, 1, n),
+        },
+    )
+    plan = FactorModelPlan.from_dataset(ds)
+    sizes = []
+    inner = factor_model.truncnorm_sample
+
+    def counted(*args):
+        out = inner(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(factor_model, "truncnorm_sample", counted)
+    state = init_state(plan, 2, HYP, np.random.default_rng(5))
+    gibbs_sweep(state, plan, HYP)
+    assert sum(sizes) == n * plan.layout.p_star == n * 7
+    assert len(sizes) == 2 * len(plan.rank_cols) + len(plan.cat_cols)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from mixedsynth import archive
 from mixedsynth.errors import EmptyColumnError, NoCategoricalColumnsError
@@ -10,7 +11,10 @@ from mixedsynth.marginals import (
     ContinuousMarginal,
     DegenerateMarginal,
     DiscreteMarginal,
+    _kernel_cdf,
+    _ONE_BELOW,
     _silverman_bandwidth,
+    _ZERO_ABOVE,
     fit_categorical_probs,
     fit_marginal,
 )
@@ -77,6 +81,48 @@ def test_continuous_cdf_matches_kernel_mixture():
     # and interpolates it closely in between
     q = np.array([-1.0, 0.0, 0.7])
     np.testing.assert_allclose(m.cdf(q), mixture(q), atol=1e-6)
+
+
+def _full_kernel_cdf(sample, h, x):
+    """Reference without the band: ndtr on every (grid point, sample) term,
+    blocks of about 2**16 terms, each row summed in one call."""
+    n = sample.size
+    out = np.empty(x.size)
+    step = max(1, 2**16 // n)
+    for s in range(0, x.size, step):
+        out[s : s + step] = ndtr((x[s : s + step, None] - sample[None, :]) / h).sum(axis=1)
+    out /= n + 1.0
+    return out
+
+
+_rng = np.random.default_rng(8)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        _rng.lognormal(0.0, 1.0, 5000),  # skewed
+        np.append(_rng.standard_normal(999), 1e4),  # one far outlier
+        np.round(_rng.standard_normal(3000), 1),  # heavy ties
+        np.array([0.3, 1.7]),
+        _rng.gamma(2.0, 1.0, 7001),  # 2**16 // n leaves a short last block
+        # values 16 apart (one ulp at 1e17) with h near 0.1: x -/+ c h rounds
+        # to x, so the band edges must be checked term by term
+        1e17 + np.repeat([0.0, 16.0], [4990, 10]),
+    ],
+    ids=["skewed", "outlier", "ties", "n2", "short-block", "ulp-wide"],
+)
+def test_banded_kernel_cdf_matches_full_sum_bitwise(column):
+    sample = np.sort(column)
+    h = _silverman_bandwidth(column)
+    x = np.linspace(sample[0], sample[-1], 4097)
+    assert np.array_equal(_kernel_cdf(sample, h, x), _full_kernel_cdf(sample, h, x))
+
+
+def test_kernel_band_cutoffs_are_exact():
+    # every term the band skips is exactly what ndtr would have returned
+    assert ndtr(_ONE_BELOW) == 1.0
+    assert ndtr(-_ZERO_ABOVE) == 0.0
 
 
 def test_continuous_cdf_monotone_and_bounded():

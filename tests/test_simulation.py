@@ -16,7 +16,8 @@ from mixedsynth.simulation import (
     run_rpl_study,
     run_studies,
 )
-from mixedsynth.simulation import _group_means, _indicator_dataset, _score
+from mixedsynth.simulation import _group_means, _indicator_dataset, _score, _study_config
+from mixedsynth.synthesizer import fit_copula_model
 
 
 _TINY = SimDesign(
@@ -149,7 +150,7 @@ class TestTinyStudies:
         again = run_rpl_study(_TINY, _TINY_CFG)
         assert np.array_equal(again.group_means, rpl.group_means, equal_nan=True)
         assert again.avg_mse == rpl.avg_mse
-        assert again.datasets == []  # keep_data defaults off
+        assert again.datasets == [] and again.model is None  # keep_data defaults off
 
     def test_rl_decode_and_discard_accounting(self):
         res = run_rl_workaround_study(replace(_TINY, n_reps=3), _TINY_CFG,
@@ -190,6 +191,20 @@ def test_run_studies_independent_of_worker_count(monkeypatch):
         for a, b in zip(res.datasets, other.datasets):
             assert a.schema == b.schema
             assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+
+
+def test_kept_fit_is_the_refit():
+    # acceptance gate 3 reads the rpl study's fit from a worker instead of
+    # refitting the same data with the same chain config in the parent
+    kept = run_studies(["rpl"], replace(_TINY, n_reps=1), _TINY_CFG, keep_data=True)
+    model = kept["rpl"].model
+    refit = fit_copula_model(
+        generate_sim_data(_TINY), _study_config(_TINY, _TINY_CFG, _TINY.n_levels + 1)
+    )
+    assert np.array_equal(model.draws.corr, refit.draws.corr)
+    assert np.array_equal(model.draws.alpha, refit.draws.alpha)
+    assert model.draws.latent_names == refit.draws.latent_names
+    assert np.array_equal(model.cat_table.cell_probs, refit.cat_table.cell_probs)
 
 
 def test_run_studies_rejects_unknown_names():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
-from mixedsynth.truncated import truncnorm_sample
+from mixedsynth.truncated import _tail_reject, truncnorm_sample
 
 
 def _moments_oracle(mu, sigma, lo, hi):
@@ -89,3 +90,83 @@ def test_ks_against_inverse_cdf_oracle():
     y = stats.norm.ppf(a + u * (b - a))
     d = stats.ks_2samp(x, y).statistic
     assert d < 0.01
+
+
+# ------------------------------------------------ stream against the old kernel
+
+
+def _masked_oracle(rng, mu, sigma, lo, hi):
+    """Reference with masks on every call: every argument broadcast to one
+    shape, the far-tail cells drawn first, then one uniform per remaining
+    cell in C order."""
+    mu, sigma, lo, hi = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (mu, sigma, lo, hi))
+    )
+    a = (lo - mu) / sigma
+    b = (hi - mu) / sigma
+    flip = a > 0
+    a2 = np.where(flip, -b, a)
+    b2 = np.where(flip, -a, b)
+    x = np.empty(a2.shape)
+    tail = b2 < -6.0
+    if np.any(tail):
+        x[tail] = -_tail_reject(rng, -b2[tail], -a2[tail])
+    main = ~tail
+    if np.any(main):
+        fa = ndtr(a2[main])
+        fb = ndtr(b2[main])
+        u = rng.uniform(size=int(main.sum()))
+        x[main] = ndtri(fa + u * (fb - fa))
+    x = np.where(flip, -x, x)
+    x = np.clip(x, a, b)
+    return mu + sigma * x
+
+
+def test_no_tail_call_matches_masked_oracle_bitwise():
+    # one- and two-sided, zero-width and unbounded intervals, all within
+    # 4.5 sd of the mean
+    rng = np.random.default_rng(6)
+    n = 3000
+    mu = rng.uniform(-2.0, 2.0, n)
+    lo = rng.choice([-np.inf, -1.0, 0.0, 0.5], n)
+    hi = rng.choice([0.0, 1.0, np.inf], n)
+    finite = np.isfinite(lo)
+    hi[finite] = lo[finite] + rng.choice([np.inf, 0.0, 0.3, 2.0], finite.sum())
+    sigma = rng.uniform(1.0, 2.0, n)
+    got = truncnorm_sample(np.random.default_rng(9), mu, sigma, lo, hi)
+    want = _masked_oracle(np.random.default_rng(9), mu, sigma, lo, hi)
+    assert np.array_equal(got, want)
+
+
+def test_categorical_block_call_matches_oracle_bitwise():
+    # the latent update's (k, n) call: per-level means and sds, one-sided
+    # sign intervals; rows are drawn in order, so it also equals k calls
+    rng = np.random.default_rng(7)
+    k, n = 4, 500
+    mu = rng.uniform(-2.5, 2.5, (k, n))  # no cell beyond 6 sd
+    sd = rng.uniform(0.5, 1.0, (k, 1))
+    pos = np.arange(k)[:, None] == rng.integers(0, k, n)
+    lo = np.where(pos, 0.0, -np.inf)
+    hi = np.where(pos, np.inf, 0.0)
+    got = truncnorm_sample(np.random.default_rng(10), mu, sd, lo, hi)
+    assert got.shape == (k, n)
+    assert np.array_equal(got, _masked_oracle(np.random.default_rng(10), mu, sd, lo, hi))
+    g = np.random.default_rng(10)
+    rows = [_masked_oracle(g, mu[r], sd[r], lo[r], hi[r]) for r in range(k)]
+    assert np.array_equal(got, np.stack(rows))
+
+
+def test_far_tail_cells_draw_first():
+    # cells 1 and 3 lie beyond 6 sd; their draws take the stream first, then
+    # one uniform per remaining cell in order
+    mu = np.array([0.0, 0.0, 1.0, -1.0, 0.5])
+    lo = np.array([-1.0, 7.0, -np.inf, -np.inf, 0.0])
+    hi = np.array([1.0, np.inf, 0.0, -8.0, np.inf])
+    tail = np.array([False, True, False, True, False])
+    got = truncnorm_sample(np.random.default_rng(11), mu, 1.0, lo, hi)
+    g = np.random.default_rng(11)
+    want = np.empty(5)
+    want[tail] = _masked_oracle(g, mu[tail], 1.0, lo[tail], hi[tail])
+    want[~tail] = _masked_oracle(g, mu[~tail], 1.0, lo[~tail], hi[~tail])
+    assert np.array_equal(got, want)
+    assert np.all((got >= lo) & (got <= hi))
