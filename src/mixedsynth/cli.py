@@ -300,6 +300,13 @@ def _cmd_risk(cfg: dict) -> dict:
         raise ConfigError(f"--target '{cfg['target']}' is also listed in --known")
     m_grid = tuple(_int_list(cfg["m"]))
     eps_grid = tuple(_int_list(cfg["eps"]))
+    reps = int(cfg["reps"])
+    if not m_grid or min(m_grid) < 1:
+        raise ConfigError(f"--m: release sizes must be >= 1, got '{cfg['m']}'")
+    if not eps_grid or min(eps_grid) < 0:
+        raise ConfigError(f"--eps: slacks must be >= 0, got '{cfg['eps']}'")
+    if reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {reps}")
     seed = int(cfg.get("seed") or 0)
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
@@ -311,7 +318,7 @@ def _cmd_risk(cfg: dict) -> dict:
         target=cfg["target"],
         m_grid=m_grid,
         eps_grid=eps_grid,
-        reps=int(cfg["reps"]),
+        reps=reps,
         seed=seed,
     )
     doc = {
@@ -388,10 +395,11 @@ _REQUIRED = {
 }
 
 _DEFAULTS = {
-    "fit": {"iters": 15000, "burn_in": 9000, "thin": 10, "target_iters": 1100,
-            "target_burn_in": 100, "target_trees": 200},
-    "synth": {"m": 1, "stem": "data"},
-    "utility": {"iters": 10000, "burn_in": 5000},
+    "fit": {"iters": ChainConfig.iters, "burn_in": ChainConfig.burn_in,
+            "thin": ChainConfig.thin, "target_iters": TargetConfig.iters,
+            "target_burn_in": TargetConfig.burn_in, "target_trees": TargetConfig.trees},
+    "synth": {"m": SynthesisPlan.m, "stem": "data"},
+    "utility": {"iters": HorseshoeConfig.iters, "burn_in": HorseshoeConfig.burn_in},
     "risk": {"m": "5,10,20", "eps": "0,1,2", "reps": 100},
     "simulate": {"preset": "desk"},
 }
@@ -470,7 +478,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--preset", choices=("paper", "desk"))
     p.add_argument("--reps", type=int, help="override replicate count")
-    p.add_argument("--studies", help="subset of rpl,rl,ordinal")
+    p.add_argument("--studies", help="subset of " + ",".join(STUDIES))
     p.add_argument("--keep-datasets", dest="keep_datasets",
                    help="directory to dump per-study synthetic CSVs")
     p.add_argument("--out")

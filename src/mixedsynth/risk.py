@@ -215,6 +215,10 @@ def risk_study(
     known = tuple(known)
     if k_grid is None:
         k_grid = (len(known),)
+    if not m_grid or min(m_grid) < 1:
+        raise ValueError(f"release sizes m_grid must be >= 1, got {tuple(m_grid)}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if max(m_grid) > len(pool):
         raise InsufficientPoolError(
             f"pool has {len(pool)} datasets; largest release asks for {max(m_grid)}"

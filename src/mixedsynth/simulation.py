@@ -1,13 +1,13 @@
 """Benchmark study on a two-column multinomial/Poisson design.
 
-One unordered categorical column drives the rate of a count column.  The
-study fits the copula factor model, synthesizes many datasets, and scores
-how well synthetic per-level means of the count column track the observed
-ones (average MSE across replicates), plus the rate of records assigned to
-multiple categories.  Companion variants fit the same engine on degraded
-encodings of the categorical column -- k-1 binary indicators, or an ordinal
-recoding -- which is where multiple classification and biased group means
-come from.
+One unordered categorical column drives the rate of a count column.  Each
+study in ``STUDIES`` encodes the categorical column one way: as itself, as
+k-1 binary indicators, or as ordinal codes; the degraded encodings are where
+multiple classification and biased group means come from.  ``run_study``
+fits the copula factor model to a study's encoding, synthesizes many
+datasets, and scores how well synthetic per-level means of the count column
+track the observed ones (average MSE across replicates), plus the rate of
+records assigned to multiple categories.
 
 ``run_studies`` runs several studies at once, one worker process per study.
 Each study draws only from generators seeded by its design and chain
@@ -22,26 +22,13 @@ from itertools import repeat
 import numpy as np
 
 from .factor_model import ChainConfig
-from .schema import ColumnSchema, Kind, MixedDataset
+from .schema import ColumnSchema, Kind, MixedDataset, expand_layout
 from .streams import substream
-from .synthesizer import (
-    FittedCopula,
-    SynthesisPlan,
-    fit_copula_model,
-    synthesize_datasets,
-)
+from .synthesizer import (FittedCopula, SynthesisPlan, fit_copula_model,
+                          synthesize_datasets)
 
-__all__ = [
-    "SimDesign",
-    "SimResult",
-    "generate_sim_data",
-    "run_rpl_study",
-    "run_rl_workaround_study",
-    "run_ordinal_rl_study",
-    "STUDIES",
-    "run_studies",
-    "preset",
-]
+__all__ = ["SimDesign", "SimResult", "generate_sim_data", "STUDIES", "run_study",
+           "run_studies", "preset"]
 
 _LEVELS = ("a", "b", "c", "d", "e")
 
@@ -91,10 +78,9 @@ class SimResult:
         }
 
 
-def generate_sim_data(design: SimDesign, rng: np.random.Generator | None = None):
+def generate_sim_data(design: SimDesign):
     """n iid records: x1 multinomial, x2 | x1 = l Poisson with level rate."""
-    if rng is None:
-        rng = substream(design.seed, "simdata")
+    rng = substream(design.seed, "simdata")
     x1 = rng.choice(design.n_levels, size=design.n, p=np.asarray(design.p_levels))
     x2 = rng.poisson(np.asarray(design.rates)[x1])
     schema = (
@@ -128,125 +114,91 @@ def _score(obs_means, rep_means_list, multi_flags, keep_data, datasets, model=No
     )
 
 
-def _study_config(design: SimDesign, config: ChainConfig | None, p_star: int):
-    # full-capacity loading matrix unless the caller pinned one: the
-    # shrinkage prior prunes what the data do not support, and the expanded
-    # categorical block needs the extra columns to track the count column
-    if config is None:
-        config = ChainConfig(seed=design.seed)
-    if config.n_factors is None:
-        config = replace(config, n_factors=p_star)
-    return config
+def _one_level(synth: MixedDataset):
+    # x1 names exactly one level per record by construction
+    x1 = synth.columns["x1"]
+    return x1, np.zeros(x1.shape, dtype=bool)
 
 
-def run_rpl_study(
-    design: SimDesign,
-    config: ChainConfig | None = None,
-    keep_data: bool = False,
-) -> SimResult:
-    """Fit once on the categorical encoding, synthesize, score group means.
-
-    Every record carries exactly one category by construction, so the
-    multiple-classification rate is identically zero.
-    """
-    data = generate_sim_data(design)
-    x1, x2 = data.columns["x1"], data.columns["x2"]
-    obs = _group_means(x1, x2, design.n_levels)
-
-    p_star = design.n_levels + 1
-    model = fit_copula_model(data, _study_config(design, config, p_star))
-    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
-
-    means = [
-        _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
-        for s in synth
-    ]
-    return _score(obs, means, [0.0], keep_data, synth, model)
+def _categorical(data: MixedDataset, n_levels: int):
+    """x1 as one categorical column under the orthant likelihood."""
+    return data, _one_level
 
 
-def _indicator_dataset(data: MixedDataset, n_levels: int) -> MixedDataset:
-    """x1 re-encoded as k-1 binary indicator columns (base level dropped)."""
-    x1 = data.columns["x1"]
-    schema = [
-        ColumnSchema(f"d{l}", Kind.BINARY) for l in range(1, n_levels)
-    ] + [ColumnSchema("x2", Kind.COUNT)]
-    cols = {f"d{l}": (x1 == l).astype(np.int64) for l in range(1, n_levels)}
-    cols["x2"] = data.columns["x2"]
-    return MixedDataset(tuple(schema), cols)
-
-
-def run_rl_workaround_study(
-    design: SimDesign,
-    config: ChainConfig | None = None,
-    keep_data: bool = False,
-) -> SimResult:
-    """Same engine, but the categorical column enters as k-1 binary rank
-    columns with no orthant constraint.
+def _indicators(data: MixedDataset, n_levels: int):
+    """x1 as k-1 binary rank columns (base level dropped), with no orthant
+    constraint.
 
     Indicators decode independently: no active indicator means the base
     level, exactly one names its level, and two or more leave the record
     multiply classified -- those records are dropped from the group means,
     mirroring the discard accounting such releases would need.
     """
+    x1 = data.columns["x1"]
+    names = [f"d{l}" for l in range(1, n_levels)]
+    schema = tuple(ColumnSchema(d, Kind.BINARY) for d in names)
+    cols = {d: (x1 == l).astype(np.int64) for l, d in enumerate(names, 1)}
+    cols["x2"] = data.columns["x2"]
+
+    def decode(synth: MixedDataset):
+        ind = np.column_stack([synth.columns[d] for d in names])
+        active = ind.sum(axis=1)
+        return np.where(active == 0, 0, np.argmax(ind, axis=1) + 1), active >= 2
+
+    return MixedDataset(schema + (ColumnSchema("x2", Kind.COUNT),), cols), decode
+
+
+def _ordinal(data: MixedDataset, n_levels: int):
+    """x1 recoded as ordered integers under the plain rank likelihood; level
+    identities survive (support closure) but the artificial ordering
+    distorts the dependence structure."""
+    ordinal = MixedDataset(
+        (ColumnSchema("x1", Kind.ORDINAL), ColumnSchema("x2", Kind.COUNT)),
+        {"x1": data.columns["x1"].astype(np.int64), "x2": data.columns["x2"]},
+    )
+    return ordinal, _one_level
+
+
+# study name -> encoding of x1: (data, n_levels) -> (dataset to fit, decode),
+# where decode(synthetic dataset) gives each record's level and a mask of the
+# records that name more than one level
+STUDIES = {
+    "rpl": _categorical,
+    "rl": _indicators,
+    "ordinal": _ordinal,
+}
+
+
+def run_study(name: str, design: SimDesign, config: ChainConfig | None = None,
+              keep_data: bool = False) -> SimResult:
+    """Fit the named study's encoding of the design's data, synthesize
+    ``design.n_reps`` datasets, decode x1 and score the group means of x2.
+
+    Multiply classified records are left out of their dataset's group
+    means; the multiple-classification rate averages their share over
+    datasets.
+    """
     data = generate_sim_data(design)
     obs = _group_means(data.columns["x1"], data.columns["x2"], design.n_levels)
 
-    ind = _indicator_dataset(data, design.n_levels)
-    p_star = design.n_levels  # k-1 indicators + the count column
-    model = fit_copula_model(ind, _study_config(design, config, p_star))
+    encoded, decode = STUDIES[name](data, design.n_levels)
+    if config is None:
+        config = ChainConfig(seed=design.seed)
+    if config.n_factors is None:
+        # full-capacity loading matrix unless the caller pinned one: the
+        # shrinkage prior prunes what the data do not support, and the
+        # expanded categorical block needs the extra columns to track x2
+        config = replace(config, n_factors=expand_layout(encoded).p_star)
+    model = fit_copula_model(encoded, config)
     synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
 
     means, rates = [], []
     for s in synth:
-        ind_mat = np.column_stack(
-            [s.columns[f"d{l}"] for l in range(1, design.n_levels)]
-        )
-        active = ind_mat.sum(axis=1)
-        multi = active >= 2
-        level = np.where(active == 0, 0, np.argmax(ind_mat, axis=1) + 1)
+        level, multi = decode(s)
         keep = ~multi
-        means.append(
-            _group_means(level[keep], s.columns["x2"][keep], design.n_levels)
-        )
+        means.append(_group_means(level[keep], s.columns["x2"][keep], design.n_levels))
         rates.append(multi.mean())
     return _score(obs, means, rates, keep_data, synth, model)
-
-
-def run_ordinal_rl_study(
-    design: SimDesign,
-    config: ChainConfig | None = None,
-    keep_data: bool = False,
-) -> SimResult:
-    """The categorical column recoded as ordered integers under the plain
-    rank likelihood; level identities survive (support closure) but the
-    artificial ordering distorts the dependence structure."""
-    data = generate_sim_data(design)
-    obs = _group_means(data.columns["x1"], data.columns["x2"], design.n_levels)
-
-    ord_ds = MixedDataset(
-        (ColumnSchema("x1", Kind.ORDINAL), ColumnSchema("x2", Kind.COUNT)),
-        {"x1": data.columns["x1"].astype(np.int64), "x2": data.columns["x2"]},
-    )
-    model = fit_copula_model(ord_ds, _study_config(design, config, 2))
-    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
-
-    means = [
-        _group_means(s.columns["x1"], s.columns["x2"], design.n_levels)
-        for s in synth
-    ]
-    return _score(obs, means, [0.0], keep_data, synth, model)
-
-
-STUDIES = {
-    "rpl": run_rpl_study,
-    "rl": run_rl_workaround_study,
-    "ordinal": run_ordinal_rl_study,
-}
-
-
-def _run_study(name, design, config, keep_data):
-    # looked up by name in the worker, so only picklable arguments cross over
-    return STUDIES[name](design, config, keep_data=keep_data)
 
 
 def _die_with_parent(parent_pid):
@@ -264,12 +216,8 @@ def _die_with_parent(parent_pid):
         os._exit(1)
 
 
-def run_studies(
-    names,
-    design: SimDesign,
-    config: ChainConfig | None = None,
-    keep_data: bool = False,
-) -> dict:
+def run_studies(names, design: SimDesign, config: ChainConfig | None = None,
+                keep_data: bool = False) -> dict:
     """Run the named studies of ``STUDIES``, concurrently: name -> SimResult.
 
     One forked worker process per study, up to the CPUs this process may
@@ -290,7 +238,8 @@ def run_studies(
     workers = min(len(names), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_die_with_parent,
                              initargs=(os.getpid(),)) as pool:
-        results = pool.map(_run_study, names, repeat(design), repeat(config),
+        # only the name crosses over: the worker looks up the encoding
+        results = pool.map(run_study, names, repeat(design), repeat(config),
                            repeat(keep_data))
         return dict(zip(names, results))
 

@@ -51,6 +51,7 @@ def truncnorm_sample(rng: np.random.Generator, mu, sigma, lo, hi) -> np.ndarray:
     b2 = np.where(flip, -a, b)
     tail = b2 < -_TAIL
     if tail.any():
+        tail &= a2 < b2  # the inverse CDF pins a zero-width cell to its endpoint
         x = np.empty(a2.shape)
         x[tail] = -_tail_reject(rng, -b2[tail], -a2[tail])
         main = ~tail

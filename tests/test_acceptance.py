@@ -28,6 +28,7 @@ from mixedsynth.factor_model import (
 from mixedsynth.risk import AdversaryScenario, _Prefix, cmap_mean, risk_study
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, write_csv
 from mixedsynth.simulation import (
+    STUDIES,
     SimDesign,
     generate_sim_data,
     preset,
@@ -64,7 +65,7 @@ def _gate(num, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def full_studies():
     # the fan-out `simulate` runs, one worker per study
-    return run_studies(("rpl", "rl", "ordinal"), DESIGN, CHAIN, keep_data=True)
+    return run_studies(STUDIES, DESIGN, CHAIN, keep_data=True)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,8 @@ def ordinal_full(full_studies):
 
 @pytest.fixture(scope="module")
 def copula_fit(rpl_full):
-    # the rpl study's own fit: bitwise the draws of refitting
-    # generate_sim_data(DESIGN) with _study_config(DESIGN, CHAIN, 6)
+    # the rpl study's own fit: bitwise the draws that run_study("rpl", ...)
+    # gets from generate_sim_data(DESIGN) with CHAIN at n_factors = p* = 6
     return generate_sim_data(DESIGN), rpl_full.model
 
 

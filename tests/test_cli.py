@@ -28,8 +28,7 @@ from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, load_dataset, wr
 from mixedsynth.simulation import (
     SimDesign,
     preset,
-    run_rl_workaround_study,
-    run_rpl_study,
+    run_study,
 )
 
 _SCHEMA_DOC = {
@@ -238,6 +237,22 @@ def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags
                "--out", str(tmp_path / "out.json")] + flags)
     assert rc == 1
     assert "configuration error" in caplog.text
+    assert "No such file" not in caplog.text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "0"), ("--m", "2,-1"), ("--m", ""), ("--reps", "0"), ("--eps", "-1"),
+])
+def test_risk_settings_out_of_range(tmp_path, caplog, flag, value):
+    """Release sizes and rep counts below 1, negative slacks and an empty
+    grid are configuration errors that name the flag, found before any file
+    is read."""
+    rc = main(["risk", "--conf", str(tmp_path / "nope.csv"),
+               "--schema", str(tmp_path / "nope.json"), "--pool-dir", str(tmp_path),
+               "--known", "g", "--target", "r", flag, value,
+               "--out", str(tmp_path / "out.json")])
+    assert rc == 1
+    assert f"configuration error: {flag}" in caplog.text
     assert "No such file" not in caplog.text
 
 
@@ -541,8 +556,8 @@ def test_simulate_studies_match_in_process_runs(tmp_path):
     design, chain = preset("desk", seed=1)
     design = replace(design, n_reps=2)
     ref = tmp_path / "ref.csv"
-    for name, study in (("rpl", run_rpl_study), ("rl", run_rl_workaround_study)):
-        res = study(design, chain, keep_data=True)
+    for name in ("rpl", "rl"):
+        res = run_study(name, design, chain, keep_data=True)
         assert doc["studies"][name] == json.loads(json.dumps(res.to_doc()))
         assert len(list((keep / name).glob("*.csv"))) == len(res.datasets) == 2
         for i, s in enumerate(res.datasets):
@@ -552,7 +567,7 @@ def test_simulate_studies_match_in_process_runs(tmp_path):
 
 
 def test_simulate_study_failure_is_stage_failure(tmp_path, monkeypatch, caplog):
-    def overflow(design, config, keep_data=False):
+    def overflow(data, n_levels):
         raise NumericalOverflowError("latent matrix non-finite at iteration 7")
 
     monkeypatch.setitem(simulation.STUDIES, "rl", overflow)

@@ -248,6 +248,18 @@ def test_risk_study_pool_too_small():
         risk_study(conf, pool, ("g",), "t", m_grid=(5,), reps=1)
 
 
+@pytest.mark.parametrize("setting, grid", [
+    ("m_grid", {"m_grid": (0,)}),
+    ("m_grid", {"m_grid": (2, -1)}),
+    ("m_grid", {"m_grid": ()}),
+    ("reps", {"reps": 0}),
+])
+def test_risk_study_rejects_empty_releases(setting, grid):
+    conf, pool = _study_pool(size=3)
+    with pytest.raises(ValueError, match=setting):
+        risk_study(conf, pool, ("g",), "t", **{"m_grid": (2,), "reps": 1, **grid})
+
+
 def test_risk_study_exhaustive_release_is_deterministic():
     conf, pool = _study_pool(size=3)
     cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),

@@ -6,17 +6,16 @@ import pytest
 
 from mixedsynth import simulation
 from mixedsynth.factor_model import ChainConfig
-from mixedsynth.schema import Kind
+from mixedsynth.schema import Kind, expand_layout
 from mixedsynth.simulation import (
+    STUDIES,
     SimDesign,
     generate_sim_data,
     preset,
-    run_ordinal_rl_study,
-    run_rl_workaround_study,
-    run_rpl_study,
     run_studies,
+    run_study,
 )
-from mixedsynth.simulation import _group_means, _indicator_dataset, _score, _study_config
+from mixedsynth.simulation import _group_means, _score
 from mixedsynth.synthesizer import fit_copula_model
 
 
@@ -101,7 +100,7 @@ def test_score_single_rep_has_no_spread():
 
 def test_indicator_dataset_encoding():
     ds = generate_sim_data(SimDesign(n=200, seed=4))
-    ind = _indicator_dataset(ds, 5)
+    ind, _ = STUDIES["rl"](ds, 5)
     names = [c.name for c in ind.schema]
     assert names == ["d1", "d2", "d3", "d4", "x2"]
     assert all(ind.col_schema(f"d{l}").kind is Kind.BINARY for l in range(1, 5))
@@ -115,9 +114,33 @@ def test_indicator_dataset_encoding():
     assert np.all(stacked[~base].sum(axis=1) == 1)
 
 
+def test_encodings_fit_the_expanded_width():
+    # p* at five levels: k + 1 for the categorical block and x2, k - 1
+    # indicators and x2, and two rank columns
+    data = generate_sim_data(SimDesign(n=200, seed=4))
+    widths = {name: expand_layout(enc(data, 5)[0]).p_star for name, enc in STUDIES.items()}
+    assert widths == {"rpl": 6, "rl": 5, "ordinal": 2}
+
+
+def test_default_chain_is_seeded_by_the_design(monkeypatch):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(ds, config):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(simulation, "fit_copula_model", stop)
+    with pytest.raises(Stop):
+        run_study("rl", replace(_TINY, seed=7))
+    assert seen == [ChainConfig(seed=7, n_factors=_TINY.n_levels)]
+
+
 @pytest.fixture(scope="module")
 def rpl():
-    return run_rpl_study(_TINY, _TINY_CFG, keep_data=True)
+    return run_study("rpl", _TINY, _TINY_CFG, keep_data=True)
 
 
 class TestTinyStudies:
@@ -147,14 +170,13 @@ class TestTinyStudies:
         assert rpl.avg_mse == pytest.approx(rpl.per_rep_mse.mean(), rel=1e-12)
 
     def test_rpl_reproducible(self, rpl):
-        again = run_rpl_study(_TINY, _TINY_CFG)
+        again = run_study("rpl", _TINY, _TINY_CFG)
         assert np.array_equal(again.group_means, rpl.group_means, equal_nan=True)
         assert again.avg_mse == rpl.avg_mse
         assert again.datasets == [] and again.model is None  # keep_data defaults off
 
     def test_rl_decode_and_discard_accounting(self):
-        res = run_rl_workaround_study(replace(_TINY, n_reps=3), _TINY_CFG,
-                                      keep_data=True)
+        res = run_study("rl", replace(_TINY, n_reps=3), _TINY_CFG, keep_data=True)
         assert res.group_means.shape == (3, _TINY.n_levels)
         assert 0.0 <= res.multi_rate <= 1.0
         # recompute one replicate's decode by hand
@@ -167,13 +189,13 @@ class TestTinyStudies:
         assert np.allclose(gm, res.group_means[0], equal_nan=True)
 
     def test_ordinal_variant_runs_and_scores(self):
-        res = run_ordinal_rl_study(replace(_TINY, n_reps=2), _TINY_CFG)
+        res = run_study("ordinal", replace(_TINY, n_reps=2), _TINY_CFG)
         assert res.group_means.shape == (2, _TINY.n_levels)
         assert res.multi_rate == 0.0
         assert np.isfinite(res.avg_mse)
 
     def test_rep_count_override(self, rpl):
-        res = run_rpl_study(replace(_TINY, n_reps=2), _TINY_CFG)
+        res = run_study("rpl", replace(_TINY, n_reps=2), _TINY_CFG)
         assert res.group_means.shape == (2, _TINY.n_levels)
         assert np.array_equal(res.group_means, rpl.group_means[:2], equal_nan=True)
 
@@ -199,7 +221,7 @@ def test_kept_fit_is_the_refit():
     kept = run_studies(["rpl"], replace(_TINY, n_reps=1), _TINY_CFG, keep_data=True)
     model = kept["rpl"].model
     refit = fit_copula_model(
-        generate_sim_data(_TINY), _study_config(_TINY, _TINY_CFG, _TINY.n_levels + 1)
+        generate_sim_data(_TINY), replace(_TINY_CFG, n_factors=_TINY.n_levels + 1)
     )
     assert np.array_equal(model.draws.corr, refit.draws.corr)
     assert np.array_equal(model.draws.alpha, refit.draws.alpha)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -62,6 +65,30 @@ def test_two_sided_far_tail():
         rng, np.zeros(n), np.ones(n), np.full(n, -9.0), np.full(n, -8.5)
     )
     assert np.all((x >= -9.0) & (x <= -8.5))
+
+
+_ZERO_WIDTH_TAIL = """
+import numpy as np
+from mixedsynth.truncated import truncnorm_sample
+rng = np.random.default_rng(0)
+print(float(truncnorm_sample(rng, 0.0, 1.0, -7.0, -7.0)))
+print(float(truncnorm_sample(rng, -3.0, 0.5, 0.5, 0.5)))
+print(*truncnorm_sample(rng, 0.0, 1.0, [-7.0, -9.0, 7.0], [-7.0, -8.5, 7.0]))
+"""
+
+
+def test_zero_width_far_tail_returns_endpoint(src_env):
+    # zero-width intervals 7 sd out on either side return their endpoint,
+    # also next to a tail cell that does draw; run with a deadline, since a
+    # sampler that never returns would otherwise hang the suite
+    proc = subprocess.run([sys.executable, "-c", _ZERO_WIDTH_TAIL], env=src_env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    left, right, (a, mid, b) = (
+        [float(v) for v in line.split()] for line in proc.stdout.splitlines()
+    )
+    assert left == [-7.0] and right == [0.5]
+    assert (a, b) == (-7.0, 7.0) and -9.0 <= mid <= -8.5
 
 
 def test_broadcasting_and_heterogeneous_bounds():
