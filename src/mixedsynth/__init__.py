@@ -7,45 +7,48 @@ scale, and scores releases with interval-overlap/MSE/pMSE utility and
 median-match disclosure-risk metrics.
 """
 
-from .archive import ModelArchive, load_archive, save_archive
-from .bart import BartConfig, BartSampler
-from .errors import MixedSynthError
-from .factor_model import ChainConfig, Hyperparams, PosteriorDraws, run_chain
-from .marginals import fit_categorical_probs, fit_marginal
-from .risk import AdversaryScenario, RiskReport, cmap_mean, risk_study
-from .schema import (
-    ColumnSchema,
-    ExpandedLayout,
-    Kind,
-    MixedDataset,
-    expand_layout,
-    load_dataset,
-    load_schema,
-    schema_hash,
-    write_csv,
-)
-from .simulation import SimDesign, SimResult, generate_sim_data
-from .synthesizer import (
-    FittedCopula,
-    SynthesisPlan,
-    fit_copula_model,
-    synthesize_datasets,
-)
-from .target_regression import (
-    TargetConfig,
-    TargetModelSummary,
-    fit_target_model,
-    synthesize_response,
-)
-from .utility import (
-    HorseshoeConfig,
-    RegressionSpec,
-    UtilityReport,
-    evaluate_utility,
-    fit_bayes_lm,
-    pmse,
-    pool_synthetic,
-)
+import importlib
+
+
+def _lazy(namespace: dict, exports: dict):
+    """A module ``__getattr__`` (PEP 562) that imports each name of
+    ``exports`` (submodule -> names) from its submodule on first access and
+    binds it in ``namespace``, so a program imports only the modules it
+    uses."""
+    home = {name: mod for mod, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        try:
+            mod = home[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(f"{__name__}.{mod}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), {
+    "archive": ("ModelArchive", "load_archive", "save_archive"),
+    "bart": ("BartConfig", "BartSampler"),
+    "errors": ("MixedSynthError",),
+    "factor_model": ("ChainConfig", "Hyperparams", "PosteriorDraws", "run_chain"),
+    "marginals": ("fit_categorical_probs", "fit_marginal"),
+    "risk": ("AdversaryScenario", "RiskReport", "cmap_mean", "risk_study"),
+    "schema": ("ColumnSchema", "ExpandedLayout", "Kind", "MixedDataset",
+               "expand_layout", "load_dataset", "load_schema", "schema_hash",
+               "write_csv"),
+    "simulation": ("SimDesign", "SimResult", "generate_sim_data"),
+    "synthesizer": ("FittedCopula", "SynthesisPlan", "fit_copula_model",
+                    "synthesize_datasets"),
+    "target_regression": ("TargetConfig", "TargetModelSummary", "fit_target_model",
+                          "synthesize_response"),
+    "utility": ("HorseshoeConfig", "RegressionSpec", "UtilityReport",
+                "evaluate_utility", "fit_bayes_lm", "pmse", "pool_synthetic"),
+})
 
 __version__ = "0.1.0"
 
@@ -95,3 +98,7 @@ __all__ = [
     "generate_sim_data",
     "__version__",
 ]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,22 +18,49 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import _lazy
 
-from .archive import load_archive, save_archive
-from .factor_model import ChainConfig
-from .risk import risk_study
-from .schema import MixedDataset, load_dataset, load_schema, write_csv
-from .simulation import STUDIES, preset, run_studies
-from .streams import substream
-from .synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
-from .target_regression import TargetConfig, fit_target_model, synthesize_response
-from .utility import HorseshoeConfig, RegressionSpec, evaluate_utility
+if TYPE_CHECKING:
+    from .archive import load_archive, save_archive
+    from .factor_model import ChainConfig
+    from .risk import risk_study
+    from .schema import MixedDataset, load_dataset, load_schema, write_csv
+    from .simulation import STUDIES, preset, run_studies
+    from .streams import substream
+    from .synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
+    from .target_regression import TargetConfig, fit_target_model, synthesize_response
+    from .utility import HorseshoeConfig, RegressionSpec, evaluate_utility
 
 __all__ = ["main", "ConfigError"]
 
 log = logging.getLogger("mixedsynth.cli")
+
+# The names the commands use, by the module that defines them.  Each command
+# imports its own modules when it runs (``_import``), so that no command pays
+# for another's, while every name stays an attribute of this module: a
+# test's stub or a tracer's wrapper bound here is what the command calls.
+_MODULE_NAMES = {
+    "archive": ("load_archive", "save_archive"),
+    "factor_model": ("ChainConfig",),
+    "risk": ("risk_study",),
+    "schema": ("MixedDataset", "load_dataset", "load_schema", "write_csv"),
+    "simulation": ("STUDIES", "preset", "run_studies"),
+    "streams": ("substream",),
+    "synthesizer": ("SynthesisPlan", "fit_copula_model", "synthesize_datasets"),
+    "target_regression": ("TargetConfig", "fit_target_model", "synthesize_response"),
+    "utility": ("HorseshoeConfig", "RegressionSpec", "evaluate_utility"),
+}
+__getattr__ = _lazy(globals(), _MODULE_NAMES)
+
+
+def _import(*modules: str) -> None:
+    """Bind the names of ``modules`` that are not bound here yet."""
+    for mod in modules:
+        for name in _MODULE_NAMES[mod]:
+            if name not in globals():
+                __getattr__(name)
 
 
 class ConfigError(Exception):
@@ -144,6 +171,15 @@ def _require_seed(cfg: dict, command: str) -> int:
     return int(cfg["seed"])
 
 
+def _checked(make, *args, **settings):
+    """``make(*args, **settings)``; a value that a config class rejects is a
+    configuration error."""
+    try:
+        return make(*args, **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _json_out(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -162,7 +198,16 @@ def _load_pool(cfg: dict, key: str, schema) -> tuple[list, list]:
 
 
 def _cmd_fit(cfg: dict) -> dict:
+    _import("schema", "factor_model", "synthesizer", "target_regression", "archive")
     seed = _require_seed(cfg, "fit")
+    chain = _checked(
+        ChainConfig,
+        iters=int(cfg["iters"]),
+        burn_in=int(cfg["burn_in"]),
+        thin=int(cfg["thin"]),
+        n_factors=None if cfg.get("factors") is None else int(cfg["factors"]),
+        seed=seed,
+    )
     schema = load_schema(cfg["schema"])
     targets = set(_csv_list(cfg.get("targets")))
     unknown = targets - {c.name for c in schema}
@@ -185,13 +230,6 @@ def _cmd_fit(cfg: dict) -> dict:
     }
     ds = load_dataset(cfg["data"], schema)
 
-    chain = ChainConfig(
-        iters=int(cfg["iters"]),
-        burn_in=int(cfg["burn_in"]),
-        thin=int(cfg["thin"]),
-        n_factors=None if cfg.get("factors") is None else int(cfg["factors"]),
-        seed=seed,
-    )
     log.info("fitting copula model on %d records, %d columns",
              ds.n, len(ds.copula_columns))
     model = fit_copula_model(ds, chain)
@@ -212,14 +250,18 @@ def _cmd_fit(cfg: dict) -> dict:
 
 
 def _cmd_synth(cfg: dict) -> dict:
+    _import("archive", "synthesizer", "target_regression", "streams", "schema")
     seed = _require_seed(cfg, "synth")
-    ar = load_archive(cfg["model"])
-    plan = SynthesisPlan(
-        ar.model,
+    # the settings are checked before the archive is read
+    plan = _checked(
+        SynthesisPlan,
+        None,
         m=int(cfg["m"]),
         n_out=None if cfg.get("n_out") is None else int(cfg["n_out"]),
         seed=seed,
     )
+    ar = load_archive(cfg["model"])
+    plan = dataclasses.replace(plan, model=ar.model)
     orthant = []
     sets = synthesize_datasets(plan, diagnostics=orthant)
     log.info(
@@ -264,6 +306,7 @@ def _cmd_synth(cfg: dict) -> dict:
 
 
 def _cmd_utility(cfg: dict) -> dict:
+    _import("schema", "utility")
     spec = RegressionSpec(
         response=cfg["response"],
         predictors=tuple(_csv_list(cfg["predictors"])),
@@ -271,7 +314,8 @@ def _cmd_utility(cfg: dict) -> dict:
             tuple(pair.split(":")) for pair in _csv_list(cfg.get("interactions"))
         ),
     )
-    hc = HorseshoeConfig(
+    hc = _checked(
+        HorseshoeConfig,
         iters=int(cfg["iters"]),
         burn_in=int(cfg["burn_in"]),
         seed=int(cfg.get("seed") or 0),
@@ -295,6 +339,7 @@ def _cmd_utility(cfg: dict) -> dict:
 
 
 def _cmd_risk(cfg: dict) -> dict:
+    _import("schema", "risk")
     known = tuple(_csv_list(cfg["known"]))
     if cfg["target"] in known:
         raise ConfigError(f"--target '{cfg['target']}' is also listed in --known")
@@ -345,10 +390,11 @@ def _cmd_risk(cfg: dict) -> dict:
 
 
 def _cmd_simulate(cfg: dict) -> dict:
+    _import("simulation", "schema")
     seed = _require_seed(cfg, "simulate")
     design, chain = preset(cfg["preset"], seed=seed)
     if cfg.get("reps") is not None:
-        design = dataclasses.replace(design, n_reps=int(cfg["reps"]))
+        design = _checked(dataclasses.replace, design, n_reps=int(cfg["reps"]))
     names = _csv_list(cfg.get("studies")) or list(STUDIES)
     bad = [s for s in names if s not in STUDIES]
     if bad:
@@ -394,15 +440,25 @@ _REQUIRED = {
     "simulate": ("out",),
 }
 
-_DEFAULTS = {
-    "fit": {"iters": ChainConfig.iters, "burn_in": ChainConfig.burn_in,
-            "thin": ChainConfig.thin, "target_iters": TargetConfig.iters,
-            "target_burn_in": TargetConfig.burn_in, "target_trees": TargetConfig.trees},
-    "synth": {"m": SynthesisPlan.m, "stem": "data"},
-    "utility": {"iters": HorseshoeConfig.iters, "burn_in": HorseshoeConfig.burn_in},
-    "risk": {"m": "5,10,20", "eps": "0,1,2", "reps": 100},
-    "simulate": {"preset": "desk"},
-}
+def _defaults(command: str) -> dict:
+    """Built-in defaults.  fit, synth and utility read theirs from the config
+    classes, imported only when that command runs."""
+    if command == "fit":
+        _import("factor_model", "target_regression")
+        return {"iters": ChainConfig.iters, "burn_in": ChainConfig.burn_in,
+                "thin": ChainConfig.thin, "target_iters": TargetConfig.iters,
+                "target_burn_in": TargetConfig.burn_in,
+                "target_trees": TargetConfig.trees}
+    if command == "synth":
+        _import("synthesizer")
+        return {"m": SynthesisPlan.m, "stem": "data"}
+    if command == "utility":
+        _import("utility")
+        return {"iters": HorseshoeConfig.iters, "burn_in": HorseshoeConfig.burn_in}
+    if command == "risk":
+        return {"m": "5,10,20", "eps": "0,1,2", "reps": 100}
+    return {"preset": "desk"}
+
 
 _HANDLERS = {
     "fit": _cmd_fit,
@@ -478,7 +534,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--preset", choices=("paper", "desk"))
     p.add_argument("--reps", type=int, help="override replicate count")
-    p.add_argument("--studies", help="subset of " + ",".join(STUDIES))
+    p.add_argument("--studies",
+                   help="comma-separated subset of the benchmark studies (default: all)")
     p.add_argument("--keep-datasets", dest="keep_datasets",
                    help="directory to dump per-study synthetic CSVs")
     p.add_argument("--out")
@@ -500,7 +557,7 @@ def main(argv=None) -> int:
     )
     command = args.subcommand
     try:
-        cfg = _merge_config(args, _DEFAULTS[command])
+        cfg = _merge_config(args, _defaults(command))
         _HANDLERS[command](cfg)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

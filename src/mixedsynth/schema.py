@@ -15,10 +15,10 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import (
     LevelNotInSchemaError,
@@ -46,6 +46,13 @@ __all__ = [
 _MISSING_TOKENS = {"", "NA", "NaN", "nan", "N/A", "null", "None"}
 
 ORDINAL_WARN_LEVELS = 10
+
+#: rows that load_dataset converts, and write_csv formats, per block: enough
+#: for each column's conversion to run as one C-level ``map``, few enough
+#: that a block's text adds little to peak memory
+CSV_BLOCK = 512
+
+_INT64 = np.iinfo(np.int64)
 
 
 class Kind(str, Enum):
@@ -263,6 +270,8 @@ def load_schema(path) -> tuple[ColumnSchema, ...]:
     if path.suffix.lower() == ".json":
         doc = json.loads(text)
     else:
+        import yaml  # only YAML schemas need it
+
         doc = yaml.safe_load(text)
     if isinstance(doc, dict):
         entries = doc.get("columns")
@@ -298,6 +307,10 @@ def _convert_cell(col: ColumnSchema, raw: str, row: int):
         raise NonIntegerCountError(
             f"column '{col.name}', row {row}: cannot parse '{val}' as integer"
         ) from None
+    if not _INT64.min <= parsed <= _INT64.max:
+        raise NonIntegerCountError(
+            f"column '{col.name}', row {row}: integer '{val}' does not fit in 64 bits"
+        )
     if col.kind is Kind.BINARY and parsed not in (0, 1):
         raise LevelNotInSchemaError(
             f"column '{col.name}', row {row}: binary value {parsed} not in {{0,1}}"
@@ -305,8 +318,44 @@ def _convert_cell(col: ColumnSchema, raw: str, row: int):
     return parsed
 
 
+def _convert_block(rows: list, columns: list, codes: dict):
+    """Typed arrays for each column of a block of CSV rows, in ``columns``
+    order; None when a row has the wrong length or any cell is bad.
+
+    Each column goes through the conversions of ``_convert_cell`` as one
+    ``map``; telling which cell failed is left to the per-cell scan.
+    """
+    if any(len(row) != len(columns) for row in rows):
+        return None
+    out = []
+    for col, cells in zip(columns, zip(*rows)):
+        vals = list(map(str.strip, cells))
+        if not _MISSING_TOKENS.isdisjoint(vals):
+            return None
+        if col.kind is Kind.CATEGORICAL:
+            convert, dtype = codes[col.name].__getitem__, np.int64
+        elif col.kind is Kind.CONTINUOUS:
+            convert, dtype = float, np.float64
+        else:
+            convert, dtype = int, np.int64
+        try:
+            arr = np.fromiter(map(convert, vals), dtype, len(vals))
+        except (KeyError, ValueError, OverflowError):
+            return None
+        if col.kind is Kind.BINARY and ((arr < 0) | (arr > 1)).any():
+            return None
+        out.append(arr)
+    return out
+
+
 def load_dataset(csv_path, schema) -> MixedDataset:
-    """Load a header-row CSV against a schema (path or ColumnSchema tuple)."""
+    """Load a header-row CSV against a schema (path or ColumnSchema tuple).
+
+    Rows are converted column by column in blocks of ``CSV_BLOCK``.  A block
+    that fails is scanned again cell by cell, in row order, so the error
+    names the first bad cell's column and row (counted from the first data
+    row), as a cell-by-cell reader would.
+    """
     if isinstance(schema, (str, Path)):
         schema = load_schema(schema)
     schema = tuple(schema)
@@ -328,24 +377,37 @@ def load_dataset(csv_path, schema) -> MixedDataset:
         for c in schema:
             if c.name not in header:
                 raise UnknownColumnError(f"schema column '{c.name}' missing from CSV")
-        cols: dict[str, list] = {c.name: [] for c in schema}
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{csv_path}, row {row_idx}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
-            for h, raw in zip(header, row):
-                cols[h].append(_convert_cell(by_name[h], raw, row_idx))
-    if not cols[schema[0].name]:
+        columns = [by_name[h] for h in header]
+        codes = {c.name: {lv: i for i, lv in enumerate(c.levels)}
+                 for c in columns if c.kind is Kind.CATEGORICAL}
+        blocks: dict[str, list] = {c.name: [] for c in schema}
+        row0 = 0
+        while rows := list(islice(reader, CSV_BLOCK)):
+            arrays = _convert_block(rows, columns, codes)
+            if arrays is None:
+                _raise_first_bad_cell(rows, row0, columns, csv_path)
+            for c, arr in zip(columns, arrays):
+                blocks[c.name].append(arr)
+            row0 += len(rows)
+    if row0 == 0:
         raise SchemaError(f"{csv_path}: no data rows")
-    arrays = {}
-    for c in schema:
-        dtype = np.float64 if c.kind is Kind.CONTINUOUS else np.int64
-        arrays[c.name] = np.asarray(cols[c.name], dtype=dtype)
-    ds = MixedDataset(schema, arrays)
+    ds = MixedDataset(schema, {name: np.concatenate(b) for name, b in blocks.items()})
     _warn_short_ordinals(ds)
     return ds
+
+
+def _raise_first_bad_cell(rows: list, row0: int, columns: list, csv_path: Path):
+    """Raise the error of a rejected block's first bad row or cell, in row
+    order; ``row0`` is the block's first row."""
+    for row_idx, row in enumerate(rows, start=row0):
+        if len(row) != len(columns):
+            raise SchemaError(
+                f"{csv_path}, row {row_idx}: expected {len(columns)} cells, "
+                f"got {len(row)}"
+            )
+        for col, raw in zip(columns, row):
+            _convert_cell(col, raw, row_idx)
+    raise AssertionError("a rejected block converts cell by cell")
 
 
 def _warn_short_ordinals(ds: MixedDataset) -> None:
@@ -361,25 +423,30 @@ def _warn_short_ordinals(ds: MixedDataset) -> None:
                 )
 
 
-def _format_cell(col: ColumnSchema, value) -> str:
+def _format_column(col: ColumnSchema, values: np.ndarray):
+    """The CSV text of a column's values: level labels, ``repr`` of floats,
+    or integers."""
     if col.kind is Kind.CATEGORICAL:
-        return col.levels[int(value)]
+        codes = values.astype(np.int64, copy=False).tolist()
+        return map(col.levels.__getitem__, codes)
     if col.kind is Kind.CONTINUOUS:
-        return repr(float(value))
-    return str(int(value))
+        return map(repr, values.astype(np.float64, copy=False).tolist())
+    return map(str, values.astype(np.int64, copy=False).tolist())
 
 
 def write_csv(ds: MixedDataset, path) -> None:
-    """Write the canonical CSV form (schema column order, labels restored)."""
+    """Write the canonical CSV form (schema column order, labels restored),
+    formatting column by column in blocks of ``CSV_BLOCK`` rows."""
     path = Path(path)
+    cols = [ds.columns[c.name] for c in ds.schema]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([c.name for c in ds.schema])
-        cols = [ds.columns[c.name] for c in ds.schema]
-        for i in range(ds.n):
-            writer.writerow(
-                [_format_cell(c, col[i]) for c, col in zip(ds.schema, cols)]
-            )
+        for lo in range(0, ds.n, CSV_BLOCK):
+            writer.writerows(zip(*(
+                _format_column(c, col[lo : lo + CSV_BLOCK])
+                for c, col in zip(ds.schema, cols)
+            )))
 
 
 def schema_to_doc(schema) -> list:

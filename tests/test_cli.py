@@ -13,11 +13,11 @@ import pytest
 
 from mixedsynth import cli, simulation
 from mixedsynth.cli import (
-    _DEFAULTS,
     ConfigError,
     _build_parser,
     _config_hash,
     _csv_list,
+    _defaults,
     _int_list,
     _merge_config,
     main,
@@ -238,6 +238,33 @@ def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags
     assert rc == 1
     assert "configuration error" in caplog.text
     assert "No such file" not in caplog.text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--data", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--seed", "0", "--thin", "0"], "thin must be >= 1"),
+    (["fit", "--data", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--seed", "0", "--burn-in", "20", "--iters", "10"], "burn_in must be smaller"),
+    (["synth", "--model", "{tmp}/nope.mxs", "--out-dir", "{tmp}/syn",
+      "--seed", "0", "--m", "0"], "m must be >= 1"),
+    (["synth", "--model", "{tmp}/nope.mxs", "--out-dir", "{tmp}/syn",
+      "--seed", "0", "--n-out", "0"], "n_out must be >= 1"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", "g",
+      "--iters", "10", "--burn-in", "20"], "need 0 <= burn_in < iters"),
+    (["simulate", "--seed", "0", "--reps", "0"], "n and n_reps must be positive"),
+])
+def test_config_class_settings_checked_before_files_are_read(
+        tmp_path, caplog, argv, message):
+    """Values a config class rejects are configuration errors (exit 1), found
+    before any input file is read and before anything is run or written."""
+    out = tmp_path / "out.json"
+    rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv]
+              + ["--out", str(out)] * (argv[0] != "synth"))
+    assert rc == 1
+    assert f"configuration error: {message}" in caplog.text
+    assert "No such file" not in caplog.text
+    assert not out.exists() and not (tmp_path / "syn").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -464,7 +491,7 @@ def test_config_hash_ignores_output_paths():
 
 def _hashed(argv):
     args = _build_parser().parse_args(argv)
-    cfg = _merge_config(args, _DEFAULTS[args.subcommand])
+    cfg = _merge_config(args, _defaults(args.subcommand))
     return cfg, _config_hash(cfg)
 
 

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mixedsynth.errors import (
     UnknownColumnError,
 )
 from mixedsynth.schema import (
+    CSV_BLOCK,
     ColumnSchema,
     Kind,
     MixedDataset,
@@ -216,3 +220,194 @@ def test_load_schema_json(tmp_path):
     )
     (col,) = load_schema(sp)
     assert col.kind is Kind.COUNT and col.role == "response"
+
+
+# ---- column-wise CSV reading and writing against cell-by-cell oracles
+
+_ORACLE_MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "None"}
+
+
+def _oracle_cell(col, raw, row):
+    """The cell-by-cell converter the block loader must agree with."""
+    val = raw.strip()
+    if val in _ORACLE_MISSING:
+        raise MissingValueError(f"column '{col.name}', row {row}: missing value")
+    if col.kind is Kind.CATEGORICAL:
+        try:
+            return col.levels.index(val)
+        except ValueError:
+            raise LevelNotInSchemaError(
+                f"column '{col.name}', row {row}: level '{val}' not in schema "
+                f"levels {list(col.levels)}"
+            ) from None
+    if col.kind is Kind.CONTINUOUS:
+        try:
+            return float(val)
+        except ValueError:
+            raise SchemaError(
+                f"column '{col.name}', row {row}: cannot parse '{val}' as float"
+            ) from None
+    try:
+        parsed = int(val)
+    except ValueError:
+        raise NonIntegerCountError(
+            f"column '{col.name}', row {row}: cannot parse '{val}' as integer"
+        ) from None
+    if col.kind is Kind.BINARY and parsed not in (0, 1):
+        raise LevelNotInSchemaError(
+            f"column '{col.name}', row {row}: binary value {parsed} not in {{0,1}}"
+        )
+    return parsed
+
+
+def _oracle_load(path, schema):
+    """Column arrays read row by row and cell by cell."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        by_name = {c.name: c for c in schema}
+        cols = {h: [] for h in header}
+        for row_idx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}, row {row_idx}: expected {len(header)} cells, "
+                    f"got {len(row)}"
+                )
+            for h, raw in zip(header, row):
+                cols[h].append(_oracle_cell(by_name[h], raw, row_idx))
+    return {
+        c.name: np.asarray(cols[c.name],
+                           dtype=np.float64 if c.kind is Kind.CONTINUOUS else np.int64)
+        for c in schema
+    }
+
+
+def _oracle_write(ds, path):
+    """The canonical CSV written row by row and cell by cell."""
+    def cell(col, value):
+        if col.kind is Kind.CATEGORICAL:
+            return col.levels[int(value)]
+        if col.kind is Kind.CONTINUOUS:
+            return repr(float(value))
+        return str(int(value))
+
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([c.name for c in ds.schema])
+        cols = [ds.columns[c.name] for c in ds.schema]
+        for i in range(ds.n):
+            writer.writerow([cell(c, col[i]) for c, col in zip(ds.schema, cols)])
+
+
+_EVERY_KIND = (
+    ColumnSchema("g", Kind.CATEGORICAL, levels=("lo", "mid, quoted", "hi")),
+    ColumnSchema("b", Kind.BINARY),
+    ColumnSchema("o", Kind.ORDINAL),
+    ColumnSchema("c", Kind.COUNT),
+    ColumnSchema("z", Kind.CONTINUOUS),
+)
+
+
+def _every_kind_csv(tmp_path, n, edits=()):
+    """An n-row CSV of every column kind, with padded cells, exponents and
+    -0.0, its header in an order other than the schema's; ``edits`` sets
+    (row, column, raw text) cells or, with column None, a whole raw line."""
+    rng = np.random.default_rng(11)
+    levels = _EVERY_KIND[0].levels
+    floats = ["-0.0", "1e-300", "2.5E+10", " 3.25 ", "-7", "1.5e0", "+.5"]
+    rows = []
+    for i in range(n):
+        rows.append({
+            "z": floats[i % len(floats)] if i % 3 else repr(float(rng.normal())),
+            "c": f" {int(rng.integers(-5, 400))}" if i % 4 else str(i),
+            "g": levels[int(rng.integers(0, 3))] + (" " if i % 5 == 0 else ""),
+            "o": f"{int(rng.integers(0, 12))} ",
+            "b": str(int(rng.integers(0, 2))),
+        })
+    header = ["z", "c", "g", "o", "b"]
+    lines = [",".join(header)]
+    for i, r in enumerate(rows):
+        cells = dict(r)
+        raw = None
+        for row, column, text in edits:
+            if row == i and column is None:
+                raw = text
+            elif row == i:
+                cells[column] = text
+        if raw is None:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="").writerow([cells[h] for h in header])
+            raw = out.getvalue()
+        lines.append(raw)
+    path = tmp_path / "every_kind.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _oracle_error(path):
+    with pytest.raises(SchemaError) as want:
+        _oracle_load(path, _EVERY_KIND)
+    return type(want.value), str(want.value)
+
+
+def test_block_loader_matches_cell_oracle_bitwise(tmp_path):
+    n = 2 * CSV_BLOCK + 77
+    path = _every_kind_csv(tmp_path, n)
+    want = _oracle_load(path, _EVERY_KIND)
+    ds = load_dataset(path, _EVERY_KIND)
+    assert ds.n == n
+    for c in _EVERY_KIND:
+        got = ds.columns[c.name]
+        assert got.dtype == want[c.name].dtype
+        assert got.tobytes() == want[c.name].tobytes(), c.name
+    assert np.signbit(ds.columns["z"]).any()  # -0.0 kept its sign
+
+    mine, theirs = tmp_path / "block.csv", tmp_path / "cell.csv"
+    write_csv(ds, mine)
+    _oracle_write(ds, theirs)
+    assert mine.read_bytes() == theirs.read_bytes()
+    assert b'"mid, quoted"' in mine.read_bytes()
+
+
+def test_bad_cell_past_the_first_block_names_its_row(tmp_path):
+    path = _every_kind_csv(tmp_path, 2 * CSV_BLOCK, [(700, "c", "7.5")])
+    with pytest.raises(NonIntegerCountError, match="column 'c', row 700:"):
+        load_dataset(path, _EVERY_KIND)
+    assert _oracle_error(path) == (NonIntegerCountError,
+                                   "column 'c', row 700: cannot parse '7.5' as integer")
+
+
+@pytest.mark.parametrize("edits", [
+    # later column, earlier row, same block
+    [(650, "g", "purple"), (600, "b", "2")],
+    # earlier header column in the same row
+    [(600, "b", "NA"), (600, "z", "x1")],
+    # in different blocks
+    [(CSV_BLOCK + 3, "z", "nope"), (CSV_BLOCK - 2, "o", "")],
+])
+def test_first_bad_cell_in_row_order_is_reported(tmp_path, edits):
+    path = _every_kind_csv(tmp_path, 2 * CSV_BLOCK + 10, edits)
+    with pytest.raises(SchemaError) as got:
+        load_dataset(path, _EVERY_KIND)
+    assert (type(got.value), str(got.value)) == _oracle_error(path)
+
+
+def test_short_row_after_a_bad_cell_reports_the_bad_cell(tmp_path):
+    path = _every_kind_csv(tmp_path, 2 * CSV_BLOCK,
+                           [(CSV_BLOCK + 5, "o", "3.5"), (CSV_BLOCK + 9, None, "1.0,2")])
+    with pytest.raises(NonIntegerCountError, match=f"row {CSV_BLOCK + 5}:") as got:
+        load_dataset(path, _EVERY_KIND)
+    assert (type(got.value), str(got.value)) == _oracle_error(path)
+
+
+def test_short_row_is_reported_with_its_row(tmp_path):
+    path = _every_kind_csv(tmp_path, CSV_BLOCK + 40, [(CSV_BLOCK + 20, None, "1.0,2")])
+    with pytest.raises(SchemaError, match=f"row {CSV_BLOCK + 20}: expected 5 cells, got 2"):
+        load_dataset(path, _EVERY_KIND)
+    assert _oracle_error(path)[1].endswith(f"row {CSV_BLOCK + 20}: expected 5 cells, got 2")
+
+
+def test_count_beyond_64_bits_names_its_cell(tmp_path):
+    path = _every_kind_csv(tmp_path, 20, [(13, "c", "9223372036854775808")])
+    with pytest.raises(NonIntegerCountError, match="column 'c', row 13: .*64 bits"):
+        load_dataset(path, _EVERY_KIND)
