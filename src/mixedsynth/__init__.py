@@ -31,11 +31,11 @@ def _lazy(namespace: dict, exports: dict):
     return __getattr__
 
 
-__getattr__ = _lazy(globals(), {
+_EXPORTS = {
     "archive": ("ModelArchive", "load_archive", "save_archive"),
-    "bart": ("BartConfig", "BartSampler"),
+    "bart": ("BartSampler",),
     "errors": ("MixedSynthError",),
-    "factor_model": ("ChainConfig", "Hyperparams", "PosteriorDraws", "run_chain"),
+    "factor_model": ("ChainConfig", "PosteriorDraws", "run_chain"),
     "marginals": ("fit_categorical_probs", "fit_marginal"),
     "risk": ("AdversaryScenario", "RiskReport", "cmap_mean", "risk_study"),
     "schema": ("ColumnSchema", "ExpandedLayout", "Kind", "MixedDataset",
@@ -48,56 +48,12 @@ __getattr__ = _lazy(globals(), {
                           "synthesize_response"),
     "utility": ("HorseshoeConfig", "RegressionSpec", "UtilityReport",
                 "evaluate_utility", "fit_bayes_lm", "pmse", "pool_synthetic"),
-})
+}
+__getattr__ = _lazy(globals(), _EXPORTS)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MixedSynthError",
-    "ChainConfig",
-    "Hyperparams",
-    "PosteriorDraws",
-    "run_chain",
-    "fit_marginal",
-    "fit_categorical_probs",
-    "Kind",
-    "ColumnSchema",
-    "MixedDataset",
-    "ExpandedLayout",
-    "expand_layout",
-    "load_dataset",
-    "load_schema",
-    "schema_hash",
-    "write_csv",
-    "FittedCopula",
-    "SynthesisPlan",
-    "fit_copula_model",
-    "synthesize_datasets",
-    "ModelArchive",
-    "save_archive",
-    "load_archive",
-    "BartConfig",
-    "BartSampler",
-    "TargetConfig",
-    "TargetModelSummary",
-    "fit_target_model",
-    "synthesize_response",
-    "RegressionSpec",
-    "HorseshoeConfig",
-    "UtilityReport",
-    "fit_bayes_lm",
-    "pool_synthetic",
-    "pmse",
-    "evaluate_utility",
-    "AdversaryScenario",
-    "RiskReport",
-    "cmap_mean",
-    "risk_study",
-    "SimDesign",
-    "SimResult",
-    "generate_sim_data",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
 
 
 def __dir__():

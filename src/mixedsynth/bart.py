@@ -43,7 +43,6 @@ import numpy as np
 from scipy.special import gammaincinv
 
 __all__ = [
-    "BartConfig",
     "CovariateMatrix",
     "BartSampler",
     "Forest",
@@ -63,19 +62,13 @@ _LOG_P_PRUNE = np.log(_MOVE_P[_PRUNE])
 # rows, few enough to keep each temporary near half a megabyte
 _PREDICT_BLOCK = 1 << 16
 
-
-@dataclass(frozen=True)
-class BartConfig:
-    trees: int = 200
-    nu: float = 3.0
-    sigma_quantile: float = 0.90
-    a_split: float = 0.95
-    b_split: float = 2.0
-    fix_sigma2: float | None = None
-
-    def __post_init__(self):
-        if self.trees < 0:
-            raise ValueError("trees must be >= 0")
+# The standard BART priors: a node at depth d splits with probability
+# A_SPLIT / (1 + d) ** B_SPLIT, and sigma^2 is scaled inverse chi-square with
+# NU degrees of freedom (its scale is set in BartSampler from SIGMA_QUANTILE).
+A_SPLIT = 0.95
+B_SPLIT = 2.0
+NU = 3.0
+SIGMA_QUANTILE = 0.90
 
 
 class CovariateMatrix:
@@ -188,33 +181,35 @@ class BartSampler:
     """Stateful backfitting sampler; `sweep()` advances one full iteration.
 
     ``proposed`` and ``accepted`` count structure moves by type, in
-    ``MOVES`` order.
+    ``MOVES`` order.  ``fix_sigma2`` pins the residual variance instead of
+    drawing it.
     """
 
-    def __init__(self, xmat: CovariateMatrix, y: np.ndarray, config: BartConfig,
-                 rng: np.random.Generator):
+    def __init__(self, xmat: CovariateMatrix, y: np.ndarray, trees: int,
+                 rng: np.random.Generator, fix_sigma2: float | None = None):
         self.x = xmat
         self.y = np.asarray(y, dtype=np.float64)
-        self.cfg = config
+        self.n_trees = trees
+        self.fix_sigma2 = fix_sigma2
         self.rng = rng
         n = xmat.n
         if len(self.y) != n:
             raise ValueError("response length must match covariates")
 
         spread = np.percentile(self.y, 97.5) - np.percentile(self.y, 2.5)
-        t_eff = max(config.trees, 1)
+        t_eff = max(trees, 1)
         self.sigma_mu = float(max(spread, 1e-6) / (6.0 * np.sqrt(t_eff)))
         var0 = max(float(self.y.var()), 1e-12)
-        # inverse-gamma rate matched so P(sigma^2 < var(y)) = sigma_quantile;
+        # inverse-gamma rate matched so P(sigma^2 < var(y)) = SIGMA_QUANTILE;
         # 2 * gammaincinv(nu / 2, p) is the chi-square(nu) quantile exactly as
         # scipy.stats computes it, without the cost of importing scipy.stats
-        chi2_q = 2 * gammaincinv(config.nu / 2, 1 - config.sigma_quantile)
-        self.lam = var0 * chi2_q / config.nu
-        self.sigma2 = config.fix_sigma2 if config.fix_sigma2 is not None else var0
+        chi2_q = 2 * gammaincinv(NU / 2, 1 - SIGMA_QUANTILE)
+        self.lam = var0 * chi2_q / NU
+        self.sigma2 = fix_sigma2 if fix_sigma2 is not None else var0
 
         root_feats = xmat.splittable(np.arange(n))
-        self.trees = [_Tree(n, list(root_feats)) for _ in range(config.trees)]
-        self.tree_pred = np.zeros((config.trees, n))
+        self.trees = [_Tree(n, list(root_feats)) for _ in range(trees)]
+        self.tree_pred = np.zeros((trees, n))
         self.fit_total = np.zeros(n)
         self.proposed = [0, 0, 0]
         self.accepted = [0, 0, 0]
@@ -223,7 +218,7 @@ class BartSampler:
     # -- priors and marginal likelihood -------------------------------------
 
     def _p_split(self, depth):
-        return self.cfg.a_split / (1.0 + depth) ** self.cfg.b_split
+        return A_SPLIT / (1.0 + depth) ** B_SPLIT
 
     def _log_split_prior(self, depth):
         """Log prior ratio of splitting a leaf at this depth (memoized)."""
@@ -369,16 +364,16 @@ class BartSampler:
             pred[rows] = tree.value[i]
 
     def sweep(self):
-        for t in range(self.cfg.trees):
+        for t in range(self.n_trees):
             partial = self.y - self.fit_total + self.tree_pred[t]
             self.structure_step(t, partial)
             old = self.tree_pred[t].copy()
             self._redraw_leaves(t, partial)
             self.fit_total += self.tree_pred[t] - old
-        if self.cfg.fix_sigma2 is None:
+        if self.fix_sigma2 is None:
             resid = self.y - self.fit_total
-            shape = 0.5 * (self.cfg.nu + self.x.n)
-            rate = 0.5 * (self.cfg.nu * self.lam + resid @ resid)
+            shape = 0.5 * (NU + self.x.n)
+            rate = 0.5 * (NU * self.lam + resid @ resid)
             self.sigma2 = float(rate / self.rng.gamma(shape))
 
     def set_response(self, y: np.ndarray):

@@ -208,6 +208,13 @@ def _cmd_fit(cfg: dict) -> dict:
         n_factors=None if cfg.get("factors") is None else int(cfg["factors"]),
         seed=seed,
     )
+    target_cfg = _checked(
+        TargetConfig,
+        iters=int(cfg["target_iters"]),
+        burn_in=int(cfg["target_burn_in"]),
+        trees=int(cfg["target_trees"]),
+        seed=seed,
+    )
     schema = load_schema(cfg["schema"])
     targets = set(_csv_list(cfg.get("targets")))
     unknown = targets - {c.name for c in schema}
@@ -218,16 +225,6 @@ def _cmd_fit(cfg: dict) -> dict:
         for c in schema
     )
     targets = [c.name for c in schema if c.role == "response"]
-    # built before any fitting, so bad settings fail before the copula chain runs
-    target_cfgs = {
-        name: TargetConfig(
-            iters=int(cfg["target_iters"]),
-            burn_in=int(cfg["target_burn_in"]),
-            trees=int(cfg["target_trees"]),
-            seed=seed,
-        )
-        for name in targets
-    }
     ds = load_dataset(cfg["data"], schema)
 
     log.info("fitting copula model on %d records, %d columns",
@@ -235,9 +232,9 @@ def _cmd_fit(cfg: dict) -> dict:
     model = fit_copula_model(ds, chain)
 
     summaries = {}
-    for name, tc in target_cfgs.items():
+    for name in targets:
         log.info("fitting targeted regression for response '%s'", name)
-        summaries[name] = fit_target_model(ds, name, tc)
+        summaries[name] = fit_target_model(ds, name, target_cfg)
 
     out = cfg["out"]
     save_archive(out, model, targets=summaries, seed=seed, full_schema=schema,

@@ -43,7 +43,6 @@ from .schema import ExpandedLayout, Kind, MixedDataset, expand_layout
 from .truncated import truncnorm_sample
 
 __all__ = [
-    "Hyperparams",
     "ChainConfig",
     "FactorModelPlan",
     "FactorState",
@@ -60,16 +59,12 @@ logger = logging.getLogger(__name__)
 
 MAX_FACTORS = 15
 
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Prior settings; defaults follow common shrinkage-factor practice."""
-
-    a_sigma: float = 1.0
-    b_sigma: float = 1.0
-    nu: float = 3.0
-    a1: float = 2.0
-    a2: float = 3.0
+# fixed priors: the module docstring's nu, a1, a2; sigma_j^2 ~ IG(A_SIGMA, B_SIGMA)
+A_SIGMA = 1.0
+B_SIGMA = 1.0
+NU = 3.0
+A1 = 2.0
+A2 = 3.0
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,14 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.burn_in >= self.iters:
             raise ValueError("burn_in must be smaller than iters")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.n_factors is not None and self.n_factors < 1:
+            raise ValueError("n_factors must be >= 1")
 
 
 def default_n_factors(p_star: int) -> int:
@@ -240,7 +239,6 @@ class PosteriorDraws:
 def init_state(
     plan: FactorModelPlan,
     n_factors: int,
-    hyper: Hyperparams,
     rng: np.random.Generator,
 ) -> FactorState:
     """Draw parameters from their priors; start latents at a feasible point.
@@ -258,19 +256,19 @@ def init_state(
             cc.codes[:, None], (cc.k,)
         )
     delta = np.empty(k)
-    delta[0] = rng.gamma(hyper.a1, 1.0)
+    delta[0] = rng.gamma(A1, 1.0)
     if k > 1:
-        delta[1:] = rng.gamma(hyper.a2, 1.0, size=k - 1)
+        delta[1:] = rng.gamma(A2, 1.0, size=k - 1)
     tau = np.cumprod(delta)
-    phi = rng.gamma(hyper.nu / 2.0, 2.0 / hyper.nu, size=(p_star, k))
+    phi = rng.gamma(NU / 2.0, 2.0 / NU, size=(p_star, k))
     lam = rng.standard_normal((p_star, k)) / np.sqrt(phi * tau)
-    sigma2 = 1.0 / rng.gamma(hyper.a_sigma, 1.0 / hyper.b_sigma, size=p_star)
+    sigma2 = 1.0 / rng.gamma(A_SIGMA, 1.0 / B_SIGMA, size=p_star)
     eta = rng.standard_normal((n, k))
     alpha = np.where(plan.alpha_mask, rng.standard_normal(p_star), 0.0)
     return FactorState(z, lam, eta, sigma2, phi, delta, alpha, rng)
 
 
-def update_loadings(state: FactorState, hyper: Hyperparams) -> None:
+def update_loadings(state: FactorState) -> None:
     """lambda_j | - ~ N_k per row with MGP prior precision."""
     k = state.lam.shape[1]
     tau = state.tau
@@ -284,15 +282,15 @@ def update_loadings(state: FactorState, hyper: Hyperparams) -> None:
         state.lam[j] = mean + solve_lower_t(low, state.rng.standard_normal(k))
 
 
-def update_idio_var(state: FactorState, hyper: Hyperparams) -> None:
+def update_idio_var(state: FactorState) -> None:
     n = state.z.shape[0]
     resid = state.z - state.alpha - state.eta @ state.lam.T
     ss = np.einsum("ij,ij->j", resid, resid)
-    shape = hyper.a_sigma + 0.5 * n
-    state.sigma2 = 1.0 / state.rng.gamma(shape, 1.0 / (hyper.b_sigma + 0.5 * ss))
+    shape = A_SIGMA + 0.5 * n
+    state.sigma2 = 1.0 / state.rng.gamma(shape, 1.0 / (B_SIGMA + 0.5 * ss))
 
 
-def update_factors(state: FactorState, hyper: Hyperparams) -> None:
+def update_factors(state: FactorState) -> None:
     """eta_i | - ~ N_k((I + L'S^-1 L)^-1 L'S^-1 (z_i - alpha), (I + L'S^-1 L)^-1)."""
     k = state.lam.shape[1]
     m = state.lam / state.sigma2[:, None]  # Sigma^-1 Lambda
@@ -304,19 +302,19 @@ def update_factors(state: FactorState, hyper: Hyperparams) -> None:
     state.eta = means + state.rng.standard_normal(state.eta.shape) @ root.T
 
 
-def update_local_shrink(state: FactorState, hyper: Hyperparams) -> None:
-    rate = 0.5 * (hyper.nu + state.tau * state.lam**2)
-    state.phi = state.rng.gamma(0.5 * (hyper.nu + 1.0), 1.0 / rate)
+def update_local_shrink(state: FactorState) -> None:
+    rate = 0.5 * (NU + state.tau * state.lam**2)
+    state.phi = state.rng.gamma(0.5 * (NU + 1.0), 1.0 / rate)
 
 
-def update_global_shrink(state: FactorState, hyper: Hyperparams) -> None:
+def update_global_shrink(state: FactorState) -> None:
     """delta chain with leave-one-out products tau_l^(h) = prod_{t<=l, t!=h} delta_t."""
     p_star, k = state.lam.shape
     w = np.einsum("jl,jl->l", state.phi, state.lam**2)  # sum_j phi_jl lam_jl^2
     for h in range(k):
         masked = np.where(np.arange(k) == h, 1.0, state.delta)
         tau_loo = np.cumprod(masked)
-        shape = (hyper.a1 if h == 0 else hyper.a2) + 0.5 * p_star * (k - h)
+        shape = (A1 if h == 0 else A2) + 0.5 * p_star * (k - h)
         rate = 1.0 + 0.5 * np.sum(tau_loo[h:] * w[h:])
         state.delta[h] = state.rng.gamma(shape, 1.0 / rate)
 
@@ -372,12 +370,12 @@ def update_latent(state: FactorState, plan: FactorModelPlan) -> None:
         ).T
 
 
-def gibbs_sweep(state: FactorState, plan: FactorModelPlan, hyper: Hyperparams) -> None:
-    update_loadings(state, hyper)
-    update_idio_var(state, hyper)
-    update_factors(state, hyper)
-    update_local_shrink(state, hyper)
-    update_global_shrink(state, hyper)
+def gibbs_sweep(state: FactorState, plan: FactorModelPlan) -> None:
+    update_loadings(state)
+    update_idio_var(state)
+    update_factors(state)
+    update_local_shrink(state)
+    update_global_shrink(state)
     update_intercepts(state, plan)
     update_latent(state, plan)
 
@@ -394,19 +392,20 @@ def rescale_draw(state: FactorState):
 def run_chain(
     ds: MixedDataset,
     config: ChainConfig,
-    hyper: Hyperparams = Hyperparams(),
     rng: np.random.Generator | None = None,
 ) -> PosteriorDraws:
     """Run the full chain and retain thinned post-burn-in correlation draws."""
     plan = FactorModelPlan.from_dataset(ds)
-    k = config.n_factors or default_n_factors(plan.layout.p_star)
+    k = config.n_factors
+    if k is None:
+        k = default_n_factors(plan.layout.p_star)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = init_state(plan, k, hyper, rng)
+    state = init_state(plan, k, rng)
     corrs, alphas = [], []
     report_every = max(1, config.iters // 10)
     for it in range(config.iters):
-        gibbs_sweep(state, plan, hyper)
+        gibbs_sweep(state, plan)
         if not np.all(np.isfinite(state.z)):
             raise NumericalOverflowError(f"latent matrix non-finite at iteration {it}")
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:

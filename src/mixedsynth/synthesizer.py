@@ -41,7 +41,6 @@ from scipy.special import log_ndtr, ndtr
 from .errors import OrthantUnderflowError, SingularBlockError
 from .factor_model import (
     ChainConfig,
-    Hyperparams,
     PosteriorDraws,
     _level_signs,
     run_chain,
@@ -106,14 +105,10 @@ class OrthantStats:
     proposed: int = 0  # tilted proposals made, one per record per round
 
 
-def fit_copula_model(
-    ds: MixedDataset,
-    config: ChainConfig,
-    hyper: Hyperparams = Hyperparams(),
-) -> FittedCopula:
+def fit_copula_model(ds: MixedDataset, config: ChainConfig) -> FittedCopula:
     """Fit the factor model on the copula-role columns and bundle marginals."""
     cop = ds.subset([c.name for c in ds.copula_columns])
-    draws = run_chain(cop, config, hyper)
+    draws = run_chain(cop, config)
     layout = expand_layout(cop)
     margs = {
         c.name: fit_marginal(cop.columns[c.name], c.kind)

@@ -18,7 +18,6 @@ from scipy.special import ndtr
 
 from .bart import (
     MOVES,
-    BartConfig,
     BartSampler,
     CovariateMatrix,
     Forest,
@@ -52,7 +51,6 @@ class TargetConfig:
     trees: int = 200
     keep_every: int = 10
     seed: int = 0
-    fix_sigma2: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iters:
@@ -130,8 +128,7 @@ def fit_target_model(
     # normal scores of mid-ranks: feasible and close to the stationary scale
     z = groups.normal_scores()
 
-    bart_cfg = BartConfig(trees=config.trees, fix_sigma2=config.fix_sigma2)
-    sampler = BartSampler(xmat, z, bart_cfg, rng)
+    sampler = BartSampler(xmat, z, config.trees, rng)
 
     ensembles = []
     sigmas = []

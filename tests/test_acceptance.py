@@ -21,7 +21,6 @@ from mixedsynth.errors import SeparationWarning
 from mixedsynth.factor_model import (
     ChainConfig,
     FactorState,
-    Hyperparams,
     _level_signs,
     update_loadings,
 )
@@ -283,7 +282,7 @@ def test_criterion_4_sampler_unit_oracles():
     draws_l = np.empty(reps)
     for r in range(reps):
         s = _copy_state(state)
-        update_loadings(s, Hyperparams())
+        update_loadings(s)
         draws_l[r] = s.lam[j, 0]
     tau = float(state.tau[0])
     phi = float(state.phi[j, 0])

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mixedsynth import bart
 from mixedsynth.bart import (
     MOVES,
-    BartConfig,
     BartSampler,
     CovariateMatrix,
     Forest,
@@ -178,10 +178,11 @@ def _enumerate(xmat, idx, depth, p_split):
     return results
 
 
-def _exact_posterior(xmat, y, cfg, sigma_mu):
-    """Normalized structure probabilities with MVN-density leaf likelihoods."""
+def _exact_posterior(xmat, y, sigma2, sigma_mu):
+    """Normalized structure probabilities with MVN-density leaf likelihoods
+    (one tree, residual variance fixed at sigma2)."""
     def p_split(d):
-        return cfg.a_split / (1.0 + d) ** cfg.b_split
+        return bart.A_SPLIT / (1.0 + d) ** bart.B_SPLIT
 
     idx = np.arange(xmat.n)
     sigs, logs = [], []
@@ -189,7 +190,7 @@ def _exact_posterior(xmat, y, cfg, sigma_mu):
         ll = 0.0
         for cell in leaves:
             r = y[cell]
-            cov = cfg.fix_sigma2 * np.eye(r.size) + sigma_mu**2
+            cov = sigma2 * np.eye(r.size) + sigma_mu**2
             ll += stats.multivariate_normal.logpdf(r, mean=np.zeros(r.size), cov=cov)
         sigs.append(sig)
         logs.append(np.log(w) + ll)
@@ -199,8 +200,8 @@ def _exact_posterior(xmat, y, cfg, sigma_mu):
     return dict(zip(sigs, probs))
 
 
-def _chain_frequencies(xmat, y, cfg, sweeps, burn, seed, batches=40):
-    sampler = BartSampler(xmat, y, cfg, np.random.default_rng(seed))
+def _chain_frequencies(xmat, y, sigma2, sweeps, burn, seed, batches=40):
+    sampler = BartSampler(xmat, y, 1, np.random.default_rng(seed), fix_sigma2=sigma2)
     seen = []
     for it in range(sweeps + burn):
         sampler.sweep()
@@ -223,8 +224,7 @@ def _numeric_case():
     y = np.repeat([0.0, 0.45, 0.9], 8) + rng.normal(0, 0.05, x.size)
     y -= y.mean()
     xmat = CovariateMatrix([x], [False])
-    cfg = BartConfig(trees=1, fix_sigma2=0.25)
-    return xmat, y, cfg
+    return xmat, y, 0.25
 
 
 def _categorical_case():
@@ -233,19 +233,18 @@ def _categorical_case():
     y = np.repeat([0.0, 0.5, 1.0], 8) + rng.normal(0, 0.05, x.size)
     y -= y.mean()
     xmat = CovariateMatrix([x], [True])
-    cfg = BartConfig(trees=1, fix_sigma2=0.3)
-    return xmat, y, cfg
+    return xmat, y, 0.3
 
 
 @pytest.mark.parametrize("case", [_numeric_case, _categorical_case],
                          ids=["numeric-splits", "subset-splits"])
 def test_structure_chain_matches_enumerated_posterior(case):
-    xmat, y, cfg = case()
-    sigma_mu = BartSampler(xmat, y, cfg, np.random.default_rng(0)).sigma_mu
-    exact = _exact_posterior(xmat, y, cfg, sigma_mu)
+    xmat, y, sigma2 = case()
+    sigma_mu = BartSampler(xmat, y, 1, np.random.default_rng(0)).sigma_mu
+    exact = _exact_posterior(xmat, y, sigma2, sigma_mu)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
 
-    freq, ses, _ = _chain_frequencies(xmat, y, cfg, sweeps=40000, burn=2000, seed=3)
+    freq, ses, _ = _chain_frequencies(xmat, y, sigma2, sweeps=40000, burn=2000, seed=3)
     # the chain must never leave the enumerated support
     assert set(freq) <= set(exact)
     for sig, p in exact.items():
@@ -257,9 +256,9 @@ def test_structure_chain_matches_enumerated_posterior(case):
 def test_mirror_structures_equally_likely():
     """Splitting {0}|{1,2} then {1}|{2} and splitting {0,1}|{2} then {0}|{1}
     carve identical partitions; their enumerated masses must coincide."""
-    xmat, y, cfg = _numeric_case()
-    sigma_mu = BartSampler(xmat, y, cfg, np.random.default_rng(0)).sigma_mu
-    exact = _exact_posterior(xmat, y, cfg, sigma_mu)
+    xmat, y, sigma2 = _numeric_case()
+    sigma_mu = BartSampler(xmat, y, 1, np.random.default_rng(0)).sigma_mu
+    exact = _exact_posterior(xmat, y, sigma2, sigma_mu)
     a = exact["(0:0 L (0:1 L L))"]
     b = exact["(0:1 (0:0 L L) L)"]
     assert a == pytest.approx(b, rel=1e-9)
@@ -287,8 +286,7 @@ def _recompute_fit(sampler) -> np.ndarray:
 
 def test_fit_total_matches_recompute_after_sweeps():
     xmat, y = _random_training()
-    cfg = BartConfig(trees=12)
-    sampler = BartSampler(xmat, y, cfg, np.random.default_rng(5))
+    sampler = BartSampler(xmat, y, 12, np.random.default_rng(5))
     for _ in range(60):
         sampler.sweep()
     assert np.allclose(sampler.fit_total, _recompute_fit(sampler), atol=1e-9)
@@ -304,7 +302,7 @@ def test_leaf_ranges_tile_the_row_permutation():
     """Leaves own adjacent, nonempty ranges of one row permutation, in
     pre-order (which rows they hold is checked by the per-tree fit above)."""
     xmat, y = _random_training()
-    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    sampler = BartSampler(xmat, y, 12, np.random.default_rng(8))
     for _ in range(60):
         sampler.sweep()
     grown = 0
@@ -320,8 +318,7 @@ def test_leaf_ranges_tile_the_row_permutation():
 
 def test_zero_trees_is_the_null_model():
     xmat, y = _random_training(n=60)
-    cfg = BartConfig(trees=0)
-    sampler = BartSampler(xmat, y, cfg, np.random.default_rng(0))
+    sampler = BartSampler(xmat, y, 0, np.random.default_rng(0))
     for _ in range(10):
         sampler.sweep()
     assert np.all(sampler.fit_total == 0.0)
@@ -330,8 +327,7 @@ def test_zero_trees_is_the_null_model():
 
 def test_fixed_sigma2_never_moves():
     xmat, y = _random_training(n=80)
-    cfg = BartConfig(trees=4, fix_sigma2=0.123)
-    sampler = BartSampler(xmat, y, cfg, np.random.default_rng(2))
+    sampler = BartSampler(xmat, y, 4, np.random.default_rng(2), fix_sigma2=0.123)
     for _ in range(25):
         sampler.sweep()
         assert sampler.sigma2 == 0.123
@@ -339,10 +335,9 @@ def test_fixed_sigma2_never_moves():
 
 def test_sampler_reproducible():
     xmat, y = _random_training(n=90)
-    cfg = BartConfig(trees=6)
     runs = []
     for _ in range(2):
-        s = BartSampler(xmat, y, cfg, np.random.default_rng(7))
+        s = BartSampler(xmat, y, 6, np.random.default_rng(7))
         for _ in range(30):
             s.sweep()
         runs.append((forest_docs(s.snapshot()), s.sigma2, s.fit_total.copy()))
@@ -360,7 +355,7 @@ def test_sampler_trajectory_pinned():
     x2 = rng.integers(0, 4, n)
     y = np.sin(2 * x1) + 0.7 * (x2 == 1) + rng.normal(0, 0.3, n)
     sampler = BartSampler(CovariateMatrix([x1, x2], [False, True]), y,
-                          BartConfig(trees=20), np.random.default_rng(3))
+                          20, np.random.default_rng(3))
     for _ in range(40):
         sampler.sweep()
     docs = forest_docs(sampler.snapshot())
@@ -371,7 +366,7 @@ def test_sampler_trajectory_pinned():
 
 def test_move_counts():
     xmat, y = _random_training(n=90)
-    sampler = BartSampler(xmat, y, BartConfig(trees=6), np.random.default_rng(1))
+    sampler = BartSampler(xmat, y, 6, np.random.default_rng(1))
     for _ in range(30):
         sampler.sweep()
     assert len(MOVES) == len(sampler.proposed) == 3
@@ -398,7 +393,7 @@ def test_tree_shape():
     assert forest_shapes(docs_forest([doc, {"v": 0.5}])) == [(2, 3), (0, 1)]
     # and on a real chain's trees
     xmat, y = _random_training()
-    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    sampler = BartSampler(xmat, y, 12, np.random.default_rng(8))
     for _ in range(60):
         sampler.sweep()
     forest = sampler.snapshot()
@@ -409,7 +404,7 @@ def test_snapshot_is_the_pre_order_of_each_tree():
     """The flat forest is exactly the pre-order of the nested trees: both
     converters invert each other on a real chain's snapshot."""
     xmat, y = _random_training()
-    sampler = BartSampler(xmat, y, BartConfig(trees=12), np.random.default_rng(8))
+    sampler = BartSampler(xmat, y, 12, np.random.default_rng(8))
     for _ in range(60):
         sampler.sweep()
     forest = sampler.snapshot()
@@ -445,7 +440,7 @@ def test_ensemble_predict_matches_recursive_oracle():
     xmat, y = _random_training(n=150)
     x1 = np.round(xmat.columns[0], 1)  # ties, so cuts repeat across rows
     xmat = CovariateMatrix([x1, xmat.columns[1]], [False, True])
-    sampler = BartSampler(xmat, y, BartConfig(trees=15), np.random.default_rng(6))
+    sampler = BartSampler(xmat, y, 15, np.random.default_rng(6))
     ensembles = []
     for it in range(80):
         sampler.sweep()

@@ -18,7 +18,6 @@ from mixedsynth.factor_model import (
     ChainConfig,
     FactorModelPlan,
     FactorState,
-    Hyperparams,
     RankGroups,
     default_n_factors,
     gibbs_sweep,
@@ -36,8 +35,6 @@ from mixedsynth.factor_model import (
     update_local_shrink,
 )
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
-
-HYP = Hyperparams()
 
 
 # ---------------------------------------------------------------- bounds
@@ -166,7 +163,7 @@ def _repeat_update(state, update, pick, reps=1500):
 def test_loadings_conditional_matches_grid_oracle():
     state = _toy_state(0, k=1)
     j = 1
-    draws = _repeat_update(state, lambda s: update_loadings(s, HYP),
+    draws = _repeat_update(state, lambda s: update_loadings(s),
                            lambda s: s.lam[j, 0])
     tau = float(state.tau[0])
     phi = float(state.phi[j, 0])
@@ -187,13 +184,13 @@ def test_idio_var_conditional_matches_grid_oracle():
     state = _toy_state(1, k=2)
     j = 2
     # the update draws sigma2 as inverse-gamma; check g = 1/sigma2 on a grid
-    draws = 1.0 / _repeat_update(state, lambda s: update_idio_var(s, HYP),
+    draws = 1.0 / _repeat_update(state, lambda s: update_idio_var(s),
                                  lambda s: s.sigma2[j])
     resid = state.z[:, j] - state.alpha[j] - state.eta @ state.lam[j]
     n = resid.size
 
     def logpdf(g):
-        pri = (HYP.a_sigma - 1.0) * np.log(g) - HYP.b_sigma * g
+        pri = (factor_model.A_SIGMA - 1.0) * np.log(g) - factor_model.B_SIGMA * g
         lik = 0.5 * n * np.log(g) - 0.5 * g * float(resid @ resid)
         return pri + lik
 
@@ -203,7 +200,7 @@ def test_idio_var_conditional_matches_grid_oracle():
 def test_factor_conditional_matches_grid_oracle():
     state = _toy_state(2, k=1)
     i = 7
-    draws = _repeat_update(state, lambda s: update_factors(s, HYP),
+    draws = _repeat_update(state, lambda s: update_factors(s),
                            lambda s: s.eta[i, 0])
     zi = state.z[i] - state.alpha
     lam = state.lam[:, 0]
@@ -221,13 +218,13 @@ def test_factor_conditional_matches_grid_oracle():
 def test_local_shrink_conditional_matches_grid_oracle():
     state = _toy_state(3, k=2)
     j, h = 0, 1
-    draws = _repeat_update(state, lambda s: update_local_shrink(s, HYP),
+    draws = _repeat_update(state, lambda s: update_local_shrink(s),
                            lambda s: s.phi[j, h])
     tau_h = float(state.tau[h])
     lam = float(state.lam[j, h])
 
     def logpdf(phi):
-        pri = (HYP.nu / 2.0 - 1.0) * np.log(phi) - HYP.nu / 2.0 * phi
+        pri = (factor_model.NU / 2.0 - 1.0) * np.log(phi) - factor_model.NU / 2.0 * phi
         lik = 0.5 * np.log(phi) - 0.5 * phi * tau_h * lam**2
         return pri + lik
 
@@ -246,7 +243,7 @@ def test_global_shrink_conditional_matches_grid_oracle(h):
     copying the sampler's collapsed formula.
     """
     state = _toy_state(4, p_star=4, k=3)
-    a = HYP.a1 if h == 0 else HYP.a2
+    a = factor_model.A1 if h == 0 else factor_model.A2
     p_star, k = state.lam.shape
     w = np.einsum("jl,jl->l", state.phi, state.lam**2)
     reps = 1500
@@ -254,7 +251,7 @@ def test_global_shrink_conditional_matches_grid_oracle(h):
     grid = np.linspace(1e-9, 25.0, 6001)
     for r in range(reps):
         s = _copy_state(state)
-        update_global_shrink(s, HYP)
+        update_global_shrink(s)
         # entries before h are this repeat's new draws, entries after are old
         fixed = np.where(np.arange(k) < h, s.delta, state.delta)
         dmat = np.broadcast_to(fixed, (grid.size, k)).copy()
@@ -412,17 +409,17 @@ def test_prior_reduction_no_data():
     )
     plan = FactorModelPlan.from_dataset(ds)
     rng = np.random.default_rng(9)
-    state = init_state(plan, 2, HYP, rng)
+    state = init_state(plan, 2, rng)
     kept = []
     for it in range(12000):
-        gibbs_sweep(state, plan, HYP)
+        gibbs_sweep(state, plan)
         if it % 6 == 0:
             kept.append(state.delta[0])
     kept = np.asarray(kept)
     # Ga(2,1): mean 2, var 2.  At this thinning the 2000 draws are nearly
     # independent; 3 MC SEs are ~0.10 for the mean and ~0.30 for the variance
-    assert abs(kept.mean() - HYP.a1) < 0.15
-    assert abs(kept.var(ddof=1) - HYP.a1) < 0.4
+    assert abs(kept.mean() - factor_model.A1) < 0.15
+    assert abs(kept.var(ddof=1) - factor_model.A1) < 0.4
 
 
 def test_feasibility_invariant_every_sweep():
@@ -438,10 +435,10 @@ def test_feasibility_invariant_every_sweep():
         {"g": cat, "y": rng.poisson(3.0, n), "w": rng.normal(0, 1, n)},
     )
     plan = FactorModelPlan.from_dataset(ds)
-    state = init_state(plan, 2, HYP, np.random.default_rng(3))
+    state = init_state(plan, 2, np.random.default_rng(3))
     assert check_feasible(state, plan)
     for _ in range(50):
-        gibbs_sweep(state, plan, HYP)
+        gibbs_sweep(state, plan)
         assert check_feasible(state, plan)
 
 
@@ -605,7 +602,7 @@ def test_latent_update_draws_every_cell_once(monkeypatch):
         return out
 
     monkeypatch.setattr(factor_model, "truncnorm_sample", counted)
-    state = init_state(plan, 2, HYP, np.random.default_rng(5))
-    gibbs_sweep(state, plan, HYP)
+    state = init_state(plan, 2, np.random.default_rng(5))
+    gibbs_sweep(state, plan)
     assert sum(sizes) == n * plan.layout.p_star == n * 7
     assert len(sizes) == 2 * len(plan.rank_cols) + len(plan.cat_cols)

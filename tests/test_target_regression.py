@@ -146,14 +146,6 @@ def test_zero_trees_yields_flat_predictor():
     assert out.min() >= y.min() and out.max() <= y.max()
 
 
-def test_fixed_sigma2_propagates_to_summary():
-    ds, _ = _step_dataset(n=100, seed=8)
-    cfg = TargetConfig(iters=40, burn_in=5, trees=5, seed=0, fix_sigma2=0.2,
-                       keep_every=2)
-    summary = fit_target_model(ds, "y", cfg)
-    assert summary.sigma2 == pytest.approx(0.2, rel=1e-12)
-
-
 def test_summary_doc_round_trip_and_json_safety():
     ds, _ = _step_dataset(n=120, seed=9)
     cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
