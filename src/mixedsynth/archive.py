@@ -15,9 +15,10 @@ Every array is an entry of its own, keyed by position, never by column name:
 Each fitted object is stored in the one form it has in memory, so a
 continuous column appears only as its inverse-CDF grid (the two grid ends
 in meta, the CDF values as an array), which holds none of its values but the
-minimum and maximum.  Nothing in the file needs
-pickling.  This module is the only one that knows the layout; the loader
-reads ``meta`` first and rejects any other format version.
+minimum and maximum; a constant one is a one-value discrete marginal.
+Nothing in the file needs pickling.  This module is the only one that knows
+the layout; the loader reads ``meta`` first and rejects any other format
+version.
 """
 from __future__ import annotations
 
@@ -30,25 +31,16 @@ import numpy as np
 from .bart import Forest
 from .errors import ArchiveError
 from .factor_model import PosteriorDraws
-from .marginals import (
-    CategoricalProbTable,
-    ContinuousMarginal,
-    DegenerateMarginal,
-    DiscreteMarginal,
-)
-from .schema import expand_layout, schema_from_doc, schema_hash, schema_to_doc
+from .marginals import CategoricalProbTable, ContinuousMarginal, DiscreteMarginal
+from .schema import schema_from_doc, schema_hash, schema_to_doc
 from .synthesizer import FittedCopula
 from .target_regression import TargetModelSummary
 
 __all__ = ["MAGIC", "save_archive", "load_archive", "ModelArchive"]
 
 MAGIC = b"MXSYNTH1\n"
-_FORMAT_VERSION = 2
-_MARGINAL_TYPES = {
-    "discrete": DiscreteMarginal,
-    "continuous": ContinuousMarginal,
-    "degenerate": DegenerateMarginal,
-}
+_FORMAT_VERSION = 3
+_MARGINAL_TYPES = {"discrete": DiscreteMarginal, "continuous": ContinuousMarginal}
 
 
 class ModelArchive:
@@ -199,9 +191,7 @@ def load_archive(path) -> ModelArchive:
         table = CategoricalProbTable(
             tuple(meta["cat_names"]), arrays["cat.cells"], arrays["cat.cell_probs"]
         )
-    model = FittedCopula(
-        draws, schema, expand_layout(schema), marginals, table, int(meta["n_fit"])
-    )
+    model = FittedCopula(draws, schema, marginals, table, int(meta["n_fit"]))
     targets = {
         doc["response"]: _get_target(arrays, f"target{k}", doc)
         for k, doc in enumerate(meta["targets"])

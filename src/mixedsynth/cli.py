@@ -24,6 +24,7 @@ from . import _lazy
 
 if TYPE_CHECKING:
     from .archive import load_archive, save_archive
+    from .errors import SchemaError
     from .factor_model import ChainConfig
     from .risk import risk_study
     from .schema import MixedDataset, load_dataset, load_schema, write_csv
@@ -43,6 +44,7 @@ log = logging.getLogger("mixedsynth.cli")
 # test's stub or a tracer's wrapper bound here is what the command calls.
 _MODULE_NAMES = {
     "archive": ("load_archive", "save_archive"),
+    "errors": ("SchemaError",),
     "factor_model": ("ChainConfig",),
     "risk": ("risk_study",),
     "schema": ("MixedDataset", "load_dataset", "load_schema", "write_csv"),
@@ -198,7 +200,8 @@ def _load_pool(cfg: dict, key: str, schema) -> tuple[list, list]:
 
 
 def _cmd_fit(cfg: dict) -> dict:
-    _import("schema", "factor_model", "synthesizer", "target_regression", "archive")
+    _import("schema", "errors", "factor_model", "synthesizer", "target_regression",
+            "archive")
     seed = _require_seed(cfg, "fit")
     chain = _checked(
         ChainConfig,
@@ -220,10 +223,13 @@ def _cmd_fit(cfg: dict) -> dict:
     unknown = targets - {c.name for c in schema}
     if unknown:
         raise ConfigError(f"--targets names unknown columns: {sorted(unknown)}")
-    schema = tuple(
-        dataclasses.replace(c, role="response") if c.name in targets else c
-        for c in schema
-    )
+    try:
+        schema = tuple(
+            dataclasses.replace(c, role="response") if c.name in targets else c
+            for c in schema
+        )
+    except SchemaError as exc:  # a kind that cannot be a response
+        raise ConfigError(f"--targets: {exc}") from None
     targets = [c.name for c in schema if c.role == "response"]
     ds = load_dataset(cfg["data"], schema)
 
@@ -304,7 +310,8 @@ def _cmd_synth(cfg: dict) -> dict:
 
 def _cmd_utility(cfg: dict) -> dict:
     _import("schema", "utility")
-    spec = RegressionSpec(
+    spec = _checked(
+        RegressionSpec,
         response=cfg["response"],
         predictors=tuple(_csv_list(cfg["predictors"])),
         interactions=tuple(

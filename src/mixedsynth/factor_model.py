@@ -389,19 +389,13 @@ def rescale_draw(state: FactorState):
     return corr, state.alpha / s
 
 
-def run_chain(
-    ds: MixedDataset,
-    config: ChainConfig,
-    rng: np.random.Generator | None = None,
-) -> PosteriorDraws:
+def run_chain(ds: MixedDataset, config: ChainConfig) -> PosteriorDraws:
     """Run the full chain and retain thinned post-burn-in correlation draws."""
     plan = FactorModelPlan.from_dataset(ds)
     k = config.n_factors
     if k is None:
         k = default_n_factors(plan.layout.p_star)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = init_state(plan, k, rng)
+    state = init_state(plan, k, np.random.default_rng(config.seed))
     corrs, alphas = [], []
     report_every = max(1, config.iters // 10)
     for it in range(config.iters):

@@ -1,6 +1,7 @@
 """Marginal distribution estimation and inversion.
 
-Ordinal/count/binary columns get rescaled empirical CDFs; continuous columns
+Ordinal/count/binary columns get rescaled empirical CDFs, and so does a
+constant continuous column (a one-value point mass); other continuous columns
 get a Gaussian-kernel-smoothed CDF with Silverman bandwidth, tabulated once,
 at fit time, on a 4097-point even grid over the sample's range.  The grid's
 ends and CDF values are all a continuous marginal keeps: synthesis inverts
@@ -26,7 +27,6 @@ from .schema import Kind, MixedDataset
 __all__ = [
     "DiscreteMarginal",
     "ContinuousMarginal",
-    "DegenerateMarginal",
     "CategoricalProbTable",
     "fit_marginal",
     "fit_categorical_probs",
@@ -86,21 +86,6 @@ class ContinuousMarginal:
 
     def inverse(self, u):
         return np.interp(u, self.grid_u, self.grid_x)
-
-
-@dataclass
-class DegenerateMarginal:
-    """Point mass at a single value (constant column fallback)."""
-
-    value: float
-    n: int = 1
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x >= self.value, self.n / (self.n + 1.0), 0.0)
-
-    def inverse(self, u):
-        return np.full_like(np.asarray(u, dtype=np.float64), self.value)
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
@@ -167,7 +152,7 @@ def fit_marginal(column, kind: Kind):
                 ConstantColumnWarning,
                 stacklevel=2,
             )
-            return DegenerateMarginal(float(col[0]), n=col.size)
+            return DiscreteMarginal(np.array([col[0]]), [col.size])
         sample = np.sort(col)
         lo, hi = float(sample[0]), float(sample[-1])
         grid_x = np.linspace(lo, hi, _GRID_POINTS)

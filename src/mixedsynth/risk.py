@@ -199,7 +199,6 @@ def risk_study(
     known: tuple,
     target: str,
     m_grid=(5, 10, 20),
-    k_grid=None,
     eps_grid=(0, 1, 2),
     reps: int = 100,
     seed: int = 0,
@@ -207,14 +206,12 @@ def risk_study(
     """Average scenario risk over bootstrap re-releases drawn from a pool.
 
     For each rep and pool size m, a release is drawn without replacement
-    from substream (seed, "risk", m, rep); every (known-prefix length,
-    epsilon) cell is scored on the same release so cells stay comparable.
-    Each prefix is keyed once against the whole pool, and one median pass
-    per release scores every epsilon.
+    from substream (seed, "risk", m, rep); every epsilon is scored on the
+    same release so cells stay comparable.  The known list is keyed once
+    against the whole pool, and one median pass per release scores every
+    epsilon.  For a grid of known-column prefixes, call once per prefix.
     """
     known = tuple(known)
-    if k_grid is None:
-        k_grid = (len(known),)
     if not m_grid or min(m_grid) < 1:
         raise ValueError(f"release sizes m_grid must be >= 1, got {tuple(m_grid)}")
     if reps < 1:
@@ -223,22 +220,18 @@ def risk_study(
         raise InsufficientPoolError(
             f"pool has {len(pool)} datasets; largest release asks for {max(m_grid)}"
         )
-    if max(k_grid) > len(known) or min(k_grid) < 1:
-        raise ValueError("known-prefix lengths must be within the known list")
-    for k_len in k_grid:
-        for eps in eps_grid:
-            AdversaryScenario(known[:k_len], target, eps)
+    for eps in eps_grid:
+        AdversaryScenario(known, target, eps)
     for ds in [conf, *pool]:
-        _check_columns(ds, known[: max(k_grid)], target)
+        _check_columns(ds, known, target)
 
-    prefixes = {k: _Prefix(conf, pool, known[:k], target, eps_grid) for k in k_grid}
+    prefix = _Prefix(conf, pool, known, target, eps_grid)
     cells = []
     for m in m_grid:
         releases = [
             substream(seed, "risk", m, rep).choice(len(pool), size=m, replace=False)
             for rep in range(reps)
         ]
-        for k_len in k_grid:
-            reports = prefixes[k_len].reports(releases)
-            cells += [RiskCell(m, k_len, e, r) for e, r in zip(eps_grid, reports)]
+        reports = prefix.reports(releases)
+        cells += [RiskCell(m, len(known), e, r) for e, r in zip(eps_grid, reports)]
     return cells

@@ -209,10 +209,6 @@ class ExpandedLayout:
     def cat_columns(self) -> tuple[ColumnSchema, ...]:
         return tuple(c for c in self.columns if c.kind is Kind.CATEGORICAL)
 
-    @property
-    def rank_columns(self) -> tuple[ColumnSchema, ...]:
-        return tuple(c for c in self.columns if c.kind is not Kind.CATEGORICAL)
-
     def cat_latent_mask(self) -> np.ndarray:
         """Boolean mask over latent columns: True inside categorical blocks."""
         mask = np.zeros(self.p_star, dtype=bool)

@@ -33,7 +33,7 @@ rejection rounds run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -50,7 +50,7 @@ from .marginals import (
     fit_categorical_probs,
     fit_marginal,
 )
-from .schema import ExpandedLayout, Kind, MixedDataset, expand_layout
+from .schema import Kind, MixedDataset, expand_layout
 from .streams import substream
 from .truncated import truncnorm_sample
 
@@ -76,11 +76,9 @@ class FittedCopula:
 
     draws: PosteriorDraws
     schema: tuple  # copula-role ColumnSchema, layout order
-    layout: ExpandedLayout
     marginals: dict
     cat_table: CategoricalProbTable | None
     n_fit: int
-    _cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -109,13 +107,13 @@ def fit_copula_model(ds: MixedDataset, config: ChainConfig) -> FittedCopula:
     """Fit the factor model on the copula-role columns and bundle marginals."""
     cop = ds.subset([c.name for c in ds.copula_columns])
     draws = run_chain(cop, config)
-    layout = expand_layout(cop)
     margs = {
         c.name: fit_marginal(cop.columns[c.name], c.kind)
-        for c in layout.rank_columns
+        for c in cop.schema if c.kind is not Kind.CATEGORICAL
     }
-    table = fit_categorical_probs(cop) if layout.cat_columns else None
-    return FittedCopula(draws, cop.schema, layout, margs, table, cop.n)
+    has_cat = any(c.kind is Kind.CATEGORICAL for c in cop.schema)
+    table = fit_categorical_probs(cop) if has_cat else None
+    return FittedCopula(draws, cop.schema, margs, table, cop.n)
 
 
 def _cat_chol_or_raise(c_cc: np.ndarray):
@@ -166,10 +164,9 @@ def _tilt_setup(low, a_cat):
 
 
 def _draw_tables(model: FittedCopula):
-    """Stacked per-draw tensors, cached on the model."""
-    if "tables" in model._cache:
-        return model._cache["tables"]
-    mask = model.layout.cat_latent_mask()
+    """Stacked per-draw tensors, plus the categorical block widths."""
+    layout = expand_layout(model.schema)
+    mask = layout.cat_latent_mask()
     cat_idx = np.flatnonzero(mask)
     rest_idx = np.flatnonzero(~mask)
     lows, bcs, ls, acs, ars = [], [], [], [], []
@@ -183,17 +180,16 @@ def _draw_tables(model: FittedCopula):
         acs.append(ac)
         ars.append(ar)
     h, ltri = _tilt_setup(np.asarray(lows), np.asarray(acs))
-    tables = {
+    return {
         "cat_idx": cat_idx,
         "rest_idx": rest_idx,
+        "widths": [c.k for c in layout.cat_columns],
         "h": h,
         "ltri": ltri,
         "bc": np.asarray(bcs),
         "l": np.asarray(ls),
         "a_rest": np.asarray(ars),
     }
-    model._cache["tables"] = tables
-    return tables
 
 
 def _tilt_terms(s, h, sign):
@@ -292,40 +288,38 @@ def _tilted_orthant(rng, h, ltri, sign, mu, psi, stats: OrthantStats):
     return eps
 
 
-def _cell_tilts(model: FittedCopula, draw_idx, cell_idx):
-    """Tilting points (mu*, psi*) of each record's (draw, cell) pair, solved
-    once per pair and cached on the model."""
-    t = _draw_tables(model)
-    cache = model._cache.setdefault("tilt", {})
-    n_cells = model.cat_table.cells.shape[0]
+def _cell_tilts(cells: np.ndarray, t: dict, tilts: dict, draw_idx, cell_idx):
+    """Tilting points (mu*, psi*) of each record's (draw, cell) pair; a pair
+    not yet in ``tilts`` is solved and added to it."""
+    n_cells = cells.shape[0]
     codes, inv = np.unique(draw_idx * n_cells + cell_idx, return_inverse=True)
     keys = [divmod(c, n_cells) for c in codes.tolist()]
-    new = np.array([k for k in keys if k not in cache], dtype=np.int64)
-    widths = [c.k for c in model.layout.cat_columns]
+    new = np.array([k for k in keys if k not in tilts], dtype=np.int64)
     # rows are solved independently, so blocks only bound the Newton tensors
     for s in range(0, len(new), _TILT_CHUNK):
         di, ci = new[s : s + _TILT_CHUNK].T
-        sign = _level_signs(model.cat_table.cells[ci], widths)
+        sign = _level_signs(cells[ci], t["widths"])
         mu, psi = _tilting_point(t["h"][di], t["ltri"][di], sign)
-        cache.update(zip(zip(di.tolist(), ci.tolist()), zip(mu, psi)))
-    mu = np.array([cache[k][0] for k in keys])
-    psi = np.array([cache[k][1] for k in keys])
+        tilts.update(zip(zip(di.tolist(), ci.tolist()), zip(mu, psi)))
+    mu = np.array([tilts[k][0] for k in keys])
+    psi = np.array([tilts[k][1] for k in keys])
     return mu[inv], psi[inv]
 
 
 def _synthesize_batch(
-    model: FittedCopula, draw_idx: np.ndarray, rng, stats: OrthantStats
+    model: FittedCopula, t: dict, tilts: dict, draw_idx: np.ndarray, rng,
+    stats: OrthantStats,
 ):
-    """Columns (name -> array) for one batch of records."""
-    t = _draw_tables(model)
+    """Columns (name -> array) for one batch of records, given the model's
+    per-draw tables ``t`` and the call's tilting points ``tilts``."""
     n = draw_idx.size
     d_cat = t["cat_idx"].size
-    layout = model.layout
     if d_cat:
+        cells = model.cat_table.cells
         cell_idx = model.cat_table.draw(rng, n)
-        assign = model.cat_table.cells[cell_idx]
-        sign = _level_signs(assign, [c.k for c in layout.cat_columns])
-        mu, psi = _cell_tilts(model, draw_idx, cell_idx)
+        assign = cells[cell_idx]
+        sign = _level_signs(assign, t["widths"])
+        mu, psi = _cell_tilts(cells, t, tilts, draw_idx, cell_idx)
         eps = _tilted_orthant(
             rng, t["h"][draw_idx], t["ltri"][draw_idx], sign, mu, psi, stats
         )
@@ -344,7 +338,7 @@ def _synthesize_batch(
     cols: dict[str, np.ndarray] = {}
     qi = 0
     ri = 0
-    for col in layout.columns:
+    for col in model.schema:
         if col.kind is Kind.CATEGORICAL:
             cols[col.name] = assign[:, qi].astype(np.int64)
             qi += 1
@@ -368,20 +362,26 @@ def synthesize_datasets(
     output bytes depend only on (plan, seed) and never on scheduling.  Its
     records go through in chunks of SYNTH_CHUNK, one after another on that
     stream.  If `diagnostics` is a list, one OrthantStats per dataset is
-    appended to it.
+    appended to it.  The per-draw tables are built once per call, and each
+    (draw, cell) tilting point is solved once per call, for all datasets.
     """
-    n_out = plan.n_out or plan.model.n_fit
+    model = plan.model
+    n_out = plan.n_out or model.n_fit
+    tables = _draw_tables(model)
+    tilts: dict = {}
     out = []
     for i in range(plan.m):
         rng = substream(plan.seed, "synth", i)
-        draw_idx = np.arange(n_out) % plan.model.draws.n_draws
+        draw_idx = np.arange(n_out) % model.draws.n_draws
         stats = OrthantStats()
         parts = [
-            _synthesize_batch(plan.model, draw_idx[s : s + SYNTH_CHUNK], rng, stats)
+            _synthesize_batch(
+                model, tables, tilts, draw_idx[s : s + SYNTH_CHUNK], rng, stats
+            )
             for s in range(0, n_out, SYNTH_CHUNK)
         ]
         cols = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
-        out.append(MixedDataset(plan.model.schema, cols))
+        out.append(MixedDataset(model.schema, cols))
         if diagnostics is not None:
             diagnostics.append(stats)
     return out

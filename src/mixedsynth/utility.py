@@ -49,14 +49,19 @@ class RegressionSpec:
     response: str
     predictors: tuple
     interactions: tuple = ()
-    standardize: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
         object.__setattr__(
             self, "interactions", tuple(tuple(pair) for pair in self.interactions)
         )
-        for a, b in self.interactions:
+        for pair in self.interactions:
+            if len(pair) != 2:
+                raise ValueError(
+                    f"interaction {':'.join(map(str, pair))!r} must name two "
+                    "predictors as a:b"
+                )
+            a, b = pair
             if a not in self.predictors or b not in self.predictors:
                 raise ValueError(
                     f"interaction ({a},{b}) references undeclared predictors"
@@ -85,7 +90,7 @@ class HorseshoeConfig:
             raise ValueError("need 0 <= burn_in < iters")
 
 
-def _encoded_columns(ds: MixedDataset, name: str, standardize: bool):
+def _encoded_columns(ds: MixedDataset, name: str):
     """Design columns and names for one predictor."""
     cs = ds.col_schema(name)
     vals = ds.columns[name]
@@ -96,7 +101,7 @@ def _encoded_columns(ds: MixedDataset, name: str, standardize: bool):
         names = [f"{name}={lvl}" for lvl in cs.levels[1:]]
         return cols, names
     x = vals.astype(np.float64)
-    if cs.kind is not Kind.BINARY and standardize:
+    if cs.kind is not Kind.BINARY:
         sd = x.std(ddof=1) if len(x) > 1 else 0.0
         x = (x - x.mean()) / sd if sd > 0 else x - x.mean()
     return [x], [name]
@@ -106,7 +111,8 @@ def design_matrix(ds: MixedDataset, spec: RegressionSpec):
     """Intercept + main effects + declared pairwise interactions.
 
     Categorical predictors enter as indicator sets with the first level
-    dropped; numeric predictors are standardized when the spec asks for it.
+    dropped; binary predictors enter raw and other numeric predictors are
+    standardized.
     Returns (X, coefficient names, response vector).
     """
     for name in (spec.response,) + spec.predictors:
@@ -125,7 +131,7 @@ def design_matrix(ds: MixedDataset, spec: RegressionSpec):
     names = ["(intercept)"]
     encoded = {}
     for name in spec.predictors:
-        c, nm = _encoded_columns(ds, name, spec.standardize)
+        c, nm = _encoded_columns(ds, name)
         encoded[name] = (c, nm)
         cols += c
         names += nm

@@ -50,6 +50,8 @@ from mixedsynth.utility import (
     pool_synthetic,
 )
 
+pytestmark = pytest.mark.acceptance
+
 DESIGN = SimDesign(n=5000, n_reps=120, seed=0)
 CHAIN = ChainConfig(iters=15000, burn_in=9000, thin=10, seed=0)
 

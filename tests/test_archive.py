@@ -8,7 +8,7 @@ import pytest
 
 import mixedsynth.archive as archive_mod
 from mixedsynth.archive import load_archive, save_archive
-from mixedsynth.errors import ArchiveError
+from mixedsynth.errors import ArchiveError, ConstantColumnWarning
 from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash
 from mixedsynth.synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
@@ -158,7 +158,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     _, model, _ = fitted
-    for version in (99, 1):
+    for version in (99, 1, 2):
         path = tmp_path / f"v{version}.mxs"
         monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
         save_archive(path, model)
@@ -187,8 +187,34 @@ def test_version_1_layout_gets_the_version_error(tmp_path):
     path = tmp_path / "v1.mxs"
     path.write_bytes(archive_mod.MAGIC + payload.getvalue())
     with pytest.raises(ArchiveError,
-                       match=r"archive format version 1 unsupported \(expected 2\)"):
+                       match=r"archive format version 1 unsupported \(expected 3\)"):
         load_archive(path)
+
+
+def test_constant_continuous_column_round_trip(tmp_path):
+    """A constant continuous column is stored as a one-value discrete
+    marginal and, after loading, synthesizes as that constant in float64."""
+    rng = np.random.default_rng(6)
+    n = 80
+    ds = MixedDataset(
+        (
+            ColumnSchema("y", Kind.COUNT),
+            ColumnSchema("c", Kind.CONTINUOUS),
+        ),
+        {"y": rng.poisson(3.0, n), "c": np.full(n, 2.75)},
+    )
+    with pytest.warns(ConstantColumnWarning):
+        model = fit_copula_model(ds, ChainConfig(iters=40, burn_in=20, thin=2, seed=1))
+    path = tmp_path / "m.mxs"
+    save_archive(path, model)
+    ar = load_archive(path)
+    assert ar.meta["marginals"][1] == ["c", {"type": "discrete"}]
+    assert _same_stored(archive_mod._put_marginal, ar.model.marginals["c"],
+                        model.marginals["c"])
+    for plan_model in (model, ar.model):
+        (out,) = synthesize_datasets(SynthesisPlan(plan_model, n_out=50, seed=3))
+        assert out.columns["c"].dtype == np.float64
+        assert np.array_equal(out.columns["c"], np.full(50, 2.75))
 
 
 def test_continuous_values_stay_out_of_the_archive(tmp_path):

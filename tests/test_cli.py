@@ -265,6 +265,15 @@ def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags
     (["fit", "--data", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
       "--seed", "0", "--target-iters", "20", "--target-burn-in", "20"],
      "need 0 <= burn_in < iters"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", "x,y",
+      "--interactions", "x:z"], "interaction (x,z) references undeclared predictors"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", "x,y",
+      "--interactions", "x"], "interaction 'x' must name two predictors as a:b"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", "x,y",
+      "--interactions", "x:y:w"], "interaction 'x:y:w' must name two predictors"),
 ])
 def test_config_class_settings_checked_before_files_are_read(
         tmp_path, caplog, argv, message):
@@ -322,15 +331,24 @@ def test_bad_archive_is_stage_failure(tmp_path):
     assert rc == 2
 
 
-def test_categorical_target_rejected(workspace, tmp_path):
-    rc = main([
-        "fit", "--data", str(workspace["data"]),
-        "--schema", str(workspace["schema"]),
-        "--out", str(tmp_path / "m.mxs"), "--seed", "0",
-        "--iters", "50", "--burn-in", "10", "--thin", "2",
-        "--targets", "g",
-    ])
-    assert rc == 2  # schema violation inside the stage, not a flag problem
+def test_categorical_target_rejected(tmp_path, caplog):
+    """A categorical or binary --targets column is a configuration error
+    (exit 1), found once the schema is read and before the data is."""
+    doc = {"columns": _SCHEMA_DOC["columns"] + [{"name": "b", "kind": "binary"}]}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    for name, kind in (("g", "categorical"), ("b", "binary")):
+        caplog.clear()
+        rc = main([
+            "fit", "--data", str(tmp_path / "nope.csv"), "--schema", str(schema),
+            "--out", str(tmp_path / "m.mxs"), "--seed", "0", "--targets", name,
+        ])
+        assert rc == 1
+        assert (f"configuration error: --targets: column '{name}': response "
+                f"columns must be ordinal, count, or continuous, not {kind}"
+                in caplog.text)
+        assert "No such file" not in caplog.text
+    assert not (tmp_path / "m.mxs").exists()
 
 
 def test_unknown_target_rejected(workspace, tmp_path):

@@ -9,7 +9,6 @@ from mixedsynth import archive
 from mixedsynth.errors import EmptyColumnError, NoCategoricalColumnsError
 from mixedsynth.marginals import (
     ContinuousMarginal,
-    DegenerateMarginal,
     DiscreteMarginal,
     _kernel_cdf,
     _ONE_BELOW,
@@ -164,10 +163,15 @@ def test_silverman_bandwidth_value():
 
 
 def test_constant_continuous_degenerates():
+    """A constant continuous column is a one-value discrete marginal."""
     with pytest.warns(UserWarning, match="constant"):
         m = fit_marginal(np.full(10, 3.25), Kind.CONTINUOUS)
-    assert isinstance(m, DegenerateMarginal)
+    assert isinstance(m, DiscreteMarginal)
+    assert m.values.dtype == np.float64
+    np.testing.assert_array_equal(m.values, [3.25])
+    np.testing.assert_array_equal(m.counts, [10])
     np.testing.assert_array_equal(m.inverse(np.array([0.1, 0.9])), [3.25, 3.25])
+    assert m.inverse(np.array([0.1, 0.9])).dtype == np.float64
     # same n/(n+1) rescaling as the non-degenerate estimators
     np.testing.assert_allclose(
         m.cdf(np.array([3.0, 3.25, 4.0])), [0.0, 10 / 11, 10 / 11]

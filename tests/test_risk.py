@@ -234,12 +234,15 @@ def test_risk_study_monotone_in_epsilon_within_release():
 
 
 def test_risk_study_prefix_grid():
+    """A grid of known-column prefixes is one call per prefix; every cell of
+    a call counts the whole known list it was given."""
     conf, pool = _study_pool(seed=6)
-    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(2,),
-                       k_grid=(1, 2), eps_grid=(0,), reps=3, seed=1)
-    assert {c.n_known for c in cells} == {1, 2}
+    for k in (1, 2):
+        cells = risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=(2,),
+                           eps_grid=(0,), reps=3, seed=1)
+        assert {c.n_known for c in cells} == {k}
     with pytest.raises(ValueError):
-        risk_study(conf, pool, ("g",), "t", m_grid=(2,), k_grid=(2,), reps=1)
+        risk_study(conf, pool, (), "t", m_grid=(2,), reps=1)
 
 
 def test_risk_study_pool_too_small():
@@ -287,15 +290,20 @@ def test_substream_isolated_by_key():
 
 
 def test_risk_study_equals_mean_of_cmap_mean():
-    """Every cell equals, exactly, the average of cmap_mean over the same
-    releases re-drawn from substream(seed, "risk", m, rep)."""
+    """Every cell, for each known-column prefix, equals exactly the average of
+    cmap_mean over the same releases re-drawn from
+    substream(seed, "risk", m, rep)."""
     conf, pool = _study_pool(seed=12, size=5)
     m_grid, k_grid, eps_grid, reps, seed = (1, 3, 5), (1, 2), (0, 1, 2), 7, 4
-    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=m_grid, k_grid=k_grid,
-                       eps_grid=eps_grid, reps=reps, seed=seed)
-    assert [(c.m, c.n_known, c.epsilon) for c in cells] == [
-        (m, k, e) for m in m_grid for k in k_grid for e in eps_grid
-    ]
+    cells = []
+    for k in k_grid:
+        part = risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=m_grid,
+                          eps_grid=eps_grid, reps=reps, seed=seed)
+        assert [(c.m, c.n_known, c.epsilon) for c in part] == [
+            (m, k, e) for m in m_grid for e in eps_grid
+        ]
+        cells += part
+    assert len(cells) == 18
     for c in cells:
         direct = []
         for rep in range(reps):
@@ -319,8 +327,8 @@ def test_risk_study_equals_mean_of_cmap_mean():
 
 
 def test_risk_study_keys_each_prefix_once(monkeypatch):
-    """Per risk_study call: one key index and one baseline pass per prefix,
-    then one median pass per (release, prefix) that scores every epsilon."""
+    """Per risk_study call: one key index and one baseline pass for its known
+    list, then one median pass per release that scores every epsilon."""
     keyed, passes = [], []
     key_index, group_medians = risk._key_index, risk._group_medians
 
@@ -335,7 +343,8 @@ def test_risk_study_keys_each_prefix_once(monkeypatch):
     monkeypatch.setattr(risk, "_key_index", counting_key_index)
     monkeypatch.setattr(risk, "_group_medians", counting_group_medians)
     conf, pool = _study_pool(seed=9)
-    risk_study(conf, pool, ("g", "h"), "t", m_grid=(2, 3, 4), k_grid=(1, 2),
-               eps_grid=(0, 1, 2), reps=5, seed=2)
+    for k in (1, 2):
+        risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=(2, 3, 4),
+                   eps_grid=(0, 1, 2), reps=5, seed=2)
     assert keyed == [("g",), ("g", "h")]
     assert len(passes) == 2 + 3 * 5 * 2

@@ -333,9 +333,9 @@ def test_draw_selection_schemes(monkeypatch):
     seen = []
     real = synthesizer._synthesize_batch
 
-    def spy(model, draw_idx, rng, stats):
+    def spy(model, tables, tilts, draw_idx, rng, stats):
         seen.append(draw_idx)
-        return real(model, draw_idx, rng, stats)
+        return real(model, tables, tilts, draw_idx, rng, stats)
 
     monkeypatch.setattr(synthesizer, "_synthesize_batch", spy)
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)

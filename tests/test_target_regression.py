@@ -12,7 +12,10 @@ from mixedsynth.errors import (
     NonNumericResponseError,
     SchemaMismatchError,
 )
+from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
+from mixedsynth.streams import substream
+from mixedsynth.synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from mixedsynth.target_regression import (
     TargetConfig,
     fit_target_model,
@@ -85,6 +88,60 @@ def _feasibility_hook(y):
         calls.append(it)
 
     return hook, calls
+
+
+def _binned_means(x, g, r):
+    """Mean of r in each of the 8 x 3 cells (x-bin of width 0.5 on [-2, 2],
+    level of g), and the cell counts."""
+    cell = np.minimum(((x + 2.0) / 0.5).astype(np.int64), 7) * 3 + g
+    total = np.bincount(cell, r, minlength=24)
+    count = np.bincount(cell, minlength=24)
+    return total / np.maximum(count, 1), count
+
+
+def test_targeted_release_keeps_the_nonlinear_conditional_mean():
+    """The targeted claim on a release: r is Poisson with log-mean
+    1 + sin 2x + a shift per level of g.  Through the copula, r's
+    dependence on x is flattened to a correlation; fitted by
+    fit_target_model it keeps the sine.  Compared on E[r | x-bin, g] over
+    8 x 3 cells, the targeted release's MSE against the confidential means
+    must be 10 times smaller.  The factor was set from seeds 11-20, where
+    the ratio was 23-94; at this seed it is 19.5 (MSE 13.7 against 0.70)."""
+    seed, n, m = 0, 600, 4
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 3, n)
+    x = rng.uniform(-2.0, 2.0, n)
+    r = rng.poisson(np.exp(1.0 + np.sin(2.0 * x) + np.array([0.0, 1.0, -0.5])[g]))
+    conf, count = _binned_means(x, g, r)
+    assert count.min() > 0
+
+    def schema(role):
+        return (ColumnSchema("g", Kind.CATEGORICAL, levels=("a", "b", "c")),
+                ColumnSchema("x", Kind.CONTINUOUS),
+                ColumnSchema("r", Kind.COUNT, role=role))
+
+    def mse(sets, responses):
+        xs = np.concatenate([s.columns["x"] for s in sets])
+        gs = np.concatenate([s.columns["g"] for s in sets])
+        syn, syn_count = _binned_means(xs, gs, np.concatenate(responses))
+        assert syn_count.min() > 0
+        return float(np.mean((syn - conf) ** 2))
+
+    chain = ChainConfig(iters=300, burn_in=150, thin=5, seed=seed)
+    plan = {"m": m, "seed": seed + 1}
+    whole = MixedDataset(schema("copula"), {"g": g, "x": x, "r": r})
+    copula_sets = synthesize_datasets(
+        SynthesisPlan(fit_copula_model(whole, chain), **plan))
+    copula_mse = mse(copula_sets, [s.columns["r"] for s in copula_sets])
+
+    split = MixedDataset(schema("response"), {"g": g, "x": x, "r": r})
+    summary = fit_target_model(
+        split, "r", TargetConfig(iters=200, burn_in=50, trees=30, seed=seed))
+    sets = synthesize_datasets(SynthesisPlan(fit_copula_model(split, chain), **plan))
+    targeted = synthesize_response(
+        summary, sets, [substream(seed + 1, "target-synth", i, "r") for i in range(m)])
+    targeted_mse = mse(sets, targeted)
+    assert copula_mse > 10.0 * targeted_mse, (copula_mse, targeted_mse)
 
 
 def test_latent_vector_preserves_ranks_every_iteration():

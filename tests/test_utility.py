@@ -192,7 +192,7 @@ def test_horseshoe_signal_and_noise():
 
 def test_fixed_global_scale_reaches_ols_limit():
     ds = _toy_ds(n=300, seed=3)
-    spec = RegressionSpec("y", ("x", "b"), standardize=False)
+    spec = RegressionSpec("y", ("x", "b"))
     x, names, y = design_matrix(ds, spec)
     ols = np.linalg.lstsq(x, y, rcond=None)[0]
     fit = fit_bayes_lm(
