@@ -1,13 +1,17 @@
 """Versioned single-file container for fitted models.
 
 Layout: a magic header line, then a compressed npz payload.  Entry ``meta``
-is a JSON document stored as a uint8 array; it holds only names, kinds,
-scalars and type tags (schemas, seed, fit size, each marginal's type, each
-targeted response's covariate signature, sigma^2 and kept-ensemble count).
-Every array is an entry of its own, keyed by position, never by column name:
+is a JSON document stored as a uint8 array.  It describes each column once,
+in one schema, the full one (`schema.schema_to_doc` form, responses
+included); the rest is scalars, names and type tags (seed, fit size, factor
+count, each marginal's type, each targeted response's name, covariate names,
+sigma^2 and kept-ensemble count).  The loader derives from the full schema
+the copula schema (its copula-role columns), the schema hash, and the column
+of each marginal and cell-table column (in schema order).  Every array is an
+entry of its own, keyed by position, never by column name:
 
 - ``corr``, ``alpha``: the retained correlation and intercept draws;
-- ``marginal<i>.<field>``: the i-th copula marginal;
+- ``marginal<i>.<field>``: the i-th non-categorical copula column's marginal;
 - ``cat.cells``, ``cat.cell_probs``: the categorical cell table;
 - ``target<k>.marginal.<field>``, ``target<k>.forest.<field>``: the k-th
   targeted response's marginal and its kept trees (`bart.Forest`).
@@ -32,28 +36,28 @@ from .bart import Forest
 from .errors import ArchiveError
 from .factor_model import PosteriorDraws
 from .marginals import CategoricalProbTable, ContinuousMarginal, DiscreteMarginal
-from .schema import schema_from_doc, schema_hash, schema_to_doc
+from .schema import Kind, schema_from_doc, schema_hash, schema_to_doc
 from .synthesizer import FittedCopula
 from .target_regression import TargetModelSummary
 
 __all__ = ["MAGIC", "save_archive", "load_archive", "ModelArchive"]
 
 MAGIC = b"MXSYNTH1\n"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _MARGINAL_TYPES = {"discrete": DiscreteMarginal, "continuous": ContinuousMarginal}
 
 
+@dataclasses.dataclass
 class ModelArchive:
-    """A loaded archive: the copula model plus any targeted-response models."""
+    """A loaded archive: the copula model plus any targeted-response models
+    (keyed by response name)."""
 
-    def __init__(self, model: FittedCopula, targets: dict, schema_hash_: str,
-                 seed: int, full_schema: tuple, meta: dict):
-        self.model = model
-        self.targets = targets
-        self.schema_hash = schema_hash_
-        self.seed = seed
-        self.full_schema = full_schema  # original column order incl. responses
-        self.meta = meta
+    model: FittedCopula
+    targets: dict
+    schema_hash: str  # of full_schema
+    seed: int
+    full_schema: tuple  # original column order incl. responses
+    meta: dict
 
 
 def _put(arrays: dict, key: str, obj) -> dict:
@@ -91,25 +95,39 @@ def _get_marginal(arrays: dict, key: str, doc: dict):
 def _put_target(arrays: dict, key: str, t: TargetModelSummary) -> dict:
     _put(arrays, f"{key}.forest", t.forest)
     return {
-        "response": t.response,
-        "kind": t.kind,
-        "covariates": [list(c) for c in t.covariate_sig],
+        "response": t.response.name,
+        "covariates": [c.name for c in t.covariates],
         "kept": t.kept,
         "sigma2": t.sigma2,
         "marginal": _put_marginal(arrays, f"{key}.marginal", t.marginal),
     }
 
 
-def _get_target(arrays: dict, key: str, doc: dict) -> TargetModelSummary:
-    sig = tuple(
-        (name, kind, tuple(levels) if levels is not None else None)
-        for name, kind, levels in doc["covariates"]
-    )
+def _get_target(arrays: dict, key: str, doc: dict, columns: dict) -> TargetModelSummary:
     return TargetModelSummary(
-        doc["response"], doc["kind"], sig,
+        columns[doc["response"]], tuple(columns[name] for name in doc["covariates"]),
         _get(arrays, f"{key}.forest", Forest, {}), int(doc["kept"]),
         float(doc["sigma2"]), _get_marginal(arrays, f"{key}.marginal", doc["marginal"]),
     )
+
+
+def _rank_columns(schema) -> list:
+    """The columns that own a marginal, in schema order."""
+    return [c for c in schema if c.kind is not Kind.CATEGORICAL]
+
+
+def _check_columns(model: FittedCopula, targets: dict, full: tuple) -> None:
+    """What the loader derives from ``full`` must be what was fitted."""
+    if tuple(model.schema) != tuple(c for c in full if c.role == "copula"):
+        raise ValueError("model schema is not the copula-role columns of "
+                         "full_schema, in order")
+    kinds = {c.name: (c.kind, c.levels) for c in full}
+    for t in targets.values():
+        for cs in (t.response, *t.covariates):
+            if kinds.get(cs.name) != (cs.kind, cs.levels):
+                raise ValueError(f"target '{t.response.name}': column '{cs.name}' is "
+                                 "missing from full_schema or differs from it in "
+                                 "kind or levels")
 
 
 def save_archive(
@@ -120,27 +138,29 @@ def save_archive(
     full_schema: tuple | None = None,
     extra_meta: dict | None = None,
 ) -> None:
-    """Write the model (and optional per-response target summaries) to disk."""
+    """Write the model (and optional per-response target summaries) to disk.
+
+    Raises ValueError when ``model.schema`` is not the copula-role columns of
+    ``full_schema`` in order, or when a target's response or covariate is
+    missing from ``full_schema`` or differs from it in kind or levels.
+    """
     targets = targets or {}
-    full = full_schema if full_schema is not None else model.schema
+    full = tuple(full_schema if full_schema is not None else model.schema)
+    _check_columns(model, targets, full)
     arrays = {"corr": model.draws.corr, "alpha": model.draws.alpha}
     table = model.cat_table
     if table is not None:
         arrays["cat.cells"], arrays["cat.cell_probs"] = table.cells, table.cell_probs
     meta = {
         "format_version": _FORMAT_VERSION,
-        "schema": schema_to_doc(model.schema),
         "full_schema": schema_to_doc(full),
-        "schema_hash": schema_hash(full),
         "seed": seed,
         "n_fit": model.n_fit,
         "n_factors": model.draws.n_factors,
-        "latent_names": list(model.draws.latent_names),
         "marginals": [
-            [name, _put_marginal(arrays, f"marginal{i}", m)]
-            for i, (name, m) in enumerate(model.marginals.items())
+            _put_marginal(arrays, f"marginal{i}", model.marginals[c.name])
+            for i, c in enumerate(_rank_columns(model.schema))
         ],
-        "cat_names": None if table is None else list(table.var_names),
         "targets": [
             _put_target(arrays, f"target{k}", t) for k, t in enumerate(targets.values())
         ],
@@ -177,30 +197,20 @@ def load_archive(path) -> ModelArchive:
             f"{_FORMAT_VERSION})"
         )
 
-    schema = schema_from_doc(meta["schema"], path)
-    draws = PosteriorDraws(
-        arrays["corr"], arrays["alpha"], tuple(meta["latent_names"]),
-        int(meta["n_factors"]),
-    )
+    full = schema_from_doc(meta["full_schema"], path)
+    schema = tuple(c for c in full if c.role == "copula")
+    draws = PosteriorDraws(arrays["corr"], arrays["alpha"], int(meta["n_factors"]))
     marginals = {
-        name: _get_marginal(arrays, f"marginal{i}", doc)
-        for i, (name, doc) in enumerate(meta["marginals"])
+        c.name: _get_marginal(arrays, f"marginal{i}", doc)
+        for i, (c, doc) in enumerate(
+            zip(_rank_columns(schema), meta["marginals"], strict=True))
     }
-    table = None
-    if meta["cat_names"] is not None:
-        table = CategoricalProbTable(
-            tuple(meta["cat_names"]), arrays["cat.cells"], arrays["cat.cell_probs"]
-        )
+    table = (CategoricalProbTable(arrays["cat.cells"], arrays["cat.cell_probs"])
+             if "cat.cells" in arrays else None)
     model = FittedCopula(draws, schema, marginals, table, int(meta["n_fit"]))
+    columns = {c.name: c for c in full}
     targets = {
-        doc["response"]: _get_target(arrays, f"target{k}", doc)
+        doc["response"]: _get_target(arrays, f"target{k}", doc, columns)
         for k, doc in enumerate(meta["targets"])
     }
-    return ModelArchive(
-        model,
-        targets,
-        meta["schema_hash"],
-        meta["seed"],
-        schema_from_doc(meta["full_schema"], path),
-        meta,
-    )
+    return ModelArchive(model, targets, schema_hash(full), meta["seed"], full, meta)

@@ -140,22 +140,18 @@ def _int_list(value):
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     given = {k: v for k, v in vars(args).items() if v is not None}
-    given.pop("func", None)
-    from_file = {}
-    if given.get("config"):
-        path = Path(given["config"])
+    from_file, path = {}, given.get("config")
+    if path:
         try:
-            from_file = json.loads(path.read_text())
+            from_file = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file '{path}': {exc}")
         if not isinstance(from_file, dict):
             raise ConfigError(f"config file '{path}' must hold a JSON object")
+        from_file = _file_settings(args.subcommand, from_file, path)
     cfg = dict(defaults)
+    # a preset named here has passed its flag's choices
     preset_name = given.get("preset", from_file.get("preset"))
-    if preset_name is not None and preset_name not in _PRESETS:
-        raise ConfigError(
-            f"unknown preset '{preset_name}'; choose from {sorted(_PRESETS)}"
-        )
     if preset_name is not None and args.subcommand == "fit":
         cfg.update(_PRESETS[preset_name])
     cfg.update(from_file)
@@ -165,6 +161,33 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ConfigError(f"missing required settings for '{args.subcommand}': {flags}")
     return cfg
+
+
+def _file_settings(command: str, doc: dict, path) -> dict:
+    """``--config`` settings read as the command's flags read them: each key
+    must be a flag's name, and its value, as the text the flag would take (a
+    list comma-joined), passes the flag's type and choices; a null value
+    leaves the setting unset, as an absent flag does."""
+    actions = {a.dest: a for a in _build_parser().commands[command]._actions}
+    for key, value in doc.items():
+        action = actions.get(key)
+        if action is None or key == "help":
+            raise ConfigError(f"'{key}' in config file '{path}' is not a flag of "
+                              f"'{command}'")
+        if value is None:
+            continue
+        convert = action.type or str
+        try:
+            doc[key] = value = convert(
+                ",".join(map(str, value)) if isinstance(value, list) else str(value))
+        except ValueError:
+            raise ConfigError(f"invalid {convert.__name__} value {value!r} for "
+                              f"{action.option_strings[0]} in config file "
+                              f"'{path}'") from None
+        if action.choices and value not in action.choices:
+            raise ConfigError(f"unknown {key} {value!r} in config file '{path}'; "
+                              f"choose from {sorted(action.choices)}")
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 def _require_seed(cfg: dict, command: str) -> int:
@@ -231,6 +254,9 @@ def _cmd_fit(cfg: dict) -> dict:
     except SchemaError as exc:  # a kind that cannot be a response
         raise ConfigError(f"--targets: {exc}") from None
     targets = [c.name for c in schema if c.role == "response"]
+    if len(targets) == len(schema):
+        raise ConfigError("--targets: every column is a response; the copula "
+                          "model needs at least one copula-role column")
     ds = load_dataset(cfg["data"], schema)
 
     log.info("fitting copula model on %d records, %d columns",
@@ -479,6 +505,7 @@ def _build_parser() -> _Parser:
     top.add_argument("-v", "--verbose", action="store_true")
     sub = top.add_subparsers(dest="subcommand", required=True,
                              parser_class=_Parser)
+    top.commands = sub.choices  # command name -> its parser
 
     def common(p):
         p.add_argument("--config", help="JSON file with defaults for this command")

@@ -196,7 +196,7 @@ class FactorModelPlan:
         for col, off in zip(layout.columns, layout.offsets):
             vals = ds.columns[col.name]
             if col.kind is Kind.CATEGORICAL:
-                cat_cols.append(_CatCol.from_codes(off, col.k, vals))
+                cat_cols.append(_CatCol.from_codes(off, col.width, vals))
             else:
                 rank_cols.append(_RankCol(off, RankGroups.from_values(vals)))
         return cls(layout, ds.n, rank_cols, cat_cols, layout.cat_latent_mask())
@@ -224,16 +224,11 @@ class PosteriorDraws:
 
     corr: np.ndarray  # (n_draws, p_star, p_star)
     alpha: np.ndarray  # (n_draws, p_star)
-    latent_names: tuple[str, ...]
     n_factors: int
 
     @property
     def n_draws(self) -> int:
         return self.corr.shape[0]
-
-    @property
-    def p_star(self) -> int:
-        return self.corr.shape[1]
 
 
 def init_state(
@@ -415,9 +410,4 @@ def run_chain(ds: MixedDataset, config: ChainConfig) -> PosteriorDraws:
                 config.iters,
                 float(off.mean()) if off.size else 0.0,
             )
-    return PosteriorDraws(
-        np.asarray(corrs),
-        np.asarray(alphas),
-        tuple(plan.layout.latent_names()),
-        k,
-    )
+    return PosteriorDraws(np.asarray(corrs), np.asarray(alphas), k)

@@ -163,9 +163,9 @@ def fit_marginal(column, kind: Kind):
 
 @dataclass
 class CategoricalProbTable:
-    """The joint cell table of the categorical columns, used for synthesis."""
+    """The joint cell table of the categorical columns (in schema order, one
+    column of ``cells`` each), used for synthesis."""
 
-    var_names: tuple[str, ...]
     cells: np.ndarray  # (n_cells, q) level codes, lexicographically sorted
     cell_probs: np.ndarray
 
@@ -186,5 +186,5 @@ def fit_categorical_probs(ds: MixedDataset) -> CategoricalProbTable:
         raise NoCategoricalColumnsError("dataset declares no categorical columns")
     codes = np.column_stack([ds.columns[c.name] for c in cat_cols])
     cells, counts = np.unique(codes, axis=0, return_counts=True)
-    return CategoricalProbTable(tuple(c.name for c in cat_cols), cells, counts / ds.n)
+    return CategoricalProbTable(cells, counts / ds.n)
 

@@ -99,15 +99,9 @@ class ColumnSchema:
             )
 
     @property
-    def k(self) -> int:
-        """Number of levels (categorical only)."""
-        if self.levels is None:
-            raise SchemaError(f"column '{self.name}' is not categorical")
-        return len(self.levels)
-
-    @property
     def width(self) -> int:
-        """Width of this column's latent block."""
+        """Width of this column's latent block: a categorical column's level
+        count, else 1."""
         return len(self.levels) if self.kind is Kind.CATEGORICAL else 1
 
 
@@ -165,12 +159,12 @@ class MixedDataset:
         else:
             arr = arr.astype(np.int64)
         if col.kind is Kind.CATEGORICAL:
-            bad = (arr < 0) | (arr >= col.k)
+            bad = (arr < 0) | (arr >= col.width)
             if np.any(bad):
                 row = int(np.flatnonzero(bad)[0])
                 raise LevelNotInSchemaError(
                     f"column '{col.name}', row {row}: level code {arr[row]} outside "
-                    f"declared levels (k={col.k})"
+                    f"declared levels (k={col.width})"
                 )
         elif col.kind is Kind.BINARY:
             bad = (arr < 0) | (arr > 1)
@@ -204,10 +198,6 @@ class ExpandedLayout:
     columns: tuple[ColumnSchema, ...]
     offsets: tuple[int, ...]
     p_star: int
-
-    @property
-    def cat_columns(self) -> tuple[ColumnSchema, ...]:
-        return tuple(c for c in self.columns if c.kind is Kind.CATEGORICAL)
 
     def cat_latent_mask(self) -> np.ndarray:
         """Boolean mask over latent columns: True inside categorical blocks."""
@@ -472,6 +462,8 @@ def schema_from_doc(doc, source="schema") -> tuple[ColumnSchema, ...]:
         kind = _parse_kind(ent["kind"], name)
         levels = ent.get("levels")
         if levels is not None:
+            if not isinstance(levels, list):
+                raise SchemaError(f"{source}: column '{name}': 'levels' must be a list")
             levels = tuple(str(lv) for lv in levels)
         out.append(
             ColumnSchema(name, kind, levels=levels, role=str(ent.get("role", "copula")))

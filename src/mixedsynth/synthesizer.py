@@ -183,7 +183,7 @@ def _draw_tables(model: FittedCopula):
     return {
         "cat_idx": cat_idx,
         "rest_idx": rest_idx,
-        "widths": [c.k for c in layout.cat_columns],
+        "widths": [c.width for c in layout.columns if c.kind is Kind.CATEGORICAL],
         "h": h,
         "ltri": ltri,
         "bc": np.asarray(bcs),
@@ -335,22 +335,14 @@ def _synthesize_batch(
         z_rest = mean + np.einsum("irs,is->ir", t["l"][draw_idx], noise)
     else:
         z_rest = np.empty((n, 0))
-    cols: dict[str, np.ndarray] = {}
-    qi = 0
-    ri = 0
-    for col in model.schema:
-        if col.kind is Kind.CATEGORICAL:
-            cols[col.name] = assign[:, qi].astype(np.int64)
-            qi += 1
-        else:
-            u = ndtr(z_rest[:, ri])
-            vals = model.marginals[col.name].inverse(u)
-            if col.kind is Kind.CONTINUOUS:
-                cols[col.name] = np.asarray(vals, dtype=np.float64)
-            else:
-                cols[col.name] = np.asarray(vals, dtype=np.int64)
-            ri += 1
-    return cols
+    # latent blocks follow schema order; MixedDataset gives each column its
+    # kind's dtype
+    cat, rest = iter(assign.T), iter(ndtr(z_rest).T)
+    return {
+        col.name: next(cat) if col.kind is Kind.CATEGORICAL
+        else model.marginals[col.name].inverse(next(rest))
+        for col in model.schema
+    }
 
 
 def synthesize_datasets(

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .factor_model import RankGroups, update_rank_column
 from .marginals import fit_marginal
-from .schema import Kind, MixedDataset
+from .schema import ColumnSchema, Kind, MixedDataset
 from .streams import substream
 
 __all__ = [
@@ -66,37 +66,24 @@ class TargetConfig:
 @dataclass
 class TargetModelSummary:
     """Posterior-mean predictor: every kept ensemble's trees in one forest,
-    in kept order, plus the mean sigma^2 and the response's marginal."""
+    in kept order, plus the mean sigma^2 and the response's marginal.
+    ``covariates`` are the fitted data's non-response columns, in order."""
 
-    response: str
-    kind: str  # response column kind (count/ordinal/continuous)
-    covariate_sig: tuple  # (name, kind value, levels) per covariate, in order
+    response: ColumnSchema
+    covariates: tuple[ColumnSchema, ...]
     forest: Forest
     kept: int  # ensembles joined in the forest
     sigma2: float
     marginal: object
 
 
-def _covariate_signature(ds: MixedDataset, response: str) -> tuple:
-    sig = []
-    for cs in ds.schema:
-        if cs.name == response or cs.role == "response":
-            continue
-        sig.append((cs.name, cs.kind.value, cs.levels))
-    return tuple(sig)
-
-
-def _covariate_columns(ds: MixedDataset, sig: tuple):
-    cols, is_cat = [], []
-    for name, kind, _levels in sig:
-        vals = ds.columns[name]
-        if kind == Kind.CATEGORICAL.value:
-            cols.append(vals.astype(np.int64))
-            is_cat.append(True)
-        else:
-            cols.append(vals.astype(np.float64))
-            is_cat.append(False)
-    return cols, is_cat
+def _covariate_columns(ds: MixedDataset, covariates) -> list:
+    """Level codes of categorical covariates as int64, the others as float64."""
+    return [
+        ds.columns[cs.name].astype(
+            np.int64 if cs.kind is Kind.CATEGORICAL else np.float64)
+        for cs in covariates
+    ]
 
 
 def fit_target_model(
@@ -119,9 +106,11 @@ def fit_target_model(
     if np.ptp(y) == 0:
         raise DegenerateResponseError(f"target response '{response}' is constant")
 
-    sig = _covariate_signature(ds, response)
-    cols, is_cat = _covariate_columns(ds, sig)
-    xmat = CovariateMatrix(cols, is_cat)
+    covariates = tuple(
+        cs for cs in ds.schema if cs.role != "response" and cs.name != response
+    )
+    xmat = CovariateMatrix(_covariate_columns(ds, covariates),
+                           [cs.kind is Kind.CATEGORICAL for cs in covariates])
     rng = substream(config.seed, "target", response)
 
     groups = RankGroups.from_values(y)
@@ -144,9 +133,8 @@ def fit_target_model(
     _log_diagnostics(response, sampler, ensembles[-1])
 
     return TargetModelSummary(
-        response,
-        rs.kind.value,
-        sig,
+        rs,
+        covariates,
         Forest.join(ensembles),
         len(ensembles),
         float(np.mean(sigmas)),
@@ -176,18 +164,18 @@ def synthesize_response(
     its noise from its own generator in ``rngs``.
     """
     present = [{cs.name: cs for cs in records.schema} for records in record_sets]
-    for name, kind, levels in summary.covariate_sig:
+    for want in summary.covariates:
         for cols in present:
-            cs = cols.get(name)
-            if cs is None or cs.kind.value != kind or cs.levels != levels:
+            cs = cols.get(want.name)
+            if cs is None or (cs.kind, cs.levels) != (want.kind, want.levels):
                 raise SchemaMismatchError(
-                    f"covariate '{name}' missing or mismatched in synthetic records"
+                    f"covariate '{want.name}' missing or mismatched in synthetic records"
                 )
-    per_set = [_covariate_columns(r, summary.covariate_sig)[0] for r in record_sets]
+    per_set = [_covariate_columns(r, summary.covariates) for r in record_sets]
     f_hat = ensemble_predict(summary.forest, summary.kept,
                              [np.concatenate(c) for c in zip(*per_set)])
     ends = np.cumsum([r.n for r in record_sets])
-    dtype = np.float64 if summary.kind == Kind.CONTINUOUS.value else np.int64
+    dtype = np.float64 if summary.response.kind is Kind.CONTINUOUS else np.int64
     out = []
     for f, records, rng in zip(np.split(f_hat, ends[:-1]), record_sets, rngs):
         z = f + np.sqrt(summary.sigma2) * rng.standard_normal(records.n)

@@ -25,7 +25,7 @@ from mixedsynth.factor_model import (
     update_loadings,
 )
 from mixedsynth.risk import AdversaryScenario, _Prefix, cmap_mean, risk_study
-from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, write_csv
+from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout, write_csv
 from mixedsynth.simulation import (
     STUDIES,
     SimDesign,
@@ -165,7 +165,7 @@ def test_criterion_3_orthant_mass_readback(copula_fit):
     are otherwise reported, with S and their largest gap, as information.
     """
     data, model = copula_fit
-    names = model.draws.latent_names
+    names = expand_layout(model.schema).latent_names()
     block = [i for i, nm in enumerate(names) if nm.startswith("x1=")]
     alpha = model.draws.alpha.mean(axis=0)[block]
     corr = model.draws.corr.mean(axis=0)[np.ix_(block, block)]

@@ -1,5 +1,6 @@
 """Single-file model container: round-trip fidelity, what it holds, and
 failure modes."""
+import dataclasses
 import io
 import json
 
@@ -10,7 +11,7 @@ import mixedsynth.archive as archive_mod
 from mixedsynth.archive import load_archive, save_archive
 from mixedsynth.errors import ArchiveError, ConstantColumnWarning
 from mixedsynth.factor_model import ChainConfig
-from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash
+from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash, schema_to_doc
 from mixedsynth.synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from mixedsynth.target_regression import TargetConfig, fit_target_model, synthesize_response
 
@@ -79,7 +80,6 @@ def test_arrays_and_metadata_round_trip(fitted, tmp_path):
     ar = _save(fitted, tmp_path / "m.mxs")
     assert np.array_equal(ar.model.draws.corr, model.draws.corr)
     assert np.array_equal(ar.model.draws.alpha, model.draws.alpha)
-    assert ar.model.draws.latent_names == model.draws.latent_names
     assert ar.model.draws.n_factors == model.draws.n_factors
     assert ar.model.schema == model.schema
     assert ar.model.n_fit == model.n_fit
@@ -92,11 +92,11 @@ def test_arrays_and_metadata_round_trip(fitted, tmp_path):
 def test_marginals_and_cat_table_round_trip(fitted, tmp_path):
     _, model, _ = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
-    assert set(ar.model.marginals) == set(model.marginals)
+    # marginals come back under their columns' names, in schema order
+    assert list(ar.model.marginals) == list(model.marginals) == ["y", "w"]
     for name, m in model.marginals.items():
         assert _same_stored(archive_mod._put_marginal, ar.model.marginals[name], m)
     t0, t1 = model.cat_table, ar.model.cat_table
-    assert t1.var_names == t0.var_names
     assert np.array_equal(t1.cells, t0.cells)
     assert np.array_equal(t1.cell_probs, t0.cell_probs)
 
@@ -106,6 +106,8 @@ def test_targets_round_trip_and_predict_identically(fitted, tmp_path):
     ar = _save(fitted, tmp_path / "m.mxs")
     assert set(ar.targets) == {"r"}
     assert _same_stored(archive_mod._put_target, ar.targets["r"], target)
+    assert ar.targets["r"].response == target.response == ds.col_schema("r")
+    assert ar.targets["r"].covariates == target.covariates == ds.schema[:3]
 
     records = ds.subset(["g", "y", "w"])
     a = synthesize_response(target, [records], [np.random.default_rng(5)])[0]
@@ -158,7 +160,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     _, model, _ = fitted
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         path = tmp_path / f"v{version}.mxs"
         monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
         save_archive(path, model)
@@ -187,8 +189,86 @@ def test_version_1_layout_gets_the_version_error(tmp_path):
     path = tmp_path / "v1.mxs"
     path.write_bytes(archive_mod.MAGIC + payload.getvalue())
     with pytest.raises(ArchiveError,
-                       match=r"archive format version 1 unsupported \(expected 3\)"):
+                       match=r"archive format version 1 unsupported \(expected 4\)"):
         load_archive(path)
+
+
+def test_version_3_layout_gets_the_version_error(fitted, tmp_path):
+    """A file in the format-3 layout (the copula schema, schema hash, latent
+    and cell-table names stored beside the full schema, each marginal as a
+    [name, doc] pair) is refused by version."""
+    _, model, _ = fitted
+    doc = [{"name": "y", "kind": "count", "levels": None, "role": "copula"}]
+    meta = {
+        "format_version": 3, "schema": doc, "full_schema": doc,
+        "schema_hash": "0" * 64, "seed": 0, "n_fit": 10, "n_factors": 1,
+        "latent_names": ["y"], "marginals": [["y", {"type": "discrete"}]],
+        "cat_names": None, "targets": [], "extra": {},
+    }
+    payload = io.BytesIO()
+    np.savez_compressed(
+        payload,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        corr=np.eye(1)[None], alpha=np.zeros((1, 1)),
+        **{"marginal0.values": np.array([1, 2]), "marginal0.counts": np.array([4, 6])},
+    )
+    path = tmp_path / "v3.mxs"
+    path.write_bytes(archive_mod.MAGIC + payload.getvalue())
+    with pytest.raises(ArchiveError,
+                       match=r"archive format version 3 unsupported \(expected 4\)"):
+        load_archive(path)
+
+
+def test_meta_holds_one_schema_and_derives_the_rest(fitted, tmp_path):
+    """Format 4 describes each column once: meta has one schema document,
+    the full schema; the copula schema, schema hash, marginal and cell-table
+    column names come from it, and a target names its response and
+    covariates."""
+    ds, model, _ = fitted
+    ar = _save(fitted, tmp_path / "m.mxs")
+    meta = json.loads(bytes(_entries(tmp_path / "m.mxs")["meta"]).decode("utf-8"))
+    assert meta.keys() == {"format_version", "full_schema", "seed", "n_fit",
+                           "n_factors", "marginals", "targets", "extra"}
+    assert meta["format_version"] == 4
+    assert meta["full_schema"] == schema_to_doc(ds.schema)
+    assert [m["type"] for m in meta["marginals"]] == ["discrete", "continuous"]
+    (target,) = meta["targets"]
+    assert target.keys() == {"response", "covariates", "kept", "sigma2", "marginal"}
+    assert (target["response"], target["covariates"]) == ("r", ["g", "y", "w"])
+    assert ar.model.schema == model.schema == ds.schema[:3]
+    assert ar.full_schema == ds.schema
+    assert ar.schema_hash == schema_hash(ds.schema)
+
+
+def test_save_refuses_a_copula_schema_not_taken_from_full_schema(fitted, tmp_path):
+    ds, model, target = fitted
+    g, y, w, r = ds.schema
+    for full in ((y, g, w, r),  # reordered
+                 (g, y, r),  # w missing
+                 (g, y, w, dataclasses.replace(r, role="copula"))):  # extra copula column
+        with pytest.raises(ValueError, match="copula-role columns of full_schema"):
+            save_archive(tmp_path / "m.mxs", model, targets={"r": target},
+                         full_schema=full)
+    assert not (tmp_path / "m.mxs").exists()
+
+
+def test_save_refuses_a_target_column_not_in_full_schema(fitted, tmp_path):
+    ds, model, target = fitted
+    g, y, w = target.covariates
+    bad = [
+        (target, None),  # the full schema defaults to the copula schema: no 'r'
+        (dataclasses.replace(target, covariates=(
+            dataclasses.replace(g, levels=("a", "b", "z")), y, w)), ds.schema),
+        (dataclasses.replace(target, covariates=(
+            g, ColumnSchema("y", Kind.ORDINAL), w)), ds.schema),
+        (dataclasses.replace(target, covariates=(
+            g, y, w, ColumnSchema("q", Kind.COUNT))), ds.schema),
+    ]
+    for summary, full in bad:
+        with pytest.raises(ValueError, match="missing from full_schema or differs"):
+            save_archive(tmp_path / "m.mxs", model, targets={"r": summary},
+                         full_schema=full)
+    assert not (tmp_path / "m.mxs").exists()
 
 
 def test_constant_continuous_column_round_trip(tmp_path):
@@ -208,7 +288,7 @@ def test_constant_continuous_column_round_trip(tmp_path):
     path = tmp_path / "m.mxs"
     save_archive(path, model)
     ar = load_archive(path)
-    assert ar.meta["marginals"][1] == ["c", {"type": "discrete"}]
+    assert ar.meta["marginals"][1] == {"type": "discrete"}
     assert _same_stored(archive_mod._put_marginal, ar.model.marginals["c"],
                         model.marginals["c"])
     for plan_model in (model, ar.model):
@@ -271,5 +351,4 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
     for key in ("marginal0", "target0.marginal"):
         assert {k for k in stored if k.startswith(key + ".")} == {key + ".grid_u"}
     meta = json.loads(bytes(_entries(path)["meta"]).decode("utf-8"))
-    assert meta["marginals"][0][1] == {"type": "continuous", "lo": w.min(),
-                                       "hi": w.max()}
+    assert meta["marginals"][0] == {"type": "continuous", "lo": w.min(), "hi": w.max()}

@@ -288,6 +288,56 @@ def test_config_class_settings_checked_before_files_are_read(
     assert not out.exists() and not (tmp_path / "syn").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"iterz": 5}, "'iterz' in config file '{cfg}' is not a flag of 'fit'"),
+    ({"iters": "abc"}, "invalid int value 'abc' for --iters in config file '{cfg}'"),
+    ({"iters": 5.5}, "invalid int value 5.5 for --iters in config file '{cfg}'"),
+    ({"verbose": True}, "'verbose' in config file '{cfg}' is not a flag of 'fit'"),
+])
+def test_config_file_settings_follow_the_flag_rules(tmp_path, caplog, doc, message):
+    """Each --config key must be a flag of the command, and its value passes
+    that flag's type: otherwise a configuration error (exit 1), found before
+    any input file is read."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    rc = main(["fit", "--data", str(tmp_path / "nope.csv"),
+               "--schema", str(tmp_path / "nope.json"), "--seed", "0",
+               "--config", str(cfg_file), "--out", str(out)])
+    assert rc == 1
+    assert f"configuration error: {message.format(cfg=cfg_file)}" in caplog.text
+    assert "No such file" not in caplog.text
+    assert not out.exists()
+
+
+def test_config_file_values_read_as_flags(tmp_path):
+    """A --config value goes through its flag's type and choices as the text
+    the flag would take, so a string and a number configure the same run as
+    the flag does, and hash alike; a null value leaves the setting to the
+    preset or default."""
+    argv = ["fit", "--data", "d.csv", "--schema", "s.json", "--out", "m.mxs"]
+    hashes = []
+    for doc in ({"iters": 50, "preset": "desk"},
+                {"iters": "50", "preset": "desk", "thin": None}):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        cfg, digest = _hashed([*argv, "--config", str(cfg_file)])
+        assert (cfg["iters"], cfg["burn_in"], cfg["thin"]) == (50, 1500, 5)
+        hashes.append(digest)
+    assert hashes[0] == hashes[1]
+    # a flag without a type reads text, and a list as its comma-joined form
+    argv = ["utility", "--conf", "c.csv", "--schema", "s.json", "--out", "u.json",
+            "--response", "r", "--syn", "a.csv,b.csv"]
+    cfg_file.write_text(json.dumps({"predictors": ["g", "y"]}))
+    cfg, digest = _hashed([*argv, "--config", str(cfg_file)])
+    assert cfg["predictors"] == "g,y"
+    assert digest == _hashed([*argv, "--predictors", "g,y"])[1]
+    cfg_file.write_text(json.dumps({"stem": 5}))
+    argv = ["synth", "--model", "m.mxs", "--out-dir", "o", "--seed", "1"]
+    cfg, digest = _hashed([*argv, "--config", str(cfg_file)])
+    assert cfg["stem"] == "5" and digest == _hashed([*argv, "--stem", "5"])[1]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--m", "0"), ("--m", "2,-1"), ("--m", ""), ("--reps", "0"), ("--eps", "-1"),
 ])
@@ -346,6 +396,29 @@ def test_categorical_target_rejected(tmp_path, caplog):
         assert rc == 1
         assert (f"configuration error: --targets: column '{name}': response "
                 f"columns must be ordinal, count, or continuous, not {kind}"
+                in caplog.text)
+        assert "No such file" not in caplog.text
+    assert not (tmp_path / "m.mxs").exists()
+
+
+def test_targets_must_leave_a_copula_column(tmp_path, caplog):
+    """Naming every column in --targets, or a schema whose columns are all
+    responses, is a configuration error (exit 1) naming --targets, found once
+    the schema is read and before the data is."""
+    numeric = [d for d in _SCHEMA_DOC["columns"] if d["kind"] != "categorical"]
+    cases = [
+        ({"columns": numeric}, ["--targets", "y,w,r"]),
+        ({"columns": [dict(d, role="response") for d in numeric]}, []),
+    ]
+    for doc, flags in cases:
+        caplog.clear()
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--schema",
+                   str(schema), "--out", str(tmp_path / "m.mxs"), "--seed", "0",
+                   *flags])
+        assert rc == 1
+        assert ("configuration error: --targets: every column is a response"
                 in caplog.text)
         assert "No such file" not in caplog.text
     assert not (tmp_path / "m.mxs").exists()

@@ -34,7 +34,7 @@ from mixedsynth.factor_model import (
     update_loadings,
     update_local_shrink,
 )
-from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
+from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout
 
 
 # ---------------------------------------------------------------- bounds
@@ -553,8 +553,8 @@ def test_posterior_draw_invariants():
     draws = run_chain(ds, ChainConfig(iters=30, burn_in=10, thin=4, seed=5))
     # kept at iterations 10, 14, 18, 22, 26
     assert draws.n_draws == 5
-    assert draws.p_star == 4
-    assert draws.latent_names == ("g=a", "g=b", "g=c", "y")
+    assert draws.corr.shape[1:] == (4, 4) and draws.alpha.shape[1] == 4
+    assert expand_layout(ds).latent_names() == ["g=a", "g=b", "g=c", "y"]
     for t in range(draws.n_draws):
         c = draws.corr[t]
         assert np.allclose(np.diag(c), 1.0)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ def test_schema_from_doc_inverts_schema_to_doc():
         schema_from_doc([{"name": "x"}], "m.mxs")
     with pytest.raises(SchemaError, match="must be a non-empty list"):
         schema_from_doc([], "m.mxs")
+
+
+@pytest.mark.parametrize("levels", ["abc", {"a": 1, "b": 2}, 3, True])
+def test_levels_must_be_a_list(tmp_path, levels):
+    """A string is not split into characters, nor a mapping read as its keys:
+    ``levels`` that is not a list is an error naming the column."""
+    with pytest.raises(SchemaError, match="s.json: column 'g': 'levels' must be a list"):
+        schema_from_doc([{"name": "g", "kind": "categorical", "levels": levels}],
+                        "s.json")
+    sp = _write(tmp_path, "s.yaml", f"columns:\n  - {{name: g, kind: categorical, "
+                                    f"levels: {json.dumps(levels)}}}\n")
+    with pytest.raises(SchemaError, match="column 'g': 'levels' must be a list"):
+        load_schema(sp)
 
 
 def test_schema_validation_errors():

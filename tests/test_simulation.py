@@ -225,7 +225,7 @@ def test_kept_fit_is_the_refit():
     )
     assert np.array_equal(model.draws.corr, refit.draws.corr)
     assert np.array_equal(model.draws.alpha, refit.draws.alpha)
-    assert model.draws.latent_names == refit.draws.latent_names
+    assert model.schema == refit.schema
     assert np.array_equal(model.cat_table.cell_probs, refit.cat_table.cell_probs)
 
 

@@ -208,12 +208,11 @@ def test_summary_doc_round_trip_and_json_safety():
     cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
     summary = fit_target_model(ds, "y", cfg)
     doc, arrays = _stored(summary)
-    clone = archive._get_target(arrays, "t", doc)
+    clone = archive._get_target(arrays, "t", doc, {c.name: c for c in ds.schema})
     assert _same_arrays(_stored(clone)[1], arrays)
     assert clone.kept == summary.kept
-    assert clone.response == summary.response
-    assert clone.kind == summary.kind
-    assert clone.covariate_sig == summary.covariate_sig
+    assert clone.response == summary.response == ds.col_schema("y")
+    assert clone.covariates == summary.covariates == ds.schema[:1]
     assert clone.sigma2 == summary.sigma2
 
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
@@ -264,7 +263,7 @@ def test_other_response_columns_never_enter_the_covariates():
     })
     cfg = TargetConfig(iters=30, burn_in=5, trees=4, keep_every=2, seed=0)
     summary = fit_target_model(ds, "y", cfg)
-    assert [c[0] for c in summary.covariate_sig] == ["x"]
+    assert summary.covariates == schema[:1]
     # records without 'w' still synthesize fine
     records = MixedDataset(schema[:1], {"x": rng.integers(0, 2, 30)})
     out = synthesize_response(summary, [records], [np.random.default_rng(2)])[0]
