@@ -376,10 +376,6 @@ class BartSampler:
             rate = 0.5 * (NU * self.lam + resid @ resid)
             self.sigma2 = float(rate / self.rng.gamma(shape))
 
-    def set_response(self, y: np.ndarray):
-        """Swap the regression response (latent two-block schemes)."""
-        self.y = np.asarray(y, dtype=np.float64)
-
     def snapshot(self) -> "Forest":
         """The current trees, nodes in pre-order, as one `Forest`."""
         a = {f.name: [] for f in fields(Forest)}

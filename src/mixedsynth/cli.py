@@ -222,7 +222,7 @@ def _load_pool(cfg: dict, key: str, schema) -> tuple[list, list]:
 # ---------------------------------------------------------------- fit
 
 
-def _cmd_fit(cfg: dict) -> dict:
+def _cmd_fit(cfg: dict) -> None:
     _import("schema", "errors", "factor_model", "synthesizer", "target_regression",
             "archive")
     seed = _require_seed(cfg, "fit")
@@ -272,13 +272,12 @@ def _cmd_fit(cfg: dict) -> dict:
     save_archive(out, model, targets=summaries, seed=seed, full_schema=schema,
                  extra_meta={"config_hash": _config_hash(cfg)})
     log.info("archive written to %s", out)
-    return {"archive": str(out), "targets": targets}
 
 
 # ---------------------------------------------------------------- synth
 
 
-def _cmd_synth(cfg: dict) -> dict:
+def _cmd_synth(cfg: dict) -> None:
     _import("archive", "synthesizer", "target_regression", "streams", "schema")
     seed = _require_seed(cfg, "synth")
     # the settings are checked before the archive is read
@@ -328,13 +327,12 @@ def _cmd_synth(cfg: dict) -> dict:
         "orthant": [dataclasses.asdict(o) for o in orthant],
     })
     log.info("wrote %d synthetic datasets to %s", len(files), out_dir)
-    return {"files": [str(out_dir / f) for f in files]}
 
 
 # ---------------------------------------------------------------- utility
 
 
-def _cmd_utility(cfg: dict) -> dict:
+def _cmd_utility(cfg: dict) -> None:
     _import("schema", "utility")
     spec = _checked(
         RegressionSpec,
@@ -354,21 +352,19 @@ def _cmd_utility(cfg: dict) -> dict:
     conf = load_dataset(cfg["conf"], schema)
     syn, _ = _load_pool(cfg, "syn", schema)
     report = evaluate_utility(conf, syn, spec, hc)
-    doc = {
+    _json_out(cfg["out"], {
         "config_hash": _config_hash(cfg),
         "seed": hc.seed,
         "m": len(syn),
-        **report.to_doc(),
-    }
-    _json_out(cfg["out"], doc)
-    log.info("utility report written to %s (U=%.4f)", cfg["out"], report.u)
-    return doc
+        **dataclasses.asdict(report),
+    })
+    log.info("utility report written to %s (U=%.4f)", cfg["out"], report.U)
 
 
 # ---------------------------------------------------------------- risk
 
 
-def _cmd_risk(cfg: dict) -> dict:
+def _cmd_risk(cfg: dict) -> None:
     _import("schema", "risk")
     known = tuple(_csv_list(cfg["known"]))
     if cfg["target"] in known:
@@ -396,30 +392,20 @@ def _cmd_risk(cfg: dict) -> dict:
         reps=reps,
         seed=seed,
     )
-    doc = {
+    _json_out(cfg["out"], {
         "config_hash": _config_hash(cfg),
         "seed": seed,
         "known": list(known),
         "target": cfg["target"],
-        "cells": [
-            {
-                "m": c.m,
-                "n_known": c.n_known,
-                "epsilon": c.epsilon,
-                **dataclasses.asdict(c.report),
-            }
-            for c in cells
-        ],
-    }
-    _json_out(cfg["out"], doc)
+        "cells": [dataclasses.asdict(c) for c in cells],
+    })
     log.info("risk report written to %s (%d cells)", cfg["out"], len(cells))
-    return doc
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(cfg: dict) -> dict:
+def _cmd_simulate(cfg: dict) -> None:
     _import("simulation", "schema")
     seed = _require_seed(cfg, "simulate")
     design, chain = preset(cfg["preset"], seed=seed)
@@ -456,7 +442,6 @@ def _cmd_simulate(cfg: dict) -> dict:
         }
     _json_out(cfg["out"], doc)
     log.info("simulation summary written to %s", cfg["out"])
-    return doc
 
 
 # ---------------------------------------------------------------- wiring

@@ -20,7 +20,6 @@ from .streams import substream
 __all__ = [
     "AdversaryScenario",
     "RiskReport",
-    "RiskCell",
     "cmap_mean",
     "risk_study",
 ]
@@ -44,6 +43,12 @@ class AdversaryScenario:
 
 @dataclass(frozen=True)
 class RiskReport:
+    """One (m, epsilon) cell: a release of m datasets attacked through
+    n_known known columns, with hits scored within slack epsilon."""
+
+    m: int
+    n_known: int
+    epsilon: int
     cmap_syn: float
     cmap_base: float
     cmap_syn_uniques: float
@@ -52,14 +57,6 @@ class RiskReport:
     n_matched: int
     n_unmatched: int
     n_uniques: int
-
-
-@dataclass(frozen=True)
-class RiskCell:
-    m: int
-    n_known: int
-    epsilon: int
-    report: RiskReport
 
 
 def _check_columns(ds: MixedDataset, known: tuple, target: str):
@@ -129,6 +126,8 @@ class _Prefix:
 
     def __init__(self, conf: MixedDataset, pool: list, known: tuple, target: str,
                  eps_grid):
+        self.n_known = len(known)
+        self.eps_grid = tuple(eps_grid)
         self.rec_key, self.keys, self.n_keys = _key_index(conf, pool, known)
         self.truth = conf.columns[target].astype(np.float64)
         self.targets = [s.columns[target].astype(np.float64) for s in pool]
@@ -153,9 +152,9 @@ class _Prefix:
         vals = np.concatenate([np.empty(0)] + [self.targets[i] for i in picks])
         return self._hits(keys, vals)
 
-    def reports(self, releases) -> list:
+    def reports(self, m: int, releases) -> list:
         """One RiskReport per epsilon, averaged over releases (each a list of
-        pool indices).  The baseline fields do not depend on the release."""
+        m pool indices).  The baseline fields do not depend on the release."""
         syn, syn_uniq = np.empty((2, self.eps.shape[0], len(releases)))
         matched = np.empty(len(releases), dtype=np.int64)
         for r, picks in enumerate(releases):
@@ -167,9 +166,12 @@ class _Prefix:
         base_uniq = self._uniq_rate(self.base)
         n = self.truth.size
         reports = []
-        for j in range(syn.shape[0]):
+        for j, eps in enumerate(self.eps_grid):
             cmap_syn = float(np.mean(syn[j]))
             reports.append(RiskReport(
+                m=m,
+                n_known=self.n_known,
+                epsilon=eps,
                 cmap_syn=cmap_syn,
                 cmap_base=float(base[j]),
                 cmap_syn_uniques=float(np.mean(syn_uniq[j])),
@@ -190,7 +192,7 @@ def cmap_mean(
         _check_columns(ds, scenario.known, scenario.target)
     prefix = _Prefix(conf, release, scenario.known, scenario.target,
                      (scenario.epsilon,))
-    return prefix.reports([range(len(release))])[0]
+    return prefix.reports(len(release), [range(len(release))])[0]
 
 
 def risk_study(
@@ -202,7 +204,7 @@ def risk_study(
     eps_grid=(0, 1, 2),
     reps: int = 100,
     seed: int = 0,
-) -> list[RiskCell]:
+) -> list[RiskReport]:
     """Average scenario risk over bootstrap re-releases drawn from a pool.
 
     For each rep and pool size m, a release is drawn without replacement
@@ -214,6 +216,8 @@ def risk_study(
     known = tuple(known)
     if not m_grid or min(m_grid) < 1:
         raise ValueError(f"release sizes m_grid must be >= 1, got {tuple(m_grid)}")
+    if not eps_grid:
+        raise ValueError("slacks eps_grid must name at least one epsilon")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if max(m_grid) > len(pool):
@@ -232,6 +236,5 @@ def risk_study(
             substream(seed, "risk", m, rep).choice(len(pool), size=m, replace=False)
             for rep in range(reps)
         ]
-        reports = prefix.reports(releases)
-        cells += [RiskCell(m, len(known), e, r) for e, r in zip(eps_grid, reports)]
+        cells += prefix.reports(m, releases)
     return cells

@@ -117,13 +117,14 @@ def fit_target_model(
     # normal scores of mid-ranks: feasible and close to the stationary scale
     z = groups.normal_scores()
 
+    # the sampler reads z as its response, and update_rank_column refreshes
+    # z in place, so each sweep sees the latest latent values
     sampler = BartSampler(xmat, z, config.trees, rng)
 
     ensembles = []
     sigmas = []
     for it in range(config.iters):
         update_rank_column(rng, z, sampler.fit_total, np.sqrt(sampler.sigma2), groups)
-        sampler.set_response(z)
         sampler.sweep()
         if it >= config.burn_in and (it - config.burn_in) % config.keep_every == 0:
             ensembles.append(sampler.snapshot())
@@ -163,6 +164,9 @@ def synthesize_response(
     row's prediction does not depend on the other rows); each set then draws
     its noise from its own generator in ``rngs``.
     """
+    if len(rngs) != len(record_sets):
+        raise ValueError(f"need one generator per record set: got {len(rngs)} "
+                         f"for {len(record_sets)} sets")
     present = [{cs.name: cs for cs in records.schema} for records in record_sets]
     for want in summary.covariates:
         for cols in present:

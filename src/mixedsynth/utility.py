@@ -7,7 +7,7 @@ pMSE discriminator and the aggregated score U are analysis-free.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +30,7 @@ __all__ = [
     "RegressionSpec",
     "CoefficientSummary",
     "HorseshoeConfig",
+    "CoefficientUtility",
     "UtilityReport",
     "design_matrix",
     "fit_bayes_lm",
@@ -337,39 +338,28 @@ def aggregated_utility(cio_bar: float, mse_bar: float, pmse_value: float) -> flo
     return (cio_bar + (1.0 - mse_bar) + (1.0 - 4.0 * pmse_value)) / 3.0
 
 
-@dataclass
+@dataclass(frozen=True)
+class CoefficientUtility:
+    """One slope: its interval overlap and scaled point gap, with the
+    confidential (obs) and pooled synthetic (syn) summaries they compare."""
+
+    name: str
+    cio: float
+    mse: float
+    obs: CoefficientSummary
+    syn: CoefficientSummary
+
+
+@dataclass(frozen=True)
 class UtilityReport:
-    coef_names: list
-    cio_per_coef: dict
-    mse_per_coef: dict
+    """A release's utility: CIO and MSE averaged over the slopes, pMSE
+    averaged over the datasets, and their combination U."""
+
     cio_bar: float
     mse_bar: float
     pmse: float
-    u: float
-    obs_summaries: list = field(repr=False, default_factory=list)
-    syn_summaries: list = field(repr=False, default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "cio_bar": self.cio_bar,
-            "mse_bar": self.mse_bar,
-            "pmse": self.pmse,
-            "U": self.u,
-            "per_coefficient": [
-                {
-                    "name": n,
-                    "cio": self.cio_per_coef[n],
-                    "mse": self.mse_per_coef[n],
-                    "obs": vars(self.obs_summaries[j]),
-                    "syn": vars(self.syn_summaries[j]),
-                }
-                for j, n in enumerate(self.coef_names)
-            ],
-        }
-
-
-def _interval(c: CoefficientSummary):
-    return (c.lower, c.upper)
+    U: float
+    per_coefficient: list
 
 
 def evaluate_utility(
@@ -386,19 +376,14 @@ def evaluate_utility(
     obs = fit_bayes_lm(conf, spec, config)
     fits = [fit_bayes_lm(s, spec, config) for s in syn_list]
     pooled = pool_synthetic(fits) if len(fits) > 1 else fits[0]
-    cio_per, mse_per = {}, {}
-    for o, s in zip(obs, pooled):
-        if o.name == "(intercept)":
-            continue
-        cio_per[o.name] = cio(_interval(o), _interval(s))
-        mse_per[o.name] = coef_mse(o, s.point)
-    names = list(cio_per)
-    cio_bar = float(np.mean([cio_per[n] for n in names]))
-    mse_bar = float(np.mean([mse_per[n] for n in names]))
+    # design_matrix puts the intercept first
+    per = [
+        CoefficientUtility(o.name, cio((o.lower, o.upper), (s.lower, s.upper)),
+                           coef_mse(o, s.point), o, s)
+        for o, s in zip(obs[1:], pooled[1:])
+    ]
+    cio_bar = float(np.mean([c.cio for c in per]))
+    mse_bar = float(np.mean([c.mse for c in per]))
     pmse_bar = float(np.mean([pmse(conf, s) for s in syn_list]))
     u = aggregated_utility(cio_bar, mse_bar, pmse_bar)
-    keep_obs = [c for c in obs if c.name != "(intercept)"]
-    keep_syn = [c for c in pooled if c.name != "(intercept)"]
-    return UtilityReport(
-        names, cio_per, mse_per, cio_bar, mse_bar, pmse_bar, u, keep_obs, keep_syn
-    )
+    return UtilityReport(cio_bar, mse_bar, pmse_bar, u, per)

@@ -456,8 +456,8 @@ def test_criterion_7_risk_oracle_equivalence():
     for c in cells:
         key = (c.n_known, c.epsilon)
         if key in by_eps:
-            base_ok &= by_eps[key] == c.report.cmap_base
-        by_eps[key] = c.report.cmap_base
+            base_ok &= by_eps[key] == c.cmap_base
+        by_eps[key] = c.cmap_base
 
     ok = equal_ok and mono_ok and base_ok
     detail = (f" (brute-force equality {'ok' if equal_ok else 'FAIL'}, "

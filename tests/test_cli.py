@@ -185,7 +185,8 @@ def test_risk_command(workspace, tmp_path):
 
 def _risk_inputs(root):
     """Confidential table plus a four-dataset pool drawn straight from numpy,
-    so a risk report depends on the risk code alone, not on fit or synth."""
+    so a risk or utility report depends on its scoring code alone, not on
+    fit or synth."""
     data, schema = _make_inputs(root)
     rng = np.random.default_rng(5)
     cols = [
@@ -220,6 +221,21 @@ def test_risk_report_digest(tmp_path):
     ]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "660eeda02cf9ef586d4dfa2656660ea066c53610535fc67eec120023a1aad127"
+
+
+def test_utility_report_digest(tmp_path):
+    """A small utility report is pinned byte for byte: the horseshoe fits,
+    pooling, pMSE and the report's JSON form may be rewritten, not moved."""
+    data, schema, pool = _risk_inputs(tmp_path)
+    out = tmp_path / "utility.json"
+    assert main([
+        "utility", "--conf", str(data), "--schema", str(schema),
+        "--syn-dir", str(pool), "--response", "w", "--predictors", "g,y",
+        "--interactions", "g:y", "--iters", "120", "--burn-in", "60",
+        "--seed", "7", "--out", str(out),
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "45d4feefef954b6dddfb74d82ce0ddda6b83b57cbd754f9336bb51f866626d2f"
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -220,7 +220,7 @@ def test_risk_study_base_independent_of_m():
                        eps_grid=(0, 1), reps=5, seed=3)
     by_eps = {}
     for c in cells:
-        by_eps.setdefault(c.epsilon, set()).add(c.report.cmap_base)
+        by_eps.setdefault(c.epsilon, set()).add(c.cmap_base)
     for eps, bases in by_eps.items():
         assert len(bases) == 1, f"baseline varies with m at eps={eps}"
 
@@ -229,7 +229,7 @@ def test_risk_study_monotone_in_epsilon_within_release():
     conf, pool = _study_pool(seed=5)
     cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),
                        eps_grid=(0, 1, 2), reps=4, seed=0)
-    by_eps = {c.epsilon: c.report.cmap_syn for c in cells}
+    by_eps = {c.epsilon: c.cmap_syn for c in cells}
     assert by_eps[0] <= by_eps[1] <= by_eps[2]
 
 
@@ -256,6 +256,7 @@ def test_risk_study_pool_too_small():
     ("m_grid", {"m_grid": (2, -1)}),
     ("m_grid", {"m_grid": ()}),
     ("reps", {"reps": 0}),
+    ("eps_grid", {"eps_grid": ()}),
 ])
 def test_risk_study_rejects_empty_releases(setting, grid):
     conf, pool = _study_pool(size=3)
@@ -268,8 +269,8 @@ def test_risk_study_exhaustive_release_is_deterministic():
     cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),
                        eps_grid=(1,), reps=1, seed=42)
     direct = cmap_mean(conf, pool, AdversaryScenario(("g", "h"), "t", 1))
-    assert cells[0].report.cmap_syn == direct.cmap_syn
-    assert cells[0].report.cmap_base == direct.cmap_base
+    assert cells[0].cmap_syn == direct.cmap_syn
+    assert cells[0].cmap_base == direct.cmap_base
 
 
 def test_risk_study_reproducible():
@@ -278,7 +279,7 @@ def test_risk_study_reproducible():
                    reps=6, seed=11)
     b = risk_study(conf, pool, ("g",), "t", m_grid=(2,), eps_grid=(0, 1),
                    reps=6, seed=11)
-    assert [c.report for c in a] == [c.report for c in b]
+    assert a == b
 
 
 def test_substream_isolated_by_key():
@@ -314,16 +315,16 @@ def test_risk_study_equals_mean_of_cmap_mean():
         syn = float(np.mean([r.cmap_syn for r in direct]))
         base = direct[0].cmap_base
         assert {r.cmap_base for r in direct} == {base}
-        assert c.report.cmap_syn == syn
-        assert c.report.cmap_base == base
-        assert c.report.cmap_syn_uniques == float(
+        assert c.cmap_syn == syn
+        assert c.cmap_base == base
+        assert c.cmap_syn_uniques == float(
             np.mean([r.cmap_syn_uniques for r in direct]))
-        assert c.report.cmap_base_uniques == direct[0].cmap_base_uniques
-        assert c.report.risk_reduction == base - syn
-        assert c.report.n_matched == int(round(np.mean([r.n_matched for r in direct])))
-        assert c.report.n_unmatched == int(
+        assert c.cmap_base_uniques == direct[0].cmap_base_uniques
+        assert c.risk_reduction == base - syn
+        assert c.n_matched == int(round(np.mean([r.n_matched for r in direct])))
+        assert c.n_unmatched == int(
             round(np.mean([r.n_unmatched for r in direct])))
-        assert c.report.n_uniques == direct[0].n_uniques
+        assert c.n_uniques == direct[0].n_uniques
 
 
 def test_risk_study_keys_each_prefix_once(monkeypatch):

@@ -235,6 +235,11 @@ def test_sets_synthesized_together_match_one_at_a_time():
     with pytest.raises(SchemaMismatchError):
         synthesize_response(summary, [sets[0], ds.subset(["y"])],
                             [np.random.default_rng(0)] * 2)
+    # a generator list of another length is refused, not zipped short
+    for k in (1, 4):
+        with pytest.raises(ValueError, match="one generator per record set"):
+            synthesize_response(summary, sets,
+                                [np.random.default_rng(i) for i in range(k)])
 
 
 def test_fit_is_deterministic_in_seed():

@@ -1,4 +1,5 @@
 """Analytic utility metrics: hand-checked exactness plus estimator behavior."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -281,8 +282,9 @@ def test_evaluate_utility_pools_and_aggregates():
     cfg = HorseshoeConfig(600, 300, seed=0)
     rep = evaluate_utility(ds, syns, spec, cfg)
     # row-shuffled copies carry the same joint distribution: near-perfect
-    assert rep.u > 0.9
+    assert rep.U > 0.9
     assert rep.pmse < 0.01
-    assert set(rep.cio_per_coef) == {"g=b", "g=c", "x"}
-    doc = rep.to_doc()
-    assert doc["U"] == rep.u and len(doc["per_coefficient"]) == 3
+    assert [c.name for c in rep.per_coefficient] == ["g=b", "g=c", "x"]
+    doc = dataclasses.asdict(rep)
+    assert doc["U"] == rep.U and len(doc["per_coefficient"]) == 3
+    assert doc["per_coefficient"][2]["obs"]["name"] == "x"
