@@ -4,17 +4,18 @@ Layout: a magic header line, then a compressed npz payload.  Entry ``meta``
 is a JSON document stored as a uint8 array.  It describes each column once,
 in one schema, the full one (`schema.schema_to_doc` form, responses
 included); the rest is scalars, names and type tags (seed, fit size, factor
-count, each marginal's type, each targeted response's name, covariate names,
-sigma^2 and kept-ensemble count).  The loader derives from the full schema
-the copula schema (its copula-role columns), the schema hash, and the column
-of each marginal and cell-table column (in schema order).  Every array is an
-entry of its own, keyed by position, never by column name:
+count, each marginal's type, each targeted response's name and covariate
+names).  The loader derives from the full schema the copula schema (its
+copula-role columns), the schema hash, and the column of each marginal and
+cell-table column (in schema order).  Every array is an entry of its own,
+keyed by position, never by column name:
 
 - ``corr``, ``alpha``: the retained correlation and intercept draws;
 - ``marginal<i>.<field>``: the i-th non-categorical copula column's marginal;
 - ``cat.cells``, ``cat.cell_probs``: the categorical cell table;
-- ``target<k>.marginal.<field>``, ``target<k>.forest.<field>``: the k-th
-  targeted response's marginal and its kept trees (`bart.Forest`).
+- ``target<k>.marginal.<field>``, ``target<k>.forest.<field>``,
+  ``target<k>.sigma2``: the k-th targeted response's marginal, its kept
+  trees (`bart.Forest`) and each kept ensemble's sigma^2.
 
 Each fitted object is stored in the one form it has in memory, so a
 continuous column appears only as its inverse-CDF grid (the two grid ends
@@ -43,7 +44,7 @@ from .target_regression import TargetModelSummary
 __all__ = ["MAGIC", "save_archive", "load_archive", "ModelArchive"]
 
 MAGIC = b"MXSYNTH1\n"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _MARGINAL_TYPES = {"discrete": DiscreteMarginal, "continuous": ContinuousMarginal}
 
 
@@ -94,11 +95,10 @@ def _get_marginal(arrays: dict, key: str, doc: dict):
 
 def _put_target(arrays: dict, key: str, t: TargetModelSummary) -> dict:
     _put(arrays, f"{key}.forest", t.forest)
+    arrays[f"{key}.sigma2"] = t.sigma2
     return {
         "response": t.response.name,
         "covariates": [c.name for c in t.covariates],
-        "kept": t.kept,
-        "sigma2": t.sigma2,
         "marginal": _put_marginal(arrays, f"{key}.marginal", t.marginal),
     }
 
@@ -106,8 +106,8 @@ def _put_target(arrays: dict, key: str, t: TargetModelSummary) -> dict:
 def _get_target(arrays: dict, key: str, doc: dict, columns: dict) -> TargetModelSummary:
     return TargetModelSummary(
         columns[doc["response"]], tuple(columns[name] for name in doc["covariates"]),
-        _get(arrays, f"{key}.forest", Forest, {}), int(doc["kept"]),
-        float(doc["sigma2"]), _get_marginal(arrays, f"{key}.marginal", doc["marginal"]),
+        _get(arrays, f"{key}.forest", Forest, {}), arrays[f"{key}.sigma2"],
+        _get_marginal(arrays, f"{key}.marginal", doc["marginal"]),
     )
 
 

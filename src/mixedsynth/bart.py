@@ -445,9 +445,10 @@ def forest_shapes(forest: Forest) -> list:
     return shapes
 
 
-def ensemble_predict(forest: Forest, kept: int, columns: list) -> np.ndarray:
-    """Average prediction over ``kept`` ensembles joined in one forest (the
-    posterior-mean f).
+def ensemble_predict(forest: Forest, columns: list, trees=slice(None)) -> np.ndarray:
+    """Sum of the predictions of the forest's trees chosen by ``trees`` (a
+    slice in tree order): one kept ensemble's f, or with every tree of
+    ``kept`` joined ensembles, kept times the posterior-mean f.
 
     Rows go through in blocks of ``_PREDICT_BLOCK``, so temporaries stay
     bounded however many rows are predicted at once.
@@ -459,12 +460,13 @@ def ensemble_predict(forest: Forest, kept: int, columns: list) -> np.ndarray:
     )
     ptr = np.concatenate(([0], np.cumsum(forest.n_levels))).tolist()
     levels = forest.levels.tolist()
-    starts = np.concatenate(([0], np.cumsum(forest.size)[:-1])).tolist()
+    starts = np.concatenate(([0], np.cumsum(forest.size)[:-1]))
+    chosen = list(zip(starts[trees].tolist(), forest.size[trees].tolist()))
     total = np.zeros(len(columns[0]))
     for lo in range(0, total.size, _PREDICT_BLOCK):
         block = [c[lo:lo + _PREDICT_BLOCK] for c in columns]
         part = total[lo:lo + _PREDICT_BLOCK]
-        for start, size in zip(starts, forest.size.tolist()):
+        for start, size in chosen:
             vals = {}
             # each row's leaf value, bottom-up: children follow their parent
             for i in range(start + size - 1, start - 1, -1):
@@ -483,4 +485,4 @@ def ensemble_predict(forest: Forest, kept: int, columns: list) -> np.ndarray:
                 vals[i] = np.where(go_left, vals.pop(start + left[i]),
                                    vals.pop(start + right[i]))
             part += vals[start]
-    return total / kept
+    return total

@@ -22,14 +22,16 @@ P_k the normal mass of coordinate k's interval.  The tilting point
 (x*, mu*) solves grad psi = 0 (Newton, x_d = mu_d = 0); psi is concave in
 its first argument, so psi(eps, mu*) <= psi* = psi(x*, mu*) for every
 proposal, and accepting when Exp(1) > psi* - psi(eps, mu*) keeps exactly
-the target.  The tilting point depends only on the posterior draw and the
-cell, so it is solved once per (draw, cell) pair and cached on the model.
+the target.
 
-Records of one dataset go through in chunks of SYNTH_CHUNK, one vectorized
-batch each, so per-record tensors stay bounded as n_out grows; posterior
-draws cycle over records (round-robin) so parameter uncertainty enters every
-dataset.  Per dataset, OrthantStats counts the tilted proposals made and the
-rejection rounds run.
+Dataset i takes one posterior draw, the first number of its own substream
+(seed, "synth", i), and every record of the dataset comes from that draw,
+so parameter uncertainty enters the release between datasets, as in fully
+synthetic data (Raghunathan, Reiter & Rubin 2003).  The draw's tilting
+points are solved once per dataset, for every cell of the cell table.
+Records then go through in chunks of SYNTH_CHUNK, one vectorized batch
+each, so per-record tensors stay bounded as n_out grows.  Per dataset,
+OrthantStats counts the tilted proposals made and the rejection rounds run.
 """
 from __future__ import annotations
 
@@ -159,37 +161,31 @@ def _prep_draw(corr, alpha, cat_idx, rest_idx):
 def _tilt_setup(low, a_cat):
     """Botev's standardized form of N(a_cat, low low') on an orthant:
     h = a_cat / d and L = low / d - I, d = diag(low) (rows divided)."""
-    d = np.diagonal(low, axis1=-2, axis2=-1)
-    return a_cat / d, low / d[..., None] - np.eye(low.shape[-1])
+    d = np.diagonal(low)
+    return a_cat / d, low / d[:, None] - np.eye(low.shape[0])
 
 
-def _draw_tables(model: FittedCopula):
-    """Stacked per-draw tensors, plus the categorical block widths."""
+def _draw_table(model: FittedCopula, d: int) -> dict:
+    """Posterior draw d's synthesis quantities, plus the sign pattern and
+    tilting point (mu*, psi*) of every cell of the cell table."""
     layout = expand_layout(model.schema)
     mask = layout.cat_latent_mask()
     cat_idx = np.flatnonzero(mask)
-    rest_idx = np.flatnonzero(~mask)
-    lows, bcs, ls, acs, ars = [], [], [], [], []
-    for d in range(model.draws.n_draws):
-        low, b, l_star, ac, ar = _prep_draw(
-            model.draws.corr[d], model.draws.alpha[d], cat_idx, rest_idx
-        )
-        lows.append(low)
-        bcs.append(b @ low)  # z_cat - a_cat = low eps
-        ls.append(l_star)
-        acs.append(ac)
-        ars.append(ar)
-    h, ltri = _tilt_setup(np.asarray(lows), np.asarray(acs))
-    return {
-        "cat_idx": cat_idx,
-        "rest_idx": rest_idx,
-        "widths": [c.width for c in layout.columns if c.kind is Kind.CATEGORICAL],
-        "h": h,
-        "ltri": ltri,
-        "bc": np.asarray(bcs),
-        "l": np.asarray(ls),
-        "a_rest": np.asarray(ars),
-    }
+    low, b, l_star, a_cat, a_rest = _prep_draw(
+        model.draws.corr[d], model.draws.alpha[d], cat_idx, np.flatnonzero(~mask)
+    )
+    t = {"bc": b @ low, "l": l_star, "a_rest": a_rest}  # z_cat - a_cat = low eps
+    if cat_idx.size:
+        widths = [c.width for c in layout.columns if c.kind is Kind.CATEGORICAL]
+        h, ltri = _tilt_setup(low, a_cat)
+        sign = _level_signs(model.cat_table.cells, widths)
+        # rows are solved independently, so blocks only bound the Newton tensors
+        solved = [_tilting_point(h, ltri, sign[s : s + _TILT_CHUNK])
+                  for s in range(0, len(sign), _TILT_CHUNK)]
+        t.update(h=h, ltri=ltri, sign=sign,
+                 mu=np.concatenate([mu for mu, _ in solved]),
+                 psi=np.concatenate([psi for _, psi in solved]))
+    return t
 
 
 def _tilt_terms(s, h, sign):
@@ -206,29 +202,29 @@ def _tilt_terms(s, h, sign):
 
 
 def _tilting_point(h, ltri, sign):
-    """Minimax tilting point of each row's orthant: returns mu* (n, d) and
-    psi* (n,).
+    """Minimax tilting point of the orthant of each row of ``sign`` under
+    one draw's (h, L): returns mu* (n, d) and psi* (n,).
 
     Batched Newton on grad psi(x, mu) = 0 over the first d - 1 coordinates of
     x and mu, from zero.  Each row stops once its own max |grad psi| is below
     _NEWTON_TOL, so a row's result does not depend on the rows solved with
     it.  A row still unsolved after _NEWTON_ITERS steps raises.
     """
-    n, d = h.shape
+    n, d = sign.shape
     m = d - 1
     eye = np.eye(m)
+    lt = ltri[:, :m]
     y = np.zeros((n, 2 * m))  # (x, mu) without their last coordinates
     mu_out = np.zeros((n, d))
     psi_out = np.empty(n)
     rows = np.arange(n)
     for _ in range(_NEWTON_ITERS):
-        lt, sg = ltri[rows], sign[rows]
         x = np.pad(y[rows, :m], ((0, 0), (0, 1)))
         mu = np.pad(y[rows, m:], ((0, 0), (0, 1)))
-        s = mu + (lt @ x[:, :, None])[:, :, 0]
-        log_p, mean, slope = _tilt_terms(s, h[rows], sg)
+        s = mu + (ltri @ x[:, :, None])[:, :, 0]
+        log_p, mean, slope = _tilt_terms(s, h, sign[rows])
         grad = np.concatenate([
-            (mean[:, None, :] @ lt)[:, 0, :m] - mu[:, :m],  # L'm - mu
+            (mean[:, None, :] @ lt)[:, 0] - mu[:, :m],  # L'm - mu
             mean[:, :m] + mu[:, :m] - x[:, :m],
         ], axis=1)
         done = np.max(np.abs(grad), axis=1) < _NEWTON_TOL
@@ -241,10 +237,10 @@ def _tilting_point(h, ltri, sign):
         rows = rows[keep]
         if not rows.size:
             return mu_out, psi_out
-        lt, slope = lt[keep][:, :, :m], slope[keep]
+        slope = slope[keep]
         dl = slope[:, :, None] * lt  # diag(slope) L
         jac = np.empty((rows.size, 2 * m, 2 * m))
-        jac[:, :m, :m] = np.swapaxes(lt, 1, 2) @ dl
+        jac[:, :m, :m] = lt.T @ dl
         jac[:, m:, :m] = dl[:, :m] - eye
         jac[:, :m, m:] = np.swapaxes(jac[:, m:, :m], 1, 2)
         jac[:, m:, m:] = eye
@@ -259,12 +255,12 @@ def _tilting_point(h, ltri, sign):
 def _tilted_proposal(rng, h, ltri, sign, mu):
     """One tilted proposal eps per row, coordinate by coordinate, and its
     log weight psi(eps, mu)."""
-    n, d = h.shape
+    n, d = sign.shape
     eps = np.empty((n, d))
     log_w = np.zeros(n)
     for k in range(d):
-        s = mu[:, k] + np.einsum("ij,ij->i", ltri[:, k, :k], eps[:, :k])
-        t = -sign[:, k] * (h[:, k] + s)
+        s = mu[:, k] + eps[:, :k] @ ltri[k, :k]
+        t = -sign[:, k] * (h[k] + s)
         eps[:, k] = mu[:, k] + sign[:, k] * truncnorm_sample(rng, 0.0, 1.0, t, np.inf)
         log_w += log_ndtr(-t) + mu[:, k] * (0.5 * mu[:, k] - eps[:, k])
     return eps, log_w
@@ -274,67 +270,32 @@ def _tilted_orthant(rng, h, ltri, sign, mu, psi, stats: OrthantStats):
     """Exact orthant draws of eps by rejection from the tilted proposal:
     each round proposes once for every pending row and accepts where
     Exp(1) > psi* - log w."""
-    eps = np.empty(h.shape)
-    rows = np.arange(h.shape[0])
+    eps = np.empty(sign.shape)
+    rows = np.arange(sign.shape[0])
     while rows.size:
         stats.rounds += 1
         stats.proposed += rows.size
-        cand, log_w = _tilted_proposal(
-            rng, h[rows], ltri[rows], sign[rows], mu[rows]
-        )
+        cand, log_w = _tilted_proposal(rng, h, ltri, sign[rows], mu[rows])
         hit = rng.standard_exponential(rows.size) > psi[rows] - log_w
         eps[rows[hit]] = cand[hit]
         rows = rows[~hit]
     return eps
 
 
-def _cell_tilts(cells: np.ndarray, t: dict, tilts: dict, draw_idx, cell_idx):
-    """Tilting points (mu*, psi*) of each record's (draw, cell) pair; a pair
-    not yet in ``tilts`` is solved and added to it."""
-    n_cells = cells.shape[0]
-    codes, inv = np.unique(draw_idx * n_cells + cell_idx, return_inverse=True)
-    keys = [divmod(c, n_cells) for c in codes.tolist()]
-    new = np.array([k for k in keys if k not in tilts], dtype=np.int64)
-    # rows are solved independently, so blocks only bound the Newton tensors
-    for s in range(0, len(new), _TILT_CHUNK):
-        di, ci = new[s : s + _TILT_CHUNK].T
-        sign = _level_signs(cells[ci], t["widths"])
-        mu, psi = _tilting_point(t["h"][di], t["ltri"][di], sign)
-        tilts.update(zip(zip(di.tolist(), ci.tolist()), zip(mu, psi)))
-    mu = np.array([tilts[k][0] for k in keys])
-    psi = np.array([tilts[k][1] for k in keys])
-    return mu[inv], psi[inv]
-
-
-def _synthesize_batch(
-    model: FittedCopula, t: dict, tilts: dict, draw_idx: np.ndarray, rng,
-    stats: OrthantStats,
-):
-    """Columns (name -> array) for one batch of records, given the model's
-    per-draw tables ``t`` and the call's tilting points ``tilts``."""
-    n = draw_idx.size
-    d_cat = t["cat_idx"].size
-    if d_cat:
-        cells = model.cat_table.cells
+def _synthesize_batch(model: FittedCopula, t: dict, n: int, rng,
+                      stats: OrthantStats):
+    """Columns (name -> array) for a batch of n records from one posterior
+    draw's table ``t``."""
+    if model.cat_table is not None:
         cell_idx = model.cat_table.draw(rng, n)
-        assign = cells[cell_idx]
-        sign = _level_signs(assign, t["widths"])
-        mu, psi = _cell_tilts(cells, t, tilts, draw_idx, cell_idx)
-        eps = _tilted_orthant(
-            rng, t["h"][draw_idx], t["ltri"][draw_idx], sign, mu, psi, stats
-        )
+        assign = model.cat_table.cells[cell_idx]
+        eps = _tilted_orthant(rng, t["h"], t["ltri"], t["sign"][cell_idx],
+                              t["mu"][cell_idx], t["psi"][cell_idx], stats)
     else:
         assign = np.empty((n, 0), dtype=np.int64)
         eps = np.empty((n, 0))
-    r = t["rest_idx"].size
-    if r:
-        noise = rng.standard_normal((n, r))
-        mean = t["a_rest"][draw_idx] + np.einsum(
-            "irc,ic->ir", t["bc"][draw_idx], eps
-        )
-        z_rest = mean + np.einsum("irs,is->ir", t["l"][draw_idx], noise)
-    else:
-        z_rest = np.empty((n, 0))
+    noise = rng.standard_normal((n, t["a_rest"].size))
+    z_rest = t["a_rest"] + eps @ t["bc"].T + noise @ t["l"].T
     # latent blocks follow schema order; MixedDataset gives each column its
     # kind's dtype
     cat, rest = iter(assign.T), iter(ndtr(z_rest).T)
@@ -351,25 +312,21 @@ def synthesize_datasets(
     """Generate plan.m synthetic datasets of plan.n_out records each.
 
     Dataset i is produced entirely from substream (seed, "synth", i), so the
-    output bytes depend only on (plan, seed) and never on scheduling.  Its
-    records go through in chunks of SYNTH_CHUNK, one after another on that
+    output bytes depend only on (plan, seed) and never on scheduling.  The
+    stream's first number picks the dataset's posterior draw; its records
+    then go through in chunks of SYNTH_CHUNK, one after another on that
     stream.  If `diagnostics` is a list, one OrthantStats per dataset is
-    appended to it.  The per-draw tables are built once per call, and each
-    (draw, cell) tilting point is solved once per call, for all datasets.
+    appended to it.
     """
     model = plan.model
     n_out = plan.n_out or model.n_fit
-    tables = _draw_tables(model)
-    tilts: dict = {}
     out = []
     for i in range(plan.m):
         rng = substream(plan.seed, "synth", i)
-        draw_idx = np.arange(n_out) % model.draws.n_draws
+        table = _draw_table(model, int(rng.integers(model.draws.n_draws)))
         stats = OrthantStats()
         parts = [
-            _synthesize_batch(
-                model, tables, tilts, draw_idx[s : s + SYNTH_CHUNK], rng, stats
-            )
+            _synthesize_batch(model, table, min(SYNTH_CHUNK, n_out - s), rng, stats)
             for s in range(0, n_out, SYNTH_CHUNK)
         ]
         cols = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}

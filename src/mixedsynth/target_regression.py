@@ -5,8 +5,10 @@ The response enters through its ranks only: a latent normal-scores vector
 z is constrained to the observed ordering while a tree ensemble models
 z = f(covariates) + eps.  The fit alternates (1) group-blocked truncated
 normal refreshes of z around the current fitted values and (2) standard
-backfitting updates of the ensemble.  Synthesis pushes N(f_hat(x), sigma_hat^2)
-draws on already-synthesized covariates through the response's inverse CDF.
+backfitting updates of the ensemble.  Each kept ensemble is one posterior
+draw (f, sigma^2).  Synthesis gives each record set one kept draw and pushes
+N(f(x), sigma^2) draws on its already-synthesized covariates through the
+response's inverse CDF.
 """
 from __future__ import annotations
 
@@ -65,15 +67,15 @@ class TargetConfig:
 
 @dataclass
 class TargetModelSummary:
-    """Posterior-mean predictor: every kept ensemble's trees in one forest,
-    in kept order, plus the mean sigma^2 and the response's marginal.
-    ``covariates`` are the fitted data's non-response columns, in order."""
+    """The kept posterior draws: every kept ensemble's trees in one forest,
+    in kept order, each kept ensemble's sigma^2 in the same order, and the
+    response's marginal.  ``covariates`` are the fitted data's non-response
+    columns, in order."""
 
     response: ColumnSchema
     covariates: tuple[ColumnSchema, ...]
     forest: Forest
-    kept: int  # ensembles joined in the forest
-    sigma2: float
+    sigma2: np.ndarray  # (kept,)
     marginal: object
 
 
@@ -137,8 +139,7 @@ def fit_target_model(
         rs,
         covariates,
         Forest.join(ensembles),
-        len(ensembles),
-        float(np.mean(sigmas)),
+        np.array(sigmas),
         fit_marginal(y, rs.kind),
     )
 
@@ -160,9 +161,8 @@ def synthesize_response(
 ) -> list:
     """Response values for each set of already-synthesized covariate records.
 
-    The ensembles are evaluated once over the rows of all sets together (a
-    row's prediction does not depend on the other rows); each set then draws
-    its noise from its own generator in ``rngs``.
+    Each set draws from its own generator in ``rngs``: first the kept
+    ensemble it uses, then its noise with that ensemble's sigma^2.
     """
     if len(rngs) != len(record_sets):
         raise ValueError(f"need one generator per record set: got {len(rngs)} "
@@ -175,13 +175,14 @@ def synthesize_response(
                 raise SchemaMismatchError(
                     f"covariate '{want.name}' missing or mismatched in synthetic records"
                 )
-    per_set = [_covariate_columns(r, summary.covariates) for r in record_sets]
-    f_hat = ensemble_predict(summary.forest, summary.kept,
-                             [np.concatenate(c) for c in zip(*per_set)])
-    ends = np.cumsum([r.n for r in record_sets])
+    size = summary.forest.size.size // summary.sigma2.size  # trees per ensemble
     dtype = np.float64 if summary.response.kind is Kind.CONTINUOUS else np.int64
     out = []
-    for f, records, rng in zip(np.split(f_hat, ends[:-1]), record_sets, rngs):
-        z = f + np.sqrt(summary.sigma2) * rng.standard_normal(records.n)
+    for records, rng in zip(record_sets, rngs):
+        k = int(rng.integers(summary.sigma2.size))
+        f = ensemble_predict(summary.forest,
+                             _covariate_columns(records, summary.covariates),
+                             slice(k * size, (k + 1) * size))
+        z = f + np.sqrt(summary.sigma2[k]) * rng.standard_normal(records.n)
         out.append(np.asarray(summary.marginal.inverse(ndtr(z)), dtype=dtype))
     return out

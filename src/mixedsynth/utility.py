@@ -53,6 +53,8 @@ class RegressionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
+        if not self.predictors:
+            raise ValueError("the regression needs at least one predictor")
         object.__setattr__(
             self, "interactions", tuple(tuple(pair) for pair in self.interactions)
         )
@@ -373,6 +375,8 @@ def evaluate_utility(
     The slopes (not the intercept) enter CIO-bar and MSE-bar, matching a
     comparison of substantive regression coefficients.
     """
+    if not syn_list:
+        raise ValueError("the release is empty: no synthetic dataset to evaluate")
     obs = fit_bayes_lm(conf, spec, config)
     fits = [fit_bayes_lm(s, spec, config) for s in syn_list]
     pooled = pool_synthetic(fits) if len(fits) > 1 else fits[0]

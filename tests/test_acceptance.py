@@ -212,9 +212,8 @@ def _tilted_draws(corr, alpha, sign, rng, n):
     low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
                                      np.empty(0, int))
     h, ltri = _tilt_setup(low, a_cat)
-    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
-    eps = _tilted_orthant(rng, np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
-                          np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
+    mu, psi = _tilting_point(h, ltri, sign[None])
+    eps = _tilted_orthant(rng, h, ltri, np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
                           np.repeat(psi, n), OrthantStats())
     return a_cat + eps @ low.T
 
@@ -502,7 +501,7 @@ def test_criterion_8_targeted_regression():
 
     from mixedsynth.bart import ensemble_predict
 
-    f_hat = ensemble_predict(summary.forest, summary.kept, [ds.columns["x"]])
+    f_hat = ensemble_predict(summary.forest, [ds.columns["x"]]) / summary.sigma2.size
     ranks = np.argsort(np.argsort(y)) + 1.0
     target = stats.norm.ppf(ranks / (n + 1.0))
     errs = [f_hat[x == c].mean() - target[x == c].mean() for c in range(3)]

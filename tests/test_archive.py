@@ -160,7 +160,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     _, model, _ = fitted
-    for version in (99, 1, 2, 3):
+    for version in (99, 1, 2, 3, 4):
         path = tmp_path / f"v{version}.mxs"
         monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
         save_archive(path, model)
@@ -189,7 +189,7 @@ def test_version_1_layout_gets_the_version_error(tmp_path):
     path = tmp_path / "v1.mxs"
     path.write_bytes(archive_mod.MAGIC + payload.getvalue())
     with pytest.raises(ArchiveError,
-                       match=r"archive format version 1 unsupported \(expected 4\)"):
+                       match=r"archive format version 1 unsupported \(expected 5\)"):
         load_archive(path)
 
 
@@ -215,7 +215,29 @@ def test_version_3_layout_gets_the_version_error(fitted, tmp_path):
     path = tmp_path / "v3.mxs"
     path.write_bytes(archive_mod.MAGIC + payload.getvalue())
     with pytest.raises(ArchiveError,
-                       match=r"archive format version 3 unsupported \(expected 4\)"):
+                       match=r"archive format version 3 unsupported \(expected 5\)"):
+        load_archive(path)
+
+
+def test_version_4_layout_gets_the_version_error(fitted, tmp_path):
+    """A file in the format-4 layout (each target's kept-ensemble count and
+    mean sigma^2 in meta, no sigma^2 entry) is refused by version."""
+    _save(fitted, tmp_path / "m.mxs")
+    arrays = _entries(tmp_path / "m.mxs")
+    meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+    sigma2 = arrays.pop("target0.sigma2")
+    meta["format_version"] = 4
+    meta["targets"][0].update(kept=int(sigma2.size), sigma2=float(sigma2.mean()))
+    payload = io.BytesIO()
+    np.savez_compressed(
+        payload,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        **arrays,
+    )
+    path = tmp_path / "v4.mxs"
+    path.write_bytes(archive_mod.MAGIC + payload.getvalue())
+    with pytest.raises(ArchiveError,
+                       match=r"archive format version 4 unsupported \(expected 5\)"):
         load_archive(path)
 
 
@@ -229,11 +251,11 @@ def test_meta_holds_one_schema_and_derives_the_rest(fitted, tmp_path):
     meta = json.loads(bytes(_entries(tmp_path / "m.mxs")["meta"]).decode("utf-8"))
     assert meta.keys() == {"format_version", "full_schema", "seed", "n_fit",
                            "n_factors", "marginals", "targets", "extra"}
-    assert meta["format_version"] == 4
+    assert meta["format_version"] == 5
     assert meta["full_schema"] == schema_to_doc(ds.schema)
     assert [m["type"] for m in meta["marginals"]] == ["discrete", "continuous"]
     (target,) = meta["targets"]
-    assert target.keys() == {"response", "covariates", "kept", "sigma2", "marginal"}
+    assert target.keys() == {"response", "covariates", "marginal"}
     assert (target["response"], target["covariates"]) == ("r", ["g", "y", "w"])
     assert ar.model.schema == model.schema == ds.schema[:3]
     assert ar.full_schema == ds.schema

@@ -119,12 +119,13 @@ def predict_doc(doc: dict, columns: list, rows=None, out=None) -> np.ndarray:
 
 
 def predict_oracle(ensembles: list, columns: list) -> np.ndarray:
-    """Reference posterior-mean f: every tree routed into one total, in order."""
+    """Reference sum of f over the ensembles: every tree routed into one
+    total, in order."""
     total = np.zeros(len(columns[0]))
     for trees in ensembles:
         for doc in trees:
             predict_doc(doc, columns, out=total)
-    return total / len(ensembles)
+    return total
 
 
 # ------------------------------------------------------- exact enumeration
@@ -426,10 +427,10 @@ def test_predict_doc_routes_subset_and_threshold():
     }
     forest = docs_forest([doc])
     # a value equal to the cut goes left
-    got = ensemble_predict(forest, 1, cols)
+    got = ensemble_predict(forest, cols)
     assert np.array_equal(got, [10.0, 1.0, 1.0, 2.0, 10.0])
     # unseen categorical levels fall to the right branch
-    got = ensemble_predict(forest, 1, [np.array([3.0, 1.0]), np.array([7, -1])])
+    got = ensemble_predict(forest, [np.array([3.0, 1.0]), np.array([7, -1])])
     assert np.array_equal(got, [2.0, 1.0])
 
 
@@ -451,22 +452,27 @@ def test_ensemble_predict_matches_recursive_oracle():
         np.concatenate([x1, rng.normal(0, 1.5, 100)]),
         np.concatenate([xmat.columns[1], rng.integers(-1, 7, 100)]),
     ]
-    got = ensemble_predict(Forest.join(ensembles), len(ensembles), cols)
+    forest = Forest.join(ensembles)
     docs = [forest_docs(e) for e in ensembles]
-    assert np.array_equal(got, predict_oracle(docs, cols))
+    assert np.array_equal(ensemble_predict(forest, cols), predict_oracle(docs, cols))
+    for k in (0, 3, len(docs) - 1):  # one kept ensemble's 15 trees
+        got = ensemble_predict(forest, cols, slice(15 * k, 15 * (k + 1)))
+        assert np.array_equal(got, predict_oracle([docs[k]], cols))
     assert any("in" in json.dumps(d) for d in docs)
     # the training rows reproduce the chain's own per-tree fit
-    last = ensemble_predict(sampler.snapshot(), 1, xmat.columns)
+    last = ensemble_predict(sampler.snapshot(), xmat.columns)
     assert np.array_equal(
         last, predict_oracle([forest_docs(sampler.snapshot())], xmat.columns))
     assert np.allclose(last, sampler.fit_total, atol=1e-9)
 
 
-def test_ensemble_predict_averages_snapshots():
+def test_ensemble_predict_sums_the_chosen_trees():
     e1 = docs_forest([{"v": 1.0}, {"v": 2.0}])  # two stump trees sum to 3
     e2 = docs_forest([{"v": 5.0}, {"v": 1.0}])  # sum 6
-    cols = [np.zeros(4)]
-    assert np.allclose(ensemble_predict(Forest.join([e1, e2]), 2, cols), 4.5)
+    forest, cols = Forest.join([e1, e2]), [np.zeros(4)]
+    assert np.array_equal(ensemble_predict(forest, cols), np.full(4, 9.0))
+    assert np.array_equal(ensemble_predict(forest, cols, slice(0, 2)), np.full(4, 3.0))
+    assert np.array_equal(ensemble_predict(forest, cols, slice(2, 4)), np.full(4, 6.0))
 
 
 def test_covariate_matrix_validation():

@@ -290,6 +290,9 @@ def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags
     (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
       "--syn-dir", "{tmp}", "--response", "r", "--predictors", "x,y",
       "--interactions", "x:y:w"], "interaction 'x:y:w' must name two predictors"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", ","],
+     "the regression needs at least one predictor"),
 ])
 def test_config_class_settings_checked_before_files_are_read(
         tmp_path, caplog, argv, message):

@@ -8,9 +8,12 @@ from scipy import stats
 
 from mixedsynth import synthesizer
 from mixedsynth.errors import OrthantUnderflowError
-from mixedsynth.factor_model import ChainConfig, _level_signs
+from mixedsynth.factor_model import ChainConfig, PosteriorDraws, _level_signs
+from mixedsynth.marginals import fit_marginal
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
+from mixedsynth.streams import substream
 from mixedsynth.synthesizer import (
+    FittedCopula,
     OrthantStats,
     SynthesisPlan,
     _prep_draw,
@@ -70,10 +73,9 @@ def _tilted_draws(corr, alpha, sign, rng, n):
     low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(sign.size),
                                      np.empty(0, int))
     h, ltri = _tilt_setup(low, a_cat)
-    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    mu, psi = _tilting_point(h, ltri, sign[None])
     stats = OrthantStats()
-    eps = _tilted_orthant(rng, np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
-                          np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
+    eps = _tilted_orthant(rng, h, ltri, np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
                           np.repeat(psi, n), stats)
     assert stats.proposed >= n
     return a_cat + eps @ low.T
@@ -115,11 +117,10 @@ def test_orthant_block_independent_case_exact():
     sign = _level_signs(np.array([[level]]), (3,))[0]
     n_draws = 4000
     h, ltri = _tilt_setup(np.eye(3), alpha)
-    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    mu, psi = _tilting_point(h, ltri, sign[None])
     counts = OrthantStats()
     draws = alpha + _tilted_orthant(
-        rng, np.tile(h, (n_draws, 1)), np.tile(ltri, (n_draws, 1, 1)),
-        np.tile(sign, (n_draws, 1)), np.tile(mu, (n_draws, 1)),
+        rng, h, ltri, np.tile(sign, (n_draws, 1)), np.tile(mu, (n_draws, 1)),
         np.repeat(psi, n_draws), counts,
     )
     assert counts == OrthantStats(rounds=1, proposed=n_draws)
@@ -180,7 +181,7 @@ def _wide_tilt():
     corr, alpha, sign = _wide_orthant()
     low, _, _, a_cat, _ = _prep_draw(corr, alpha, np.arange(14), np.empty(0, int))
     h, ltri = _tilt_setup(low, a_cat)
-    mu, psi = _tilting_point(h[None], ltri[None], sign[None])
+    mu, psi = _tilting_point(h, ltri, sign[None])
     return h, ltri, sign, mu[0], psi[0]
 
 
@@ -215,9 +216,7 @@ def test_tilted_log_weight_never_exceeds_psi_star():
     h, ltri, sign, mu, psi = _wide_tilt()
     n = 40_000
     eps, log_w = _tilted_proposal(
-        np.random.default_rng(5), np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)),
-        np.tile(sign, (n, 1)), np.tile(mu, (n, 1)),
-    )
+        np.random.default_rng(5), h, ltri, np.tile(sign, (n, 1)), np.tile(mu, (n, 1)))
     assert np.all(np.isfinite(log_w))
     assert np.max(log_w) <= psi
 
@@ -233,15 +232,15 @@ def test_tilting_points_batched_equal_one_at_a_time(monkeypatch):
                       for c2 in range(4)])
     sign = _level_signs(cells, (5, 5, 4))
     n = cells.shape[0]
-    mu, psi = _tilting_point(np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)), sign)
+    mu, psi = _tilting_point(h, ltri, sign)
     for i in range(n):
-        mu_i, psi_i = _tilting_point(h[None], ltri[None], sign[i : i + 1])
+        mu_i, psi_i = _tilting_point(h, ltri, sign[i : i + 1])
         assert np.array_equal(mu_i[0], mu[i]) and psi_i[0] == psi[i]
     assert np.all(mu[:, -1] == 0.0)
 
     monkeypatch.setattr(synthesizer, "_NEWTON_ITERS", 2)
     with pytest.raises(OrthantUnderflowError, match="unsolved for 40 "):
-        _tilting_point(np.tile(h, (n, 1)), np.tile(ltri, (n, 1, 1)), sign)
+        _tilting_point(h, ltri, sign)
 
 
 def _mixed_fit(n=400, seed=0, iters=400, burn_in=200):
@@ -327,21 +326,51 @@ def test_chunked_synthesis_deterministic_across_chunk_boundary(monkeypatch):
 
 
 def test_draw_selection_schemes(monkeypatch):
-    """Records cycle over the posterior draws round-robin, across chunks."""
+    """Dataset i's posterior draw is the first number of substream
+    (seed, "synth", i), and all of its record chunks come from that draw."""
     _, model = _mixed_fit(n=150, iters=200, burn_in=100)
     n_draws = model.draws.n_draws
-    seen = []
-    real = synthesizer._synthesize_batch
+    draws, tables, chunks = [], [], []
+    real_table, real_batch = synthesizer._draw_table, synthesizer._synthesize_batch
 
-    def spy(model, tables, tilts, draw_idx, rng, stats):
-        seen.append(draw_idx)
-        return real(model, tables, tilts, draw_idx, rng, stats)
+    def table_spy(model, d):
+        draws.append(d)
+        tables.append(real_table(model, d))
+        return tables[-1]
 
-    monkeypatch.setattr(synthesizer, "_synthesize_batch", spy)
+    def batch_spy(model, t, n, rng, stats):
+        chunks.append((len(tables) - 1, t is tables[-1], n))
+        return real_batch(model, t, n, rng, stats)
+
+    monkeypatch.setattr(synthesizer, "_draw_table", table_spy)
+    monkeypatch.setattr(synthesizer, "_synthesize_batch", batch_spy)
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)
-    synthesize_datasets(SynthesisPlan(model, m=1, n_out=10, seed=0))
-    assert [len(idx) for idx in seen] == [7, 3]
-    assert np.array_equal(np.concatenate(seen), np.arange(10) % n_draws)
+    synthesize_datasets(SynthesisPlan(model, m=4, n_out=10, seed=3))
+    assert draws == [
+        substream(3, "synth", i).integers(n_draws) for i in range(4)
+    ]
+    assert chunks == [(i, True, n) for i in range(4) for n in (7, 3)]
+
+
+def test_each_dataset_comes_from_one_posterior_draw():
+    """Two continuous columns whose two posterior draws correlate them at
+    +0.9 and -0.9: a dataset from one draw keeps that draw's strong
+    correlation, where records mixing the draws would cancel it out."""
+    rng = np.random.default_rng(4)
+    schema = (ColumnSchema("u", Kind.CONTINUOUS), ColumnSchema("v", Kind.CONTINUOUS))
+    corr = np.array([[[1.0, r], [r, 1.0]] for r in (0.9, -0.9)])
+    model = FittedCopula(
+        PosteriorDraws(corr, np.zeros((2, 2)), 1), schema,
+        {c.name: fit_marginal(rng.normal(0, 1, 500), Kind.CONTINUOUS) for c in schema},
+        None, 500,
+    )
+    out = synthesize_datasets(SynthesisPlan(model, m=8, n_out=400, seed=0))
+    signs = set()
+    for s in out:
+        r = np.corrcoef(s.columns["u"], s.columns["v"])[0, 1]
+        assert abs(r) > 0.7, r
+        signs.add(np.sign(r))
+    assert signs == {-1.0, 1.0}
 
 
 def test_no_categorical_dataset_roundtrip(monkeypatch):

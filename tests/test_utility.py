@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mixedsynth import utility
 from mixedsynth.errors import (
     DegenerateResponseError,
     MismatchedCoefficientSetsError,
@@ -155,6 +156,11 @@ def test_design_matrix_interaction_must_be_declared():
         RegressionSpec("y", ("x",), interactions=(("x", "b"),))
 
 
+def test_regression_needs_a_predictor():
+    with pytest.raises(ValueError, match="at least one predictor"):
+        RegressionSpec("y", ())
+
+
 def test_categorical_response_rejected():
     ds = _toy_ds()
     with pytest.raises(NonNumericResponseError):
@@ -288,3 +294,13 @@ def test_evaluate_utility_pools_and_aggregates():
     doc = dataclasses.asdict(rep)
     assert doc["U"] == rep.U and len(doc["per_coefficient"]) == 3
     assert doc["per_coefficient"][2]["obs"]["name"] == "x"
+
+
+def test_evaluate_utility_refuses_an_empty_release(monkeypatch):
+    """An empty release is named as such before any horseshoe chain runs."""
+    def no_chain(*args):
+        raise AssertionError("a horseshoe chain ran")
+
+    monkeypatch.setattr(utility, "fit_bayes_lm", no_chain)
+    with pytest.raises(ValueError, match="release is empty"):
+        evaluate_utility(_toy_ds(n=50), [], RegressionSpec("y", ("x",)))
