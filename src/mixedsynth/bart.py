@@ -3,39 +3,42 @@
 Each sweep cycles the trees: one Metropolis-Hastings structure move
 (grow / prune / change, proposed 0.4/0.4/0.2) scored with leaf means
 integrated out, then conjugate Gaussian redraws of that tree's leaf values,
-and finally a conjugate inverse-gamma residual-variance draw.  Split rules
-are drawn uniformly over the splits available at a node (threshold splits
-for numeric covariates, level-subset splits for categorical ones), which is
-also the tree prior's rule distribution, so rule probabilities cancel in
-the acceptance ratios.
+and finally a conjugate inverse-gamma residual-variance draw.  A split rule
+is drawn uniformly over the splits available at a node, which is also the
+tree prior's rule distribution, so rule probabilities cancel in the
+acceptance ratios: a covariate uniformly among those not constant on the
+node (drawn again while constant), then a cut uniformly among the node's
+present codes but the largest, or a uniform nonempty proper subset of its
+present levels.  Numeric covariates are cut on a fixed grid of NUMCUT points
+between their training extremes (the ``numcut`` of Chipman, George &
+McCulloch 2010), so a stored cut is a grid point, not an observed value.
 
 Layout.  A tree is a set of flat per-node lists (feature, cut or level set,
 children, leaf value, depth, parent) plus one row permutation in which every
 node owns the contiguous range ``perm[lo:hi]`` and its children own the two
 halves of it, left first (He, Yalov & Hahn 2019).  A grow or change stably
-partitions the node's range, so each side keeps the order it had; a prune
-merges the two adjacent child ranges back into the parent's.  A leaf's rows
-therefore appear in exactly the order a tree of per-node index arrays would
-hold them (``idx[mask]`` on a split, ``concatenate([left, right])`` on a
-prune), and every ``partial[rows].sum()`` adds the same numbers in the same
-order.  A node's row set never changes while the node exists, so the
-covariates that can still split it are computed once, when it is created.
-The leaf, growable-leaf and prunable-node lists are kept in pre-order and
-re-derived only after an accepted move.
+partitions the node's range; a prune merges the two child ranges back.  A
+tree step gathers the residuals into the tree's row order once, with the
+tree's own fitted values (kept in that order) added, so every leaf and node
+sum is a sum over a slice; an accepted split reorders the slice with the
+rows, and one scatter returns the residuals.  Whether a node can split (its
+rows hold two distinct rows of codes) is decided when it is created; the
+leaf, growable-leaf and prunable-node lists are re-derived, in pre-order,
+only after an accepted move.
 
 A `Forest` is the one stored form of trees: `BartSampler.snapshot` copies
 every tree's nodes, in pre-order, into flat arrays (split covariate, cut,
-children, leaf value, and categorical level sets as per-node sizes plus
-the sets end to end), and kept snapshots are joined into one forest in
-kept order.  Prediction evaluates
-each internal node's rule on every row of a block and selects the
-children's values with ``np.where``, bottom-up; each tree's values are added
-into one vector in tree order, so every row's sum runs in the order of
-routing rows tree by tree.  The cost is a few array operations per node, so
-callers predict many rows in one call.
+children, leaf value, and categorical level sets as per-node sizes plus the
+sets end to end), and kept snapshots are joined into one forest in kept
+order.  Prediction evaluates each internal node's rule on every row of a
+block and selects the children's values with ``np.where``, bottom-up; each
+tree's values are added into one vector in tree order, so every row's sum
+runs in the order of routing rows tree by tree.  The cost is a few array
+operations per node, so callers predict many rows in one call.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 
@@ -51,33 +54,40 @@ __all__ = [
     "ensemble_predict",
 ]
 
-_GROW, _PRUNE, _CHANGE = 0, 1, 2
+_GROW, _PRUNE = 0, 1
 MOVES = ("grow", "prune", "change")
-_MOVE_P = np.array([0.4, 0.4, 0.2])
-# inverse-CDF draw of the move type: the same stream as rng.choice(3, p=_MOVE_P)
-_MOVE_CDF = _MOVE_P.cumsum() / _MOVE_P.cumsum()[-1]
-_LOG_P_GROW = np.log(_MOVE_P[_GROW])
-_LOG_P_PRUNE = np.log(_MOVE_P[_PRUNE])
+_MOVE_P = (0.4, 0.4, 0.2)
+# inverse-CDF draw of the move type by bisection
+_MOVE_CDF = [0.4, 0.8, 1.0]
+_LOG_P_GROW = math.log(_MOVE_P[_GROW])
+_LOG_P_PRUNE = math.log(_MOVE_P[_PRUNE])
 # rows per prediction pass: enough to amortize per-call overhead over many
 # rows, few enough to keep each temporary near half a megabyte
 _PREDICT_BLOCK = 1 << 16
+_sum = np.add.reduce  # ndarray.sum without its Python wrapper
 
 # The standard BART priors: a node at depth d splits with probability
 # A_SPLIT / (1 + d) ** B_SPLIT, and sigma^2 is scaled inverse chi-square with
 # NU degrees of freedom (its scale is set in BartSampler from SIGMA_QUANTILE).
+# A numeric covariate's cuts are the NUMCUT interior points of an even grid
+# from its minimum to its maximum.
 A_SPLIT = 0.95
 B_SPLIT = 2.0
 NU = 3.0
 SIGMA_QUANTILE = 0.90
+NUMCUT = 100
 
 
 class CovariateMatrix:
     """Training covariates: numeric columns split on thresholds, categorical
     columns on level subsets.
 
-    ``values[j]`` holds column j's sorted distinct values and ``codes[:, j]``
-    each row's index into them.  The coding preserves order and ties, so
-    thresholds and level sets act on codes exactly as on values.
+    A categorical column's ``values[j]`` holds its sorted distinct levels and
+    ``codes[:, j]`` each row's index into them.  A numeric column's
+    ``values[j]`` is its cut grid and ``codes[:, j]`` counts the grid points
+    below each row's value, so ``code <= k`` exactly when the value is
+    ``<= values[j][k]``.  ``key`` numbers the distinct rows of ``codes``,
+    and ``most_ties`` is the size of the largest group of equal ones.
     """
 
     def __init__(self, columns: list, is_cat: list):
@@ -90,33 +100,45 @@ class CovariateMatrix:
             if len(c) != self.n:
                 raise ValueError("covariate columns must share a length")
         self.values = []
-        self.codes = np.empty((self.n, self.q), dtype=np.intp)
+        codes = np.empty((self.q, self.n), dtype=np.intp)
         for j, c in enumerate(self.columns):
-            uniq, self.codes[:, j] = np.unique(c, return_inverse=True)
+            if self.is_cat[j]:
+                uniq, codes[j] = np.unique(c, return_inverse=True)
+            else:
+                uniq = np.linspace(c.min(), c.max(), NUMCUT + 2)[1:-1]
+                codes[j] = np.searchsorted(uniq, c, side="left")
             self.values.append(uniq)
+        self.codes, self.code_cols = codes.T, list(codes)  # columns contiguous
+        self.key = np.unique(self.codes, axis=0, return_inverse=True)[1].ravel()
+        self.most_ties = int(np.bincount(self.key, minlength=1).max())
 
     @property
     def q(self):
         return len(self.columns)
 
-    def splittable(self, rows: np.ndarray) -> list:
-        """Covariates with at least two distinct values on these rows."""
-        c = self.codes[rows]
-        return (c.min(axis=0) != c.max(axis=0)).nonzero()[0].tolist()
+    def can_split(self, rows: np.ndarray) -> bool:
+        """Whether these rows hold two distinct code rows, as they must when
+        they outnumber the largest group of equal ones."""
+        if rows.size > self.most_ties:
+            return True
+        k = self.key[rows]
+        return bool(np.minimum.reduce(k) != np.maximum.reduce(k))
 
 
 class _Tree:
     """One tree: flat per-node lists and a row permutation (module docstring).
 
     Node 0 is the root; a leaf has ``feature == -1``.  ``rule`` holds a
-    numeric split's cut or a categorical split's level array.
+    numeric split's cut or a categorical split's level array, and ``sum`` a
+    leaf's partial-residual sum in the current step.  ``pred`` holds the
+    tree's fitted values in ``perm`` order.
     """
 
-    def __init__(self, n: int, root_feats: list):
-        self.perm = np.arange(n)
+    def __init__(self, n: int, root_splits: bool):
+        self.perm, self.pred = np.arange(n), np.zeros(n)
         self.feature, self.rule, self.left, self.right = [-1], [None], [-1], [-1]
-        self.value, self.lo, self.hi = [0.0], [0], [n]
-        self.depth, self.parent, self.feats = [0], [-1], [root_feats]
+        self.value, self.sum, self.lo, self.hi = [0.0], [0.0], [0], [n]
+        self.depth, self.parent, self.splits = [0], [-1], [root_splits]
         self.order = [0]  # every node, pre-order
         self.free = []  # ids of pruned nodes, reused by later grows
         self._relist()
@@ -127,15 +149,15 @@ class _Tree:
     def _relist(self):
         f, left, right = self.feature, self.left, self.right
         self.leaves = [i for i in self.order if f[i] < 0]
-        self.growable = [i for i in self.leaves if self.feats[i]]
-        self.prunable = [
-            i for i in self.order if f[i] >= 0 and f[left[i]] < 0 and f[right[i]] < 0
-        ]
+        self.starts = np.array([self.lo[i] for i in self.leaves])
+        self.growable = [i for i in self.leaves if self.splits[i]]
+        self.prunable = [i for i in self.order
+                         if f[i] >= 0 and f[left[i]] < 0 and f[right[i]] < 0]
 
     def _new_leaf(self, parent: int) -> int:
-        fields = (self.feature, self.rule, self.left, self.right, self.value,
-                  self.lo, self.hi, self.depth, self.parent, self.feats)
-        init = (-1, None, -1, -1, 0.0, 0, 0, self.depth[parent] + 1, parent, None)
+        fields = (self.feature, self.rule, self.left, self.right, self.value, self.sum,
+                  self.lo, self.hi, self.depth, self.parent, self.splits)
+        init = (-1, None, -1, -1, 0.0, 0.0, 0, 0, self.depth[parent] + 1, parent, False)
         if self.free:
             i = self.free.pop()
             for lst, v in zip(fields, init):
@@ -146,25 +168,24 @@ class _Tree:
                 lst.append(v)
         return i
 
-    def _split(self, i, feature, rule, li, ri, feats_l, feats_r):
-        """Stable partition of node i's range: li then ri."""
+    def split(self, i, feature, rule, go_left, n_left, part, xmat):
+        """Give node i a new rule: a leaf grows two leaf children, and a node
+        with two leaf children re-partitions them.  Node i's range, and the
+        same slice of ``part``, is stably partitioned, the n_left rows with
+        go_left first."""
+        if self.feature[i] < 0:
+            self.left[i], self.right[i] = self._new_leaf(i), self._new_leaf(i)
+            k = self.order.index(i)
+            self.order[k + 1:k + 1] = [self.left[i], self.right[i]]
         lo, hi = self.lo[i], self.hi[i]
-        mid = lo + li.size
-        self.perm[lo:mid], self.perm[mid:hi] = li, ri
+        order = (~go_left).argsort(kind="stable")
+        self.perm[lo:hi] = self.perm[lo:hi][order]
+        part[lo:hi] = part[lo:hi][order]
         self.feature[i], self.rule[i] = feature, rule
-        left, right = self.left[i], self.right[i]
-        self.lo[left], self.hi[left], self.feats[left] = lo, mid, feats_l
-        self.lo[right], self.hi[right], self.feats[right] = mid, hi, feats_r
-
-    def grow(self, i, feature, rule, li, ri, feats_l, feats_r):
-        self.left[i], self.right[i] = self._new_leaf(i), self._new_leaf(i)
-        self._split(i, feature, rule, li, ri, feats_l, feats_r)
-        k = self.order.index(i)
-        self.order[k + 1:k + 1] = [self.left[i], self.right[i]]
-        self._relist()
-
-    def change(self, i, feature, rule, li, ri, feats_l, feats_r):
-        self._split(i, feature, rule, li, ri, feats_l, feats_r)
+        mid = lo + n_left
+        for child, a, b in ((self.left[i], lo, mid), (self.right[i], mid, hi)):
+            self.lo[child], self.hi[child] = a, b
+            self.splits[child] = xmat.can_split(self.perm[a:b])
         self._relist()
 
     def prune(self, i):
@@ -175,6 +196,7 @@ class _Tree:
         k = self.order.index(i)
         del self.order[k + 1:k + 3]
         self._relist()
+        return True
 
 
 class BartSampler:
@@ -182,7 +204,7 @@ class BartSampler:
 
     ``proposed`` and ``accepted`` count structure moves by type, in
     ``MOVES`` order.  ``fix_sigma2`` pins the residual variance instead of
-    drawing it.
+    drawing it.  ``fit_total`` is ``y`` less the residuals of the last sweep.
     """
 
     def __init__(self, xmat: CovariateMatrix, y: np.ndarray, trees: int,
@@ -199,182 +221,174 @@ class BartSampler:
         spread = np.percentile(self.y, 97.5) - np.percentile(self.y, 2.5)
         t_eff = max(trees, 1)
         self.sigma_mu = float(max(spread, 1e-6) / (6.0 * np.sqrt(t_eff)))
+        self._mu2 = self.sigma_mu**2
         var0 = max(float(self.y.var()), 1e-12)
         # inverse-gamma rate matched so P(sigma^2 < var(y)) = SIGMA_QUANTILE;
         # 2 * gammaincinv(nu / 2, p) is the chi-square(nu) quantile exactly as
         # scipy.stats computes it, without the cost of importing scipy.stats
         chi2_q = 2 * gammaincinv(NU / 2, 1 - SIGMA_QUANTILE)
-        self.lam = var0 * chi2_q / NU
-        self.sigma2 = fix_sigma2 if fix_sigma2 is not None else var0
+        self.lam = float(var0 * chi2_q / NU)
+        self.sigma2 = float(fix_sigma2 if fix_sigma2 is not None else var0)
 
-        root_feats = xmat.splittable(np.arange(n))
-        self.trees = [_Tree(n, list(root_feats)) for _ in range(trees)]
-        self.tree_pred = np.zeros((trees, n))
+        self.trees = [_Tree(n, xmat.can_split(np.arange(n))) for _ in range(trees)]
         self.fit_total = np.zeros(n)
         self.proposed = [0, 0, 0]
         self.accepted = [0, 0, 0]
         self._split_prior = []
 
-    # -- priors and marginal likelihood -------------------------------------
+    @property
+    def tree_pred(self) -> np.ndarray:
+        """Each tree's fitted values in row order, one row per tree."""
+        out = np.zeros((self.n_trees, self.x.n))
+        for t, tree in enumerate(self.trees):
+            out[t, tree.perm] = tree.pred
+        return out
 
-    def _p_split(self, depth):
-        return A_SPLIT / (1.0 + depth) ** B_SPLIT
+    # -- priors and marginal likelihood -------------------------------------
 
     def _log_split_prior(self, depth):
         """Log prior ratio of splitting a leaf at this depth (memoized)."""
         while len(self._split_prior) <= depth:
             d = len(self._split_prior)
-            p_d, p_c = self._p_split(d), self._p_split(d + 1)
-            self._split_prior.append(np.log(p_d) + 2 * np.log1p(-p_c) - np.log1p(-p_d))
+            p_d, p_c = A_SPLIT / (1.0 + d) ** B_SPLIT, A_SPLIT / (2.0 + d) ** B_SPLIT
+            self._split_prior.append(math.log(p_d) + 2 * math.log1p(-p_c) - math.log1p(-p_d))
         return self._split_prior[depth]
 
-    def _log_ml(self, resid_sum, count):
-        v = self.sigma2 + count * self.sigma_mu**2
-        return 0.5 * np.log(self.sigma2 / v) + (
-            self.sigma_mu**2 * resid_sum**2 / (2.0 * self.sigma2 * v)
-        )
+    def _accept(self, log_ratio):
+        return self.rng.random() < math.exp(min(log_ratio, 0.0))
+
+    def _pick(self, seq):  # a uniform element; one element costs no draw
+        return seq[self.rng.integers(len(seq))] if len(seq) > 1 else seq[0]
 
     # -- split-rule proposal (also the prior's rule distribution) ------------
 
-    def _draw_rule(self, feats, rows):
-        """Uniform rule over the splits of these rows; returns (feature, cut
-        or level array, left mask)."""
-        j = feats[self.rng.integers(len(feats))]
-        codes = self.x.codes[rows, j]
-        present = np.bincount(codes).nonzero()[0]  # codes of the distinct values
-        uniq = self.x.values[j]
+    def _draw_rule(self, tree, i, part):
+        """A uniform rule over the splits of node i, scored from one weighted
+        bincount.  Returns the left row count and residual sum, and the rule
+        for `_apply`: the covariate, the node's codes of it, and the codes
+        that go left (a slice or an index array)."""
+        lo, hi = tree.lo[i], tree.hi[i]
+        rows, present = tree.perm[lo:hi], ()
+        while len(present) < 2:  # node i holds two distinct code rows
+            j = self._pick(range(self.x.q))
+            codes = self.x.code_cols[j][rows]
+            counts = np.bincount(codes)
+            present = counts.nonzero()[0]
         if self.x.is_cat[j]:
             # uniform nonempty proper subset of the levels present here
-            while True:
-                bits = self.rng.integers(0, 2, present.size).astype(bool)
-                if bits.any() and not bits.all():
-                    break
-            keep = np.zeros(uniq.size, dtype=bool)
-            keep[present[bits]] = True
-            return j, uniq[present[bits]], keep[codes]
-        k = present[self.rng.integers(present.size - 1)]
-        return j, float(uniq[k]), codes <= k
+            bits = self.rng.random(present.size) < 0.5
+            while not 0 < np.count_nonzero(bits) < present.size:
+                bits = self.rng.random(present.size) < 0.5
+            go = present[bits]
+        else:
+            go = slice(self._pick(present[:-1]) + 1)
+        sums = np.bincount(codes, part[lo:hi])
+        return int(_sum(counts[go])), float(_sum(sums[go])), (j, codes, go)
+
+    def _apply(self, tree, i, rule, n_left, s_left, part):
+        """Split node i on an accepted rule from `_draw_rule` (a grow at a
+        leaf, a change otherwise) and record its children's residual sums."""
+        j, codes, go = rule
+        values = self.x.values[j]
+        if self.x.is_cat[j]:
+            left = np.zeros(values.size, dtype=bool)
+            left[go] = True
+            rule, go_left = values[go], left[codes]
+        else:
+            rule, go_left = float(values[go.stop - 1]), codes < go.stop
+        tree.split(i, j, rule, go_left, n_left, part, self.x)
+        tree.sum[tree.left[i]], tree.sum[tree.right[i]] = s_left, tree.sum[i] - s_left
+        return True
 
     # -- MH structure moves ---------------------------------------------------
 
-    def _move_grow(self, tree, partial):
+    def _gain(self, s_left, n_left, total, n):
+        """Log marginal-likelihood ratio, leaf means integrated out, of
+        splitting n rows with residual sum ``total`` so that n_left rows
+        summing to s_left go left."""
+        s2, mu2, s_right = self.sigma2, self._mu2, total - s_left
+        v_left, v_right, v = s2 + n_left * mu2, s2 + (n - n_left) * mu2, s2 + n * mu2
+        return 0.5 * math.log(s2 * v / (v_left * v_right)) + mu2 / (2.0 * s2) * (
+            s_left * s_left / v_left + s_right * s_right / v_right - total * total / v)
+
+    def _move_grow(self, tree, part):
         cand = tree.growable
         if not cand:
             return False
-        nd = cand[self.rng.integers(len(cand))]
-        rows = tree.rows(nd)
-        j, rule, mask = self._draw_rule(tree.feats[nd], rows)
-        li, ri = rows[mask], rows[~mask]
-
-        log_prior = self._log_split_prior(tree.depth[nd])
-        sl, sr = float(partial[li].sum()), float(partial[ri].sum())
-        log_lik = (
-            self._log_ml(sl, li.size)
-            + self._log_ml(sr, ri.size)
-            - self._log_ml(sl + sr, rows.size)
-        )
-        n_grow = len(cand)
+        nd = self._pick(cand)
+        nl, sl, rule = self._draw_rule(tree, nd, part)
         # prunable nodes of the would-be tree: nd joins them, and its parent
         # leaves them if it was one
         n_prune_new = len(tree.prunable) + 1 - (tree.parent[nd] in tree.prunable)
-        log_prop = (
-            _LOG_P_PRUNE - np.log(n_prune_new)
-            - _LOG_P_GROW + np.log(n_grow)
+        log_ratio = (
+            self._log_split_prior(tree.depth[nd])
+            + self._gain(sl, nl, tree.sum[nd], tree.hi[nd] - tree.lo[nd])
+            + _LOG_P_PRUNE - math.log(n_prune_new) - _LOG_P_GROW + math.log(len(cand))
         )
-        if np.log(self.rng.uniform()) < log_prior + log_lik + log_prop:
-            tree.grow(nd, j, rule, li, ri, self.x.splittable(li), self.x.splittable(ri))
-            return True
-        return False
+        return self._accept(log_ratio) and self._apply(tree, nd, rule, nl, sl, part)
 
-    def _move_prune(self, tree, partial):
+    def _move_prune(self, tree, part):
         cand = tree.prunable
         if not cand:
             return False
-        nd = cand[self.rng.integers(len(cand))]
+        nd = self._pick(cand)
         left, right = tree.left[nd], tree.right[nd]
-        li, ri = tree.rows(left), tree.rows(right)
-
-        log_prior = -self._log_split_prior(tree.depth[nd])
-        sl, sr = float(partial[li].sum()), float(partial[ri].sum())
-        log_lik = (
-            self._log_ml(sl + sr, li.size + ri.size)
-            - self._log_ml(sl, li.size)
-            - self._log_ml(sr, ri.size)
-        )
+        tree.sum[nd] = tree.sum[left] + tree.sum[right]
         # growable leaves after the prune: survivors plus the merged leaf
-        n_grow_new = (
-            len(tree.growable) - bool(tree.feats[left]) - bool(tree.feats[right]) + 1
+        n_grow_new = len(tree.growable) - tree.splits[left] - tree.splits[right] + 1
+        log_ratio = (
+            -self._log_split_prior(tree.depth[nd])
+            - self._gain(tree.sum[left], tree.hi[left] - tree.lo[nd], tree.sum[nd],
+                         tree.hi[nd] - tree.lo[nd])
+            + _LOG_P_GROW - math.log(n_grow_new) - _LOG_P_PRUNE + math.log(len(cand))
         )
-        log_prop = (
-            _LOG_P_GROW - np.log(n_grow_new)
-            - _LOG_P_PRUNE + np.log(len(cand))
-        )
-        if np.log(self.rng.uniform()) < log_prior + log_lik + log_prop:
-            tree.prune(nd)
-            return True
-        return False
+        return self._accept(log_ratio) and tree.prune(nd)
 
-    def _move_change(self, tree, partial):
+    def _move_change(self, tree, part):
         cand = tree.prunable  # internal nodes with two leaf children
         if not cand:
             return False
-        nd = cand[self.rng.integers(len(cand))]
-        li, ri = tree.rows(tree.left[nd]), tree.rows(tree.right[nd])
-        rows = tree.rows(nd)
-        # nd was grown, so its splittable covariates are never empty
-        j, rule, mask = self._draw_rule(tree.feats[nd], rows)
-        nli, nri = rows[mask], rows[~mask]
+        nd = self._pick(cand)
+        left, n = tree.left[nd], tree.hi[nd] - tree.lo[nd]
+        tree.sum[nd] = total = tree.sum[left] + tree.sum[tree.right[nd]]
+        nl, sl, rule = self._draw_rule(tree, nd, part)
+        log_ratio = (self._gain(sl, nl, total, n)
+                     - self._gain(tree.sum[left], tree.hi[left] - tree.lo[nd], total, n))
+        return self._accept(log_ratio) and self._apply(tree, nd, rule, nl, sl, part)
 
-        sl_old, sr_old = float(partial[li].sum()), float(partial[ri].sum())
-        sl_new, sr_new = float(partial[nli].sum()), float(partial[nri].sum())
-        log_lik = (
-            self._log_ml(sl_new, nli.size)
-            + self._log_ml(sr_new, nri.size)
-            - self._log_ml(sl_old, li.size)
-            - self._log_ml(sr_old, ri.size)
-        )
-        if np.log(self.rng.uniform()) < log_lik:
-            tree.change(nd, j, rule, nli, nri,
-                        self.x.splittable(nli), self.x.splittable(nri))
-            return True
-        return False
-
-    def structure_step(self, t: int, partial: np.ndarray) -> bool:
-        """One MH move on tree t against the given partial residuals."""
-        move = int(_MOVE_CDF.searchsorted(self.rng.random(), side="right"))
-        tree = self.trees[t]
-        if move == _GROW:
-            accepted = self._move_grow(tree, partial)
-        elif move == _PRUNE:
-            accepted = self._move_prune(tree, partial)
-        else:
-            accepted = self._move_change(tree, partial)
+    def structure_step(self, t: int, part: np.ndarray) -> bool:
+        """One MH move on tree t against its partial residuals ``part``, in
+        the tree's row order; an accepted split reorders them with the rows."""
+        move = bisect.bisect_right(_MOVE_CDF, self.rng.random())
+        moves = (self._move_grow, self._move_prune, self._move_change)
+        accepted = moves[move](self.trees[t], part)
         self.proposed[move] += 1
-        self.accepted[move] += bool(accepted)
+        self.accepted[move] += accepted
         return accepted
 
-    def _redraw_leaves(self, t: int, partial: np.ndarray):
-        tree = self.trees[t]
-        pred = self.tree_pred[t]
-        for i in tree.leaves:
-            rows = tree.rows(i)
-            prec = 1.0 / self.sigma_mu**2 + rows.size / self.sigma2
-            mean = float(partial[rows].sum()) / self.sigma2 / prec
-            tree.value[i] = mean + self.rng.standard_normal() / math.sqrt(prec)
-            pred[rows] = tree.value[i]
-
     def sweep(self):
-        for t in range(self.n_trees):
-            partial = self.y - self.fit_total + self.tree_pred[t]
-            self.structure_step(t, partial)
-            old = self.tree_pred[t].copy()
-            self._redraw_leaves(t, partial)
-            self.fit_total += self.tree_pred[t] - old
+        resid = self.y - self.fit_total
+        s2, prior_prec = self.sigma2, 1.0 / self._mu2
+        for t, tree in enumerate(self.trees):
+            perm, pred, total, lo, hi = tree.perm, tree.pred, tree.sum, tree.lo, tree.hi
+            part = resid[perm]
+            part += pred
+            for i, s in zip(tree.leaves, np.add.reduceat(part, tree.starts).tolist()):
+                total[i] = s
+            self.structure_step(t, part)
+            # conjugate leaf draws, filled into the tree's row order
+            noise = self.rng.standard_normal(len(tree.leaves)).tolist()
+            for i, e in zip(tree.leaves, noise):
+                prec = prior_prec + (hi[i] - lo[i]) / s2
+                tree.value[i] = v = total[i] / s2 / prec + e / math.sqrt(prec)
+                pred[lo[i]:hi[i]] = v
+            part -= pred
+            resid[perm] = part
+        np.subtract(self.y, resid, out=self.fit_total)
         if self.fix_sigma2 is None:
-            resid = self.y - self.fit_total
             shape = 0.5 * (NU + self.x.n)
-            rate = 0.5 * (NU * self.lam + resid @ resid)
-            self.sigma2 = float(rate / self.rng.gamma(shape))
+            rate = 0.5 * (NU * self.lam + float(resid @ resid))
+            self.sigma2 = rate / float(self.rng.gamma(shape))
 
     def snapshot(self) -> "Forest":
         """The current trees, nodes in pre-order, as one `Forest`."""

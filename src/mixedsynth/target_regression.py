@@ -111,6 +111,8 @@ def fit_target_model(
     covariates = tuple(
         cs for cs in ds.schema if cs.role != "response" and cs.name != response
     )
+    if not covariates:
+        raise ValueError(f"target response '{response}' has no covariate column")
     xmat = CovariateMatrix(_covariate_columns(ds, covariates),
                            [cs.kind is Kind.CATEGORICAL for cs in covariates])
     rng = substream(config.seed, "target", response)

@@ -9,6 +9,7 @@ import pytest
 
 import mixedsynth.archive as archive_mod
 from mixedsynth.archive import load_archive, save_archive
+from mixedsynth.bart import NUMCUT
 from mixedsynth.errors import ArchiveError, ConstantColumnWarning
 from mixedsynth.factor_model import ChainConfig
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash, schema_to_doc
@@ -322,8 +323,9 @@ def test_constant_continuous_column_round_trip(tmp_path):
 def test_continuous_values_stay_out_of_the_archive(tmp_path):
     """No value of a continuous column is written except its minimum and
     maximum (which synthesis clamps to anyway): not of a copula column, not
-    of a targeted response.  One known exposure is held to the one entry
-    that has it: a tree's numeric split cut is an observed covariate value."""
+    of a targeted response, not of a tree covariate.  A tree's numeric split
+    cut is a point of its covariate's cut grid, which its minimum and
+    maximum fix."""
     rng = np.random.default_rng(3)
     n = 200
     g = rng.integers(0, 3, n)
@@ -366,7 +368,12 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
         return {name for name, values in stored.items() if np.isin(values, inner).any()}
 
     assert holding(v) == set()
-    assert holding(w) <= {"target0.forest.cut"}
+    assert holding(w) == set()
+
+    entries = _entries(path)
+    on_w = entries["target0.forest.feature"] == [cs.name for cs in target.covariates].index("w")
+    grid = np.linspace(w.min(), w.max(), NUMCUT + 2)[1:-1]
+    assert on_w.any() and np.isin(entries["target0.forest.cut"][on_w], grid).all()
 
     # a continuous marginal stores its grid ends as scalars and the CDF
     # values as its only array; the grid points are rebuilt on load

@@ -131,28 +131,34 @@ def predict_oracle(ensembles: list, columns: list) -> np.ndarray:
 # ------------------------------------------------------- exact enumeration
 
 
+def _grid_cuts(column, vals):
+    """The grid cuts that split these values of a numeric column: each
+    value's first grid point at or above it, the top one excepted (it sends
+    every value left)."""
+    grid = np.linspace(column.min(), column.max(), bart.NUMCUT + 2)[1:-1]
+    firsts = {float(grid[grid >= v].min()) if (grid >= v).any() else np.inf
+              for v in vals}
+    return sorted(firsts)[:-1]
+
+
 def _rules(xmat, idx):
     """Every split rule available in a cell, with its draw probability."""
-    feats = []
+    choices = {}  # covariate -> its rules in this cell: cuts or level sets
     for j in range(xmat.q):
         vals = xmat.columns[j][idx]
-        if np.unique(vals).size > 1:
-            feats.append(j)
-    out = []
-    for j in feats:
-        uniq = np.unique(xmat.columns[j][idx])
         if xmat.is_cat[j]:
-            subsets = []
-            for r in range(1, uniq.size):
-                subsets.extend(itertools.combinations(uniq, r))
-            for levels in subsets:
-                out.append((j, None, np.asarray(levels),
-                            1.0 / (len(feats) * len(subsets))))
+            uniq = np.unique(vals)
+            rules = [np.asarray(levels) for r in range(1, uniq.size)
+                     for levels in itertools.combinations(uniq, r)]
         else:
-            for cut in uniq[:-1]:
-                out.append((j, float(cut), None,
-                            1.0 / (len(feats) * (uniq.size - 1))))
-    return out
+            rules = _grid_cuts(xmat.columns[j], vals)
+        if rules:
+            choices[j] = rules
+    return [
+        (j, None if xmat.is_cat[j] else rule, rule if xmat.is_cat[j] else None,
+         1.0 / (len(choices) * len(rules)))
+        for j, rules in choices.items() for rule in rules
+    ]
 
 
 def _enumerate(xmat, idx, depth, p_split):
@@ -237,8 +243,20 @@ def _categorical_case():
     return xmat, y, 0.3
 
 
-@pytest.mark.parametrize("case", [_numeric_case, _categorical_case],
-                         ids=["numeric-splits", "subset-splits"])
+def _two_covariate_case():
+    """x splits every cell holding two of its values; g varies only where
+    x = 2, so cells without x = 2 can split on x alone."""
+    x = np.repeat([0.0, 1.0, 2.0, 2.0], 6)
+    g = np.repeat([0, 0, 0, 1], 6)
+    rng = np.random.default_rng(2)
+    y = np.repeat([0.0, 0.45, 0.9, 0.3], 6) + rng.normal(0, 0.05, x.size)
+    y -= y.mean()
+    xmat = CovariateMatrix([x, g], [False, True])
+    return xmat, y, 0.25
+
+
+@pytest.mark.parametrize("case", [_numeric_case, _categorical_case, _two_covariate_case],
+                         ids=["numeric-splits", "subset-splits", "two-covariates"])
 def test_structure_chain_matches_enumerated_posterior(case):
     xmat, y, sigma2 = case()
     sigma_mu = BartSampler(xmat, y, 1, np.random.default_rng(0)).sigma_mu
@@ -260,8 +278,10 @@ def test_mirror_structures_equally_likely():
     xmat, y, sigma2 = _numeric_case()
     sigma_mu = BartSampler(xmat, y, 1, np.random.default_rng(0)).sigma_mu
     exact = _exact_posterior(xmat, y, sigma2, sigma_mu)
-    a = exact["(0:0 L (0:1 L L))"]
-    b = exact["(0:1 (0:0 L L) L)"]
+    # the grid cuts above 0 and above 1
+    low, high = (f"0:{c:.10g}" for c in _grid_cuts(xmat.columns[0], [0.0, 1.0, 2.0]))
+    a = exact[f"({low} L ({high} L L))"]
+    b = exact[f"({high} ({low} L L) L)"]
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -361,8 +381,8 @@ def test_sampler_trajectory_pinned():
         sampler.sweep()
     docs = forest_docs(sampler.snapshot())
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
-    assert digest == "e5f1cdfc2f9beea4fa1100470a0e4135543803ff9c2cf22c3d4e967b0f0cbd3d"
-    assert repr(float(sampler.sigma2)) == "0.09924189579555129"
+    assert digest == "88bca61039692ebc3058593e16e6b4df7dfd2cf4fd6b2966aad7d31d1edb4482"
+    assert repr(float(sampler.sigma2)) == "0.09285535757219351"
 
 
 def test_move_counts():
@@ -473,6 +493,40 @@ def test_ensemble_predict_sums_the_chosen_trees():
     assert np.array_equal(ensemble_predict(forest, cols), np.full(4, 9.0))
     assert np.array_equal(ensemble_predict(forest, cols, slice(0, 2)), np.full(4, 3.0))
     assert np.array_equal(ensemble_predict(forest, cols, slice(2, 4)), np.full(4, 6.0))
+
+
+def test_grid_codes_at_the_edges():
+    """A numeric column's codes count the grid points below each value, so
+    ``code <= k`` and ``x <= cut k`` agree on ties, on values exactly at grid
+    points and at the extremes; prediction sends a value equal to a cut
+    left, and values beyond the training range to the outermost leaves."""
+    grid = np.linspace(-1.0, 3.0, bart.NUMCUT + 2)  # minimum, the cuts, maximum
+    rng = np.random.default_rng(9)
+    x = np.concatenate([grid, grid[5:9], np.round(rng.uniform(-1, 3, 60), 1)])
+    y = np.sin(2 * x) + rng.normal(0, 0.1, x.size)
+    xmat = CovariateMatrix([x], [False])
+    assert np.array_equal(xmat.values[0], grid[1:-1])
+    for k in range(bart.NUMCUT):
+        assert np.array_equal(xmat.codes[:, 0] <= k, x <= xmat.values[0][k]), k
+
+    cut = xmat.values[0][7]
+    doc = {"f": 0, "cut": cut, "l": {"v": 1.0}, "r": {"v": 2.0}}
+    got = ensemble_predict(docs_forest([doc]), [np.array([cut, np.nextafter(cut, 9.0)])])
+    assert got.tolist() == [1.0, 2.0]
+
+    sampler = BartSampler(xmat, y, 10, np.random.default_rng(4))
+    for _ in range(30):
+        sampler.sweep()
+    docs = forest_docs(sampler.snapshot())
+    assert any("cut" in d for d in docs)
+
+    def outermost(d, side):
+        while "v" not in d:
+            d = d[side]
+        return d["v"]
+
+    got = ensemble_predict(sampler.snapshot(), [np.array([-1.5, 3.5])])
+    assert got.tolist() == [sum(outermost(d, side) for d in docs) for side in "lr"]
 
 
 def test_covariate_matrix_validation():
