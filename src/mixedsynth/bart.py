@@ -203,16 +203,14 @@ class BartSampler:
     """Stateful backfitting sampler; `sweep()` advances one full iteration.
 
     ``proposed`` and ``accepted`` count structure moves by type, in
-    ``MOVES`` order.  ``fix_sigma2`` pins the residual variance instead of
-    drawing it.  ``fit_total`` is ``y`` less the residuals of the last sweep.
+    ``MOVES`` order.  ``fit_total`` is ``y`` less the residuals of the last
+    sweep.
     """
 
     def __init__(self, xmat: CovariateMatrix, y: np.ndarray, trees: int,
-                 rng: np.random.Generator, fix_sigma2: float | None = None):
+                 rng: np.random.Generator):
         self.x = xmat
         self.y = np.asarray(y, dtype=np.float64)
-        self.n_trees = trees
-        self.fix_sigma2 = fix_sigma2
         self.rng = rng
         n = xmat.n
         if len(self.y) != n:
@@ -228,21 +226,13 @@ class BartSampler:
         # scipy.stats computes it, without the cost of importing scipy.stats
         chi2_q = 2 * gammaincinv(NU / 2, 1 - SIGMA_QUANTILE)
         self.lam = float(var0 * chi2_q / NU)
-        self.sigma2 = float(fix_sigma2 if fix_sigma2 is not None else var0)
+        self.sigma2 = var0
 
         self.trees = [_Tree(n, xmat.can_split(np.arange(n))) for _ in range(trees)]
         self.fit_total = np.zeros(n)
         self.proposed = [0, 0, 0]
         self.accepted = [0, 0, 0]
         self._split_prior = []
-
-    @property
-    def tree_pred(self) -> np.ndarray:
-        """Each tree's fitted values in row order, one row per tree."""
-        out = np.zeros((self.n_trees, self.x.n))
-        for t, tree in enumerate(self.trees):
-            out[t, tree.perm] = tree.pred
-        return out
 
     # -- priors and marginal likelihood -------------------------------------
 
@@ -385,10 +375,9 @@ class BartSampler:
             part -= pred
             resid[perm] = part
         np.subtract(self.y, resid, out=self.fit_total)
-        if self.fix_sigma2 is None:
-            shape = 0.5 * (NU + self.x.n)
-            rate = 0.5 * (NU * self.lam + float(resid @ resid))
-            self.sigma2 = rate / float(self.rng.gamma(shape))
+        shape = 0.5 * (NU + self.x.n)
+        rate = 0.5 * (NU * self.lam + float(resid @ resid))
+        self.sigma2 = rate / float(self.rng.gamma(shape))
 
     def snapshot(self) -> "Forest":
         """The current trees, nodes in pre-order, as one `Forest`."""

@@ -222,12 +222,15 @@ def run_studies(names, design: SimDesign, config: ChainConfig | None = None,
 
     One forked worker process per study, up to the CPUs this process may
     run on; workers die with this process.  A study's failure is raised
-    here once the pool has shut down.
+    here once the pool has shut down.  No names give ``{}`` and start no
+    pool.
     """
     names = list(dict.fromkeys(names))
     unknown = [n for n in names if n not in STUDIES]
     if unknown:
         raise ValueError(f"unknown studies {unknown}; choose from {sorted(STUDIES)}")
+    if not names:
+        return {}
     # imported here so that commands which never fan out do not pay for it
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor

@@ -45,13 +45,15 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# after burn-in the chain keeps one ensemble every KEEP_EVERY iterations
+KEEP_EVERY = 10
+
 
 @dataclass(frozen=True)
 class TargetConfig:
     iters: int = 1100
     burn_in: int = 100
     trees: int = 200
-    keep_every: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +63,6 @@ class TargetConfig:
             )
         if self.trees < 0:
             raise ValueError(f"trees must be >= 0, got {self.trees}")
-        if self.keep_every < 1:
-            raise ValueError("keep_every must be >= 1")
 
 
 @dataclass
@@ -92,13 +92,8 @@ def fit_target_model(
     ds: MixedDataset,
     response: str,
     config: TargetConfig = TargetConfig(),
-    iteration_hook=None,
 ) -> TargetModelSummary:
-    """Two-block sampler: latent rank refresh, then tree-ensemble backfitting.
-
-    `iteration_hook(it, z)` is called after every iteration when supplied
-    (used by invariant checks); it must not mutate z.
-    """
+    """Two-block sampler: latent rank refresh, then tree-ensemble backfitting."""
     rs = ds.col_schema(response)
     if rs.kind is Kind.CATEGORICAL:
         raise NonNumericResponseError(
@@ -130,11 +125,9 @@ def fit_target_model(
     for it in range(config.iters):
         update_rank_column(rng, z, sampler.fit_total, np.sqrt(sampler.sigma2), groups)
         sampler.sweep()
-        if it >= config.burn_in and (it - config.burn_in) % config.keep_every == 0:
+        if it >= config.burn_in and (it - config.burn_in) % KEEP_EVERY == 0:
             ensembles.append(sampler.snapshot())
             sigmas.append(sampler.sigma2)
-        if iteration_hook is not None:
-            iteration_hook(it, z)
     _log_diagnostics(response, sampler, ensembles[-1])
 
     return TargetModelSummary(

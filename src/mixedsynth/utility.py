@@ -85,8 +85,6 @@ class HorseshoeConfig:
     iters: int = 10000
     burn_in: int = 5000
     seed: int = 0
-    # fixing the global scale large turns shrinkage off (flat-prior check)
-    fix_global_scale: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iters:
@@ -184,9 +182,6 @@ def fit_bayes_lm(
     nu_aux = np.ones(p - 1)
     tau2 = 1.0
     xi_aux = 1.0
-    fixed = config.fix_global_scale is not None
-    if fixed:
-        tau2 = float(config.fix_global_scale) ** 2
     sigma2 = max(float(y.var()), 1e-12)
     beta = np.zeros(p)
 
@@ -202,15 +197,14 @@ def fit_bayes_lm(
         rate = 0.5 * (resid @ resid + scaled.sum() + 1e-6 * beta[0] ** 2)
         sigma2 = rate / rng.gamma(0.5 * (n + p))
 
-        if not fixed:
-            lam2 = (1.0 / nu_aux + beta[shrunk] ** 2 / (2 * tau2 * sigma2)) / rng.gamma(
-                1.0, size=p - 1
-            )
-            nu_aux = (1.0 + 1.0 / lam2) / rng.gamma(1.0, size=p - 1)
-            tau2 = (1.0 / xi_aux + (beta[shrunk] ** 2 / lam2).sum() / (2 * sigma2)) / (
-                rng.gamma(0.5 * p)
-            )
-            xi_aux = (1.0 + 1.0 / tau2) / rng.gamma(1.0)
+        lam2 = (1.0 / nu_aux + beta[shrunk] ** 2 / (2 * tau2 * sigma2)) / rng.gamma(
+            1.0, size=p - 1
+        )
+        nu_aux = (1.0 + 1.0 / lam2) / rng.gamma(1.0, size=p - 1)
+        tau2 = (1.0 / xi_aux + (beta[shrunk] ** 2 / lam2).sum() / (2 * sigma2)) / (
+            rng.gamma(0.5 * p)
+        )
+        xi_aux = (1.0 + 1.0 / tau2) / rng.gamma(1.0)
         if it >= config.burn_in:
             kept[it - config.burn_in] = beta
 

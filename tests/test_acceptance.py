@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mixedsynth import target_regression
 from mixedsynth.cli import main
 from mixedsynth.errors import SeparationWarning
 from mixedsynth.factor_model import (
@@ -468,7 +469,7 @@ def test_criterion_7_risk_oracle_equivalence():
 # --------------------------------------------------------------- gate 8
 
 
-def test_criterion_8_targeted_regression():
+def test_criterion_8_targeted_regression(monkeypatch):
     rng = np.random.default_rng(0)
     n = 300
     x = rng.integers(0, 3, n)
@@ -488,16 +489,19 @@ def test_criterion_8_targeted_regression():
     bounds = np.append(starts, n)
     rank_ok = [True]
     calls = []
+    refresh = target_regression.update_rank_column
 
-    def hook(it, z):
+    def checked(rng, z, *args):  # each iteration's latent refresh
+        refresh(rng, z, *args)
         zo = z[order]
         mins = np.minimum.reduceat(zo, starts)
         maxs = np.maximum.reduceat(zo, bounds[:-1])
         rank_ok[0] &= bool(np.all(maxs[:-1] < mins[1:]))
-        calls.append(it)
+        calls.append(len(calls))
 
-    cfg = TargetConfig(iters=400, burn_in=150, trees=40, keep_every=5, seed=3)
-    summary = fit_target_model(ds, "y", cfg, iteration_hook=hook)
+    monkeypatch.setattr(target_regression, "update_rank_column", checked)
+    cfg = TargetConfig(iters=400, burn_in=150, trees=40, seed=3)
+    summary = fit_target_model(ds, "y", cfg)
 
     from mixedsynth.bart import ensemble_predict
 

@@ -36,7 +36,7 @@ def fitted():
     )
     model = fit_copula_model(ds, ChainConfig(iters=250, burn_in=120, thin=5, seed=1))
     target = fit_target_model(
-        ds, "r", TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=2)
+        ds, "r", TargetConfig(iters=60, burn_in=10, trees=8, seed=2)
     )
     return ds, model, target
 
@@ -341,7 +341,7 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
     )
     model = fit_copula_model(ds, ChainConfig(iters=60, burn_in=30, thin=3, seed=1))
     target = fit_target_model(
-        ds, "v", TargetConfig(iters=30, burn_in=10, trees=4, keep_every=5, seed=2))
+        ds, "v", TargetConfig(iters=30, burn_in=10, trees=4, seed=2))
     path = tmp_path / "m.mxs"
     save_archive(path, model, targets={"v": target}, full_schema=ds.schema)
 

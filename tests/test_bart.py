@@ -208,9 +208,11 @@ def _exact_posterior(xmat, y, sigma2, sigma_mu):
 
 
 def _chain_frequencies(xmat, y, sigma2, sweeps, burn, seed, batches=40):
-    sampler = BartSampler(xmat, y, 1, np.random.default_rng(seed), fix_sigma2=sigma2)
+    sampler = BartSampler(xmat, y, 1, np.random.default_rng(seed))
     seen = []
     for it in range(sweeps + burn):
+        # the enumeration conditions on sigma^2: reset the sweep's own draw
+        sampler.sigma2 = sigma2
         sampler.sweep()
         if it >= burn:
             seen.append(structure_signature(forest_docs(sampler.snapshot())[0]))
@@ -305,6 +307,13 @@ def _recompute_fit(sampler) -> np.ndarray:
     return out
 
 
+def _row_order(tree) -> np.ndarray:
+    """A tree's fitted values (kept in its row permutation) in row order."""
+    out = np.empty(tree.perm.size)
+    out[tree.perm] = tree.pred
+    return out
+
+
 def test_fit_total_matches_recompute_after_sweeps():
     xmat, y = _random_training()
     sampler = BartSampler(xmat, y, 12, np.random.default_rng(5))
@@ -313,10 +322,8 @@ def test_fit_total_matches_recompute_after_sweeps():
     assert np.allclose(sampler.fit_total, _recompute_fit(sampler), atol=1e-9)
     # per-tree cached predictions agree with walking the stored trees
     docs = forest_docs(sampler.snapshot())
-    for t, doc in enumerate(docs):
-        assert np.allclose(
-            predict_doc(doc, xmat.columns), sampler.tree_pred[t], atol=1e-12
-        )
+    for tree, doc in zip(sampler.trees, docs):
+        assert np.allclose(predict_doc(doc, xmat.columns), _row_order(tree), atol=1e-12)
 
 
 def test_leaf_ranges_tile_the_row_permutation():
@@ -344,14 +351,6 @@ def test_zero_trees_is_the_null_model():
         sampler.sweep()
     assert np.all(sampler.fit_total == 0.0)
     assert sampler.sigma2 > 0
-
-
-def test_fixed_sigma2_never_moves():
-    xmat, y = _random_training(n=80)
-    sampler = BartSampler(xmat, y, 4, np.random.default_rng(2), fix_sigma2=0.123)
-    for _ in range(25):
-        sampler.sweep()
-        assert sampler.sigma2 == 0.123
 
 
 def test_sampler_reproducible():

@@ -5,7 +5,7 @@ import multiprocessing
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +451,37 @@ def test_unknown_target_rejected(workspace, tmp_path):
         "--targets", "nope",
     ])
     assert rc == 1
+
+
+def test_every_config_field_has_a_cli_caller(tmp_path, monkeypatch):
+    """fit (with --targets), synth and utility give every config class they
+    build a value for each of its fields, so no field is one that no caller
+    sets."""
+    config_classes = ("ChainConfig", "TargetConfig", "HorseshoeConfig", "SynthesisPlan")
+    unset = {}  # class name -> the fields its construction left to defaults
+    checked = cli._checked
+
+    def recording(make, *args, **settings):
+        if getattr(make, "__name__", None) in config_classes:
+            names = [f.name for f in fields(make)]
+            unset[make.__name__] = set(names[len(args):]) - set(settings)
+        return checked(make, *args, **settings)
+
+    monkeypatch.setattr(cli, "_checked", recording)
+    data, schema = _make_inputs(tmp_path)
+    archive, syn_dir = tmp_path / "m.mxs", tmp_path / "syn"
+    assert main(["fit", "--data", str(data), "--schema", str(schema),
+                 "--out", str(archive), "--seed", "1", "--targets", "r",
+                 "--iters", "20", "--burn-in", "10", "--thin", "5",
+                 "--target-iters", "20", "--target-burn-in", "10",
+                 "--target-trees", "2"]) == 0
+    assert main(["synth", "--model", str(archive), "--out-dir", str(syn_dir),
+                 "--m", "2", "--seed", "2"]) == 0
+    assert main(["utility", "--conf", str(data), "--schema", str(schema),
+                 "--syn-dir", str(syn_dir), "--response", "w", "--predictors", "g",
+                 "--iters", "20", "--burn-in", "10", "--out",
+                 str(tmp_path / "u.json")]) == 0
+    assert unset == {name: set() for name in config_classes}
 
 
 def test_fit_logs_bart_diagnostics(workspace, tmp_path, caplog):

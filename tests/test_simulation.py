@@ -1,4 +1,5 @@
 """Benchmark-study plumbing: data generation, scoring, and the study variants."""
+import concurrent.futures.process
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,14 @@ def test_kept_fit_is_the_refit():
 def test_run_studies_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown studies"):
         run_studies(["rpl", "bogus"], _TINY, _TINY_CFG)
+
+
+def test_run_studies_of_no_names_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    assert run_studies([], _TINY, _TINY_CFG) == {}
 
 
 def test_presets():

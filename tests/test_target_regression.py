@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from mixedsynth import archive
+from mixedsynth import archive, target_regression
 from mixedsynth.bart import ensemble_predict
 from mixedsynth.errors import (
     DegenerateResponseError,
@@ -57,7 +57,7 @@ def _normal_scores(y):
 
 def test_fitted_surface_recovers_binned_latent_means():
     ds, x = _step_dataset()
-    cfg = TargetConfig(iters=400, burn_in=150, trees=40, keep_every=5, seed=3)
+    cfg = TargetConfig(iters=400, burn_in=150, trees=40, seed=3)
     summary = fit_target_model(ds, "y", cfg)
 
     f_hat = ensemble_predict(summary.forest, [ds.columns["x"]]) / summary.sigma2.size
@@ -72,22 +72,26 @@ def test_fitted_surface_recovers_binned_latent_means():
     assert cells[0] < cells[1] < cells[2]
 
 
-def _feasibility_hook(y):
-    """Returns (hook, calls); the hook asserts z never violates y's ordering."""
+def _check_rank_refreshes(monkeypatch, y):
+    """Wraps the fit's latent refresh so that each one asserts z keeps y's
+    ordering; returns the list of refreshes checked, one per iteration."""
     order = np.argsort(y, kind="stable")
     sv = y[order]
     starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
     bounds = np.append(starts, order.size)
     calls = []
+    refresh = target_regression.update_rank_column
 
-    def hook(it, z):
+    def checked(rng, z, *args):
+        refresh(rng, z, *args)
         zo = z[order]
         mins = np.minimum.reduceat(zo, starts)
         maxs = np.maximum.reduceat(zo, bounds[:-1])
-        assert np.all(maxs[:-1] < mins[1:]), f"rank violation at iteration {it}"
-        calls.append(it)
+        assert np.all(maxs[:-1] < mins[1:]), f"rank violation at iteration {len(calls)}"
+        calls.append(len(calls))
 
-    return hook, calls
+    monkeypatch.setattr(target_regression, "update_rank_column", checked)
+    return calls
 
 
 def _binned_means(x, g, r):
@@ -147,15 +151,15 @@ def test_targeted_release_keeps_the_nonlinear_conditional_mean():
     assert copula_mse > 10.0 * targeted_mse, (copula_mse, targeted_mse)
 
 
-def test_latent_vector_preserves_ranks_every_iteration():
+def test_latent_vector_preserves_ranks_every_iteration(monkeypatch):
     ds, _ = _step_dataset(n=150, seed=1)
-    hook, calls = _feasibility_hook(ds.columns["y"])
-    cfg = TargetConfig(iters=120, burn_in=20, trees=15, keep_every=4, seed=5)
-    fit_target_model(ds, "y", cfg, iteration_hook=hook)
+    calls = _check_rank_refreshes(monkeypatch, ds.columns["y"])
+    cfg = TargetConfig(iters=120, burn_in=20, trees=15, seed=5)
+    fit_target_model(ds, "y", cfg)
     assert len(calls) == cfg.iters
 
 
-def test_tied_count_response_preserves_group_ordering():
+def test_tied_count_response_preserves_group_ordering(monkeypatch):
     rng = np.random.default_rng(2)
     n = 160
     x = rng.normal(0, 1, n)
@@ -165,9 +169,9 @@ def test_tied_count_response_preserves_group_ordering():
         ColumnSchema("y", Kind.COUNT, role="response"),
     )
     ds = MixedDataset(schema, {"x": x, "y": y.astype(np.int64)})
-    hook, calls = _feasibility_hook(ds.columns["y"])
-    cfg = TargetConfig(iters=100, burn_in=20, trees=15, keep_every=4, seed=6)
-    summary = fit_target_model(ds, "y", cfg, iteration_hook=hook)
+    calls = _check_rank_refreshes(monkeypatch, ds.columns["y"])
+    cfg = TargetConfig(iters=100, burn_in=20, trees=15, seed=6)
+    summary = fit_target_model(ds, "y", cfg)
     assert len(calls) == cfg.iters
 
     # synthesized counts only take observed values and react to the covariate
@@ -182,7 +186,7 @@ def test_tied_count_response_preserves_group_ordering():
 
 def test_continuous_synthesis_stays_inside_observed_hull():
     ds, x = _step_dataset(n=200, seed=4)
-    cfg = TargetConfig(iters=120, burn_in=20, trees=10, keep_every=5, seed=1)
+    cfg = TargetConfig(iters=120, burn_in=20, trees=10, seed=1)
     summary = fit_target_model(ds, "y", cfg)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
     out = synthesize_response(summary, [records], [np.random.default_rng(0)])[0]
@@ -196,10 +200,10 @@ def test_continuous_synthesis_stays_inside_observed_hull():
 
 def test_zero_trees_yields_flat_predictor():
     ds, _ = _step_dataset(n=120, seed=7)
-    cfg = TargetConfig(iters=60, burn_in=10, trees=0, keep_every=5, seed=2)
+    cfg = TargetConfig(iters=60, burn_in=10, trees=0, seed=2)
     summary = fit_target_model(ds, "y", cfg)
     assert summary.forest.size.size == 0 and summary.forest.feature.size == 0
-    assert summary.sigma2.shape == (10,)
+    assert summary.sigma2.shape == (5,)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
     out = synthesize_response(summary, [records], [np.random.default_rng(1)])[0]
     y = ds.columns["y"]
@@ -211,7 +215,7 @@ def test_each_set_uses_one_kept_ensembles_sigma2():
     response's median and one drawn with sigma^2 = 4 spans its range; a
     sigma^2 shared by all sets (such as the mean) gives neither."""
     ds, _ = _step_dataset(n=120, seed=7)
-    cfg = TargetConfig(iters=60, burn_in=10, trees=0, keep_every=25, seed=2)
+    cfg = TargetConfig(iters=60, burn_in=10, trees=0, seed=2)
     summary = fit_target_model(ds, "y", cfg)
     summary.sigma2 = np.array([1e-4, 4.0])
     y = ds.columns["y"]
@@ -230,7 +234,7 @@ def test_each_set_uses_one_kept_ensembles_sigma2():
 
 def test_summary_doc_round_trip_and_json_safety():
     ds, _ = _step_dataset(n=120, seed=9)
-    cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
+    cfg = TargetConfig(iters=60, burn_in=10, trees=8, seed=4)
     summary = fit_target_model(ds, "y", cfg)
     doc, arrays = _stored(summary)
     clone = archive._get_target(arrays, "t", doc, {c.name: c for c in ds.schema})
@@ -247,7 +251,7 @@ def test_summary_doc_round_trip_and_json_safety():
 
 def test_sets_synthesized_together_match_one_at_a_time():
     ds, _ = _step_dataset(n=120, seed=9)
-    cfg = TargetConfig(iters=60, burn_in=10, trees=8, keep_every=5, seed=4)
+    cfg = TargetConfig(iters=60, burn_in=10, trees=8, seed=4)
     summary = fit_target_model(ds, "y", cfg)
     rng = np.random.default_rng(0)
     sets = [MixedDataset(ds.schema[:1], {"x": rng.integers(0, 3, k)}) for k in (7, 30, 1)]
@@ -268,12 +272,12 @@ def test_sets_synthesized_together_match_one_at_a_time():
 
 def test_fit_is_deterministic_in_seed():
     ds, _ = _step_dataset(n=100, seed=10)
-    cfg = TargetConfig(iters=50, burn_in=10, trees=6, keep_every=4, seed=11)
+    cfg = TargetConfig(iters=50, burn_in=10, trees=6, seed=11)
     a = _stored(fit_target_model(ds, "y", cfg))
     b = _stored(fit_target_model(ds, "y", cfg))
     assert a[0] == b[0] and _same_arrays(a[1], b[1])
     c = _stored(fit_target_model(ds, "y", TargetConfig(
-        iters=50, burn_in=10, trees=6, keep_every=4, seed=12)))
+        iters=50, burn_in=10, trees=6, seed=12)))
     assert not _same_arrays(c[1], a[1])
 
 
@@ -290,7 +294,7 @@ def test_other_response_columns_never_enter_the_covariates():
         "w": rng.poisson(3.0, n).astype(np.int64),
         "y": rng.normal(0, 1, n),
     })
-    cfg = TargetConfig(iters=30, burn_in=5, trees=4, keep_every=2, seed=0)
+    cfg = TargetConfig(iters=30, burn_in=5, trees=4, seed=0)
     summary = fit_target_model(ds, "y", cfg)
     assert summary.covariates == schema[:1]
     # records without 'w' still synthesize fine
@@ -301,7 +305,7 @@ def test_other_response_columns_never_enter_the_covariates():
 
 def test_schema_mismatch_detection():
     ds, _ = _step_dataset(n=100, seed=12)
-    cfg = TargetConfig(iters=30, burn_in=5, trees=4, keep_every=2, seed=0)
+    cfg = TargetConfig(iters=30, burn_in=5, trees=4, seed=0)
     summary = fit_target_model(ds, "y", cfg)
 
     missing = MixedDataset(
@@ -343,7 +347,7 @@ def test_response_validation():
         fit_target_model(ds, "x", TargetConfig(iters=10, burn_in=0, trees=2))
 
 
-def test_response_without_covariates_is_named():
+def test_response_without_covariates_is_named(monkeypatch):
     """A response with no other non-response column is refused by name,
     before any sampling, whether the data hold another response or not."""
     rng = np.random.default_rng(14)
@@ -355,14 +359,15 @@ def test_response_without_covariates_is_named():
     ds = MixedDataset(schema, {"x": rng.normal(0, 1, n), "y": rng.normal(0, 1, n)})
     responses_only = MixedDataset(schema[1:], {"y": ds.columns["y"]})
 
-    def never(it, z):
+    def never(*args):
         raise AssertionError("sampling started")
 
+    monkeypatch.setattr(target_regression, "update_rank_column", never)
     config = TargetConfig(iters=10, burn_in=0, trees=2)
     with pytest.raises(ValueError, match="'x' has no covariate column"):
-        fit_target_model(ds, "x", config, iteration_hook=never)
+        fit_target_model(ds, "x", config)
     with pytest.raises(ValueError, match="'y' has no covariate column"):
-        fit_target_model(responses_only, "y", config, iteration_hook=never)
+        fit_target_model(responses_only, "y", config)
 
 
 def test_config_validation():
@@ -370,8 +375,3 @@ def test_config_validation():
         TargetConfig(iters=10, burn_in=10)
     with pytest.raises(ValueError):
         TargetConfig(iters=10, burn_in=-1)
-
-
-def test_keep_every_must_be_positive():
-    with pytest.raises(ValueError, match="keep_every"):
-        TargetConfig(iters=10, burn_in=0, keep_every=0)

@@ -197,16 +197,31 @@ def test_horseshoe_signal_and_noise():
         assert fit[f"x{j}"].lower < 0.0 < fit[f"x{j}"].upper
 
 
-def test_fixed_global_scale_reaches_ols_limit():
-    ds = _toy_ds(n=300, seed=3)
-    spec = RegressionSpec("y", ("x", "b"))
-    x, names, y = design_matrix(ds, spec)
-    ols = np.linalg.lstsq(x, y, rcond=None)[0]
-    fit = fit_bayes_lm(
-        ds, spec, HorseshoeConfig(4000, 2000, seed=2, fix_global_scale=1e4)
-    )
-    for j, c in enumerate(fit):
-        assert c.point == pytest.approx(ols[j], abs=4 * c.sd / np.sqrt(2000) + 5e-3)
+def test_beta_draw_is_its_conjugate_conditional():
+    """Given (X'X, X'y, prior precision, sigma^2), beta's draw is
+    N(A^-1 X'y / sigma^2, A^-1) with A = X'X / sigma^2 + diag(prior
+    precision): sample mean and covariance agree within 5 Monte-Carlo
+    standard errors, entry by entry."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0, 1, (40, 3)) @ np.array([[1.0, 0.6, 0.0],
+                                              [0.0, 1.0, -0.8],
+                                              [0.0, 0.0, 1.0]])
+    y = x @ np.array([0.5, -1.0, 2.0]) + rng.normal(0, 1, 40)
+    xtx, xty = x.T @ x, x.T @ y
+    prior_prec, sigma2 = np.array([1e-6, 0.5, 3.0]), 2.5
+    cov = np.linalg.inv(xtx / sigma2 + np.diag(prior_prec))
+    mean = cov @ xty / sigma2
+
+    draws = np.array([utility._beta_draw(rng, xtx, xty, prior_prec, sigma2)
+                      for _ in range(20000)])
+    k = len(draws)
+    mean_se = np.sqrt(np.diag(cov) / k)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * mean_se)
+    # a Gaussian sample covariance's entry (i, j) has variance
+    # (S_ii S_jj + S_ij^2) / k
+    var = np.diag(cov)
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / k)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
 
 
 def test_fit_reproducible():
