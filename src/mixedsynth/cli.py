@@ -143,7 +143,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     from_file, path = {}, given.get("config")
     if path:
         try:
-            from_file = json.loads(Path(path).read_text())
+            from_file = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file '{path}': {exc}")
         if not isinstance(from_file, dict):
@@ -283,15 +283,13 @@ def _cmd_synth(cfg: dict) -> None:
     # the settings are checked before the archive is read
     plan = _checked(
         SynthesisPlan,
-        None,
         m=int(cfg["m"]),
         n_out=None if cfg.get("n_out") is None else int(cfg["n_out"]),
         seed=seed,
     )
     ar = load_archive(cfg["model"])
-    plan = dataclasses.replace(plan, model=ar.model)
     orthant = []
-    sets = synthesize_datasets(plan, diagnostics=orthant)
+    sets = synthesize_datasets(ar.model, plan, diagnostics=orthant)
     log.info(
         "orthant draws per dataset (tilted proposals/rejection rounds): %s",
         ", ".join(f"{o.proposed}/{o.rounds}" for o in orthant),
@@ -301,17 +299,11 @@ def _cmd_synth(cfg: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg["stem"]
     files, digests = [], {}
-    responses = {
-        name: synthesize_response(
-            summary, sets,
-            [substream(seed, "target-synth", i, name) for i in range(len(sets))],
-        )
-        for name, summary in ar.targets.items()
-    }
     for i, s in enumerate(sets):
         cols = dict(s.columns)
-        for name, values in responses.items():
-            cols[name] = values[i]
+        for name, summary in ar.targets.items():
+            cols[name] = synthesize_response(
+                summary, s, substream(seed, "target-synth", i, name))
         full = MixedDataset(ar.full_schema, cols)
         path = out_dir / f"{stem}_syn_{i}.csv"
         write_csv(full, path)

@@ -252,7 +252,7 @@ def load_schema(path) -> tuple[ColumnSchema, ...]:
     keys ``name``, ``kind``, optional ``levels`` and ``role``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # a leading BOM is skipped
     if path.suffix.lower() == ".json":
         doc = json.loads(text)
     else:
@@ -346,7 +346,8 @@ def load_dataset(csv_path, schema) -> MixedDataset:
         schema = load_schema(schema)
     schema = tuple(schema)
     csv_path = Path(csv_path)
-    with csv_path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig skips the byte-order mark that Excel's "CSV UTF-8" writes
+    with csv_path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

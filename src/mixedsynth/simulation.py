@@ -169,7 +169,7 @@ STUDIES = {
 }
 
 
-def run_study(name: str, design: SimDesign, config: ChainConfig | None = None,
+def run_study(name: str, design: SimDesign, config: ChainConfig,
               keep_data: bool = False) -> SimResult:
     """Fit the named study's encoding of the design's data, synthesize
     ``design.n_reps`` datasets, decode x1 and score the group means of x2.
@@ -182,15 +182,13 @@ def run_study(name: str, design: SimDesign, config: ChainConfig | None = None,
     obs = _group_means(data.columns["x1"], data.columns["x2"], design.n_levels)
 
     encoded, decode = STUDIES[name](data, design.n_levels)
-    if config is None:
-        config = ChainConfig(seed=design.seed)
     if config.n_factors is None:
         # full-capacity loading matrix unless the caller pinned one: the
         # shrinkage prior prunes what the data do not support, and the
         # expanded categorical block needs the extra columns to track x2
         config = replace(config, n_factors=expand_layout(encoded).p_star)
     model = fit_copula_model(encoded, config)
-    synth = synthesize_datasets(SynthesisPlan(model, m=design.n_reps, seed=design.seed))
+    synth = synthesize_datasets(model, SynthesisPlan(m=design.n_reps, seed=design.seed))
 
     means, rates = [], []
     for s in synth:
@@ -216,7 +214,7 @@ def _die_with_parent(parent_pid):
         os._exit(1)
 
 
-def run_studies(names, design: SimDesign, config: ChainConfig | None = None,
+def run_studies(names, design: SimDesign, config: ChainConfig,
                 keep_data: bool = False) -> dict:
     """Run the named studies of ``STUDIES``, concurrently: name -> SimResult.
 

@@ -83,9 +83,8 @@ class FittedCopula:
     n_fit: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisPlan:
-    model: FittedCopula
     m: int = 1
     n_out: int | None = None  # None: same size as the fitted data
     seed: int = 0
@@ -118,43 +117,31 @@ def fit_copula_model(ds: MixedDataset, config: ChainConfig) -> FittedCopula:
     return FittedCopula(draws, cop.schema, margs, table, cop.n)
 
 
-def _cat_chol_or_raise(c_cc: np.ndarray):
-    """Cholesky of the categorical block, jittered once if needed.
+def _cholesky(a: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky of ``a``, jittered once if needed.
 
     Returns the (possibly jittered) matrix actually factored plus its factor,
     so downstream solves stay consistent with the factor.
     """
     try:
-        return c_cc, np.linalg.cholesky(c_cc)
+        return a, np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        bumped = c_cc + _JITTER * np.eye(c_cc.shape[0])
+        bumped = a + _JITTER * np.eye(a.shape[0])
         try:
             return bumped, np.linalg.cholesky(bumped)
         except np.linalg.LinAlgError:
             raise SingularBlockError(
-                "categorical correlation block singular even after jitter"
+                f"{block} correlation block singular even after jitter"
             ) from None
 
 
 def _prep_draw(corr, alpha, cat_idx, rest_idx):
     """Per-posterior-draw quantities for batched synthesis."""
-    c_cc = corr[np.ix_(cat_idx, cat_idx)]
     c_rc = corr[np.ix_(rest_idx, cat_idx)]
-    if cat_idx.size:
-        c_cc, low = _cat_chol_or_raise(c_cc)
-        b = np.linalg.solve(c_cc, c_rc.T).T  # C_rc C_cc^-1
-    else:
-        low = np.empty((0, 0))
-        b = np.empty((rest_idx.size, 0))
+    c_cc, low = _cholesky(corr[np.ix_(cat_idx, cat_idx)], "categorical")
+    b = np.linalg.solve(c_cc, c_rc.T).T  # C_rc C_cc^-1
     c_star = corr[np.ix_(rest_idx, rest_idx)] - b @ c_rc.T
-    c_star = 0.5 * (c_star + c_star.T)
-    if rest_idx.size:
-        try:
-            l_star = np.linalg.cholesky(c_star)
-        except np.linalg.LinAlgError:
-            l_star = np.linalg.cholesky(c_star + _JITTER * np.eye(rest_idx.size))
-    else:
-        l_star = np.empty((0, 0))
+    _, l_star = _cholesky(0.5 * (c_star + c_star.T), "conditional")
     return low, b, l_star, alpha[cat_idx], alpha[rest_idx]
 
 
@@ -307,18 +294,18 @@ def _synthesize_batch(model: FittedCopula, t: dict, n: int, rng,
 
 
 def synthesize_datasets(
-    plan: SynthesisPlan, diagnostics: list | None = None
+    model: FittedCopula, plan: SynthesisPlan, diagnostics: list | None = None
 ) -> list[MixedDataset]:
-    """Generate plan.m synthetic datasets of plan.n_out records each.
+    """Generate plan.m synthetic datasets of plan.n_out records each from
+    ``model``.
 
     Dataset i is produced entirely from substream (seed, "synth", i), so the
-    output bytes depend only on (plan, seed) and never on scheduling.  The
+    output bytes depend only on (model, plan) and never on scheduling.  The
     stream's first number picks the dataset's posterior draw; its records
     then go through in chunks of SYNTH_CHUNK, one after another on that
     stream.  If `diagnostics` is a list, one OrthantStats per dataset is
     appended to it.
     """
-    model = plan.model
     n_out = plan.n_out or model.n_fit
     out = []
     for i in range(plan.m):

@@ -6,7 +6,7 @@ z is constrained to the observed ordering while a tree ensemble models
 z = f(covariates) + eps.  The fit alternates (1) group-blocked truncated
 normal refreshes of z around the current fitted values and (2) standard
 backfitting updates of the ensemble.  Each kept ensemble is one posterior
-draw (f, sigma^2).  Synthesis gives each record set one kept draw and pushes
+draw (f, sigma^2).  Synthesis gives a record set one kept draw and pushes
 N(f(x), sigma^2) draws on its already-synthesized covariates through the
 response's inverse CDF.
 """
@@ -152,32 +152,25 @@ def _log_diagnostics(response: str, sampler: BartSampler, last: Forest) -> None:
 
 
 def synthesize_response(
-    summary: TargetModelSummary, record_sets: list, rngs: list
-) -> list:
-    """Response values for each set of already-synthesized covariate records.
+    summary: TargetModelSummary, records: MixedDataset, rng
+) -> np.ndarray:
+    """Response values for one set of already-synthesized covariate records.
 
-    Each set draws from its own generator in ``rngs``: first the kept
-    ensemble it uses, then its noise with that ensemble's sigma^2.
+    ``rng`` draws first the kept ensemble the set uses, then its noise with
+    that ensemble's sigma^2.
     """
-    if len(rngs) != len(record_sets):
-        raise ValueError(f"need one generator per record set: got {len(rngs)} "
-                         f"for {len(record_sets)} sets")
-    present = [{cs.name: cs for cs in records.schema} for records in record_sets]
+    present = {cs.name: cs for cs in records.schema}
     for want in summary.covariates:
-        for cols in present:
-            cs = cols.get(want.name)
-            if cs is None or (cs.kind, cs.levels) != (want.kind, want.levels):
-                raise SchemaMismatchError(
-                    f"covariate '{want.name}' missing or mismatched in synthetic records"
-                )
+        cs = present.get(want.name)
+        if cs is None or (cs.kind, cs.levels) != (want.kind, want.levels):
+            raise SchemaMismatchError(
+                f"covariate '{want.name}' missing or mismatched in synthetic records"
+            )
     size = summary.forest.size.size // summary.sigma2.size  # trees per ensemble
+    k = int(rng.integers(summary.sigma2.size))
+    f = ensemble_predict(summary.forest,
+                         _covariate_columns(records, summary.covariates),
+                         slice(k * size, (k + 1) * size))
+    z = f + np.sqrt(summary.sigma2[k]) * rng.standard_normal(records.n)
     dtype = np.float64 if summary.response.kind is Kind.CONTINUOUS else np.int64
-    out = []
-    for records, rng in zip(record_sets, rngs):
-        k = int(rng.integers(summary.sigma2.size))
-        f = ensemble_predict(summary.forest,
-                             _covariate_columns(records, summary.covariates),
-                             slice(k * size, (k + 1) * size))
-        z = f + np.sqrt(summary.sigma2[k]) * rng.standard_normal(records.n)
-        out.append(np.asarray(summary.marginal.inverse(ndtr(z)), dtype=dtype))
-    return out
+    return np.asarray(summary.marginal.inverse(ndtr(z)), dtype=dtype)

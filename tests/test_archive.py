@@ -111,16 +111,16 @@ def test_targets_round_trip_and_predict_identically(fitted, tmp_path):
     assert ar.targets["r"].covariates == target.covariates == ds.schema[:3]
 
     records = ds.subset(["g", "y", "w"])
-    a = synthesize_response(target, [records], [np.random.default_rng(5)])[0]
-    b = synthesize_response(ar.targets["r"], [records], [np.random.default_rng(5)])[0]
+    a = synthesize_response(target, records, np.random.default_rng(5))
+    b = synthesize_response(ar.targets["r"], records, np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
 def test_synthesis_identical_before_and_after_save(fitted, tmp_path):
     _, model, _ = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
-    got = synthesize_datasets(SynthesisPlan(ar.model, m=2, seed=11))
-    want = synthesize_datasets(SynthesisPlan(model, m=2, seed=11))
+    got = synthesize_datasets(ar.model, SynthesisPlan(m=2, seed=11))
+    want = synthesize_datasets(model, SynthesisPlan(m=2, seed=11))
     for da, db in zip(want, got):
         assert da.schema == db.schema
         for name in da.columns:
@@ -315,7 +315,7 @@ def test_constant_continuous_column_round_trip(tmp_path):
     assert _same_stored(archive_mod._put_marginal, ar.model.marginals["c"],
                         model.marginals["c"])
     for plan_model in (model, ar.model):
-        (out,) = synthesize_datasets(SynthesisPlan(plan_model, n_out=50, seed=3))
+        (out,) = synthesize_datasets(plan_model, SynthesisPlan(n_out=50, seed=3))
         assert out.columns["c"].dtype == np.float64
         assert np.array_equal(out.columns["c"], np.full(50, 2.75))
 

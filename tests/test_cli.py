@@ -614,6 +614,19 @@ def test_bad_config_file(workspace, tmp_path):
     assert rc == 1
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    """A --config file saved with a UTF-8 byte-order mark reads as the plain
+    file does."""
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text('{"m": 3, "stem": "rel"}', encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = ["synth", "--model", "m.mxs", "--out-dir", "o", "--seed", "1", "--config"]
+    cfg, digest = _hashed(argv + [str(plain)])
+    assert cfg["m"] == 3 and cfg["stem"] == "rel"
+    # the hash covers every setting but the config file's path
+    assert _hashed(argv + [str(marked)])[1] == digest
+
+
 def test_config_hash_ignores_output_paths():
     base = {"m": 3, "seed": 1, "out_dir": "/a", "model": "m.mxs"}
     moved = dict(base, out_dir="/somewhere/else", config="x.json")

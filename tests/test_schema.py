@@ -236,6 +236,29 @@ def test_load_schema_json(tmp_path):
     assert col.kind is Kind.COUNT and col.role == "response"
 
 
+@pytest.mark.parametrize("name, text", [
+    ("s.yaml", SCHEMA_YAML),
+    ("s.json", '{"columns": [{"name": "race", "kind": "categorical", '
+               '"levels": ["white", "black"]}, {"name": "score", "kind": "count"}]}'),
+], ids=["yaml", "json"])
+def test_byte_order_mark_is_skipped(tmp_path, name, text):
+    """Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order
+    mark; a schema or CSV that starts with one loads as the plain file does."""
+    rows = "race,score\nwhite,316\nblack,370\n"
+    plain = _write(tmp_path, name, text)
+    marked = tmp_path / ("bom_" + name)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    schema = load_schema(plain)
+    assert load_schema(marked) == schema
+    csv_plain = _write(tmp_path, "d.csv", rows)
+    csv_marked = tmp_path / "bom_d.csv"
+    csv_marked.write_bytes(b"\xef\xbb\xbf" + rows.encode("utf-8"))
+    a, b = load_dataset(csv_plain, schema), load_dataset(csv_marked, schema)
+    assert a.schema == b.schema
+    for col in a.columns:
+        assert np.array_equal(a.columns[col], b.columns[col])
+
+
 # ---- column-wise CSV reading and writing against cell-by-cell oracles
 
 _ORACLE_MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "None"}

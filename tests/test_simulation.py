@@ -123,22 +123,6 @@ def test_encodings_fit_the_expanded_width():
     assert widths == {"rpl": 6, "rl": 5, "ordinal": 2}
 
 
-def test_default_chain_is_seeded_by_the_design(monkeypatch):
-    seen = []
-
-    class Stop(Exception):
-        pass
-
-    def stop(ds, config):
-        seen.append(config)
-        raise Stop
-
-    monkeypatch.setattr(simulation, "fit_copula_model", stop)
-    with pytest.raises(Stop):
-        run_study("rl", replace(_TINY, seed=7))
-    assert seen == [ChainConfig(seed=7, n_factors=_TINY.n_levels)]
-
-
 @pytest.fixture(scope="module")
 def rpl():
     return run_study("rpl", _TINY, _TINY_CFG, keep_data=True)

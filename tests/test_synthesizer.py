@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from mixedsynth import synthesizer
-from mixedsynth.errors import OrthantUnderflowError
+from mixedsynth.errors import OrthantUnderflowError, SingularBlockError
 from mixedsynth.factor_model import ChainConfig, PosteriorDraws, _level_signs
 from mixedsynth.marginals import fit_marginal
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset
@@ -65,6 +65,33 @@ def test_conditional_moments_all_categorical():
     )
     assert (a_rest + b @ (rng.normal(size=4) - a_cat)).size == 0
     assert l_star.shape == (0, 0)
+
+
+def test_singular_blocks_are_jittered_once():
+    """A block with no Cholesky factor gets 1e-8 added to its diagonal once:
+    the categorical block's factor and solves use the jittered matrix, and a
+    conditional variance of 0 becomes 1e-8."""
+    corr = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    low, b, _, _, _ = _prep_draw(corr, np.zeros(3), np.arange(2), np.array([2]))
+    bumped = corr[:2, :2] + 1e-8 * np.eye(2)
+    assert np.array_equal(low @ low.T, bumped)
+    # the unjittered block is singular, so no solve against it gives a b
+    assert np.allclose(b, np.linalg.solve(bumped, corr[:2, 2:]).T, rtol=1e-12)
+
+    _, _, l_star, _, _ = _prep_draw(np.ones((2, 2)), np.zeros(2),
+                                    np.array([0]), np.array([1]))
+    assert np.array_equal(l_star, [[1e-4]])
+
+
+@pytest.mark.parametrize("corr, block", [
+    (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "categorical"),
+    (np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]]), "conditional"),
+], ids=["categorical", "conditional"])
+def test_indefinite_block_raises_naming_it(corr, block):
+    cat_idx = np.arange(2) if block == "categorical" else np.array([0])
+    rest_idx = np.setdiff1d(np.arange(3), cat_idx)
+    with pytest.raises(SingularBlockError, match=block):
+        _prep_draw(corr, np.zeros(3), cat_idx, rest_idx)
 
 
 def _tilted_draws(corr, alpha, sign, rng, n):
@@ -263,7 +290,7 @@ def _mixed_fit(n=400, seed=0, iters=400, burn_in=200):
 
 def test_synthetic_support_closure():
     ds, model = _mixed_fit()
-    out = synthesize_datasets(SynthesisPlan(model, m=3, n_out=500, seed=4))
+    out = synthesize_datasets(model, SynthesisPlan(m=3, n_out=500, seed=4))
     y_support = set(np.unique(ds.columns["y"]).tolist())
     w_lo, w_hi = ds.columns["w"].min(), ds.columns["w"].max()
     for s in out:
@@ -279,9 +306,9 @@ def test_synthetic_support_closure():
 
 def test_synthesis_reproducible_and_distinct_across_indices():
     _, model = _mixed_fit(n=200, iters=200, burn_in=100)
-    plan = SynthesisPlan(model, m=3, n_out=150, seed=9)
-    a = synthesize_datasets(plan)
-    b = synthesize_datasets(plan)
+    plan = SynthesisPlan(m=3, n_out=150, seed=9)
+    a = synthesize_datasets(model, plan)
+    b = synthesize_datasets(model, plan)
     for s1, s2 in zip(a, b):
         for name in s1.columns:
             assert np.array_equal(s1.columns[name], s2.columns[name])
@@ -290,7 +317,7 @@ def test_synthesis_reproducible_and_distinct_across_indices():
         not np.array_equal(a[0].columns[n], a[1].columns[n]) for n in a[0].columns
     )
     # and a different seed changes the output
-    c = synthesize_datasets(SynthesisPlan(model, m=1, n_out=150, seed=10))
+    c = synthesize_datasets(model, SynthesisPlan(m=1, n_out=150, seed=10))
     assert any(
         not np.array_equal(a[0].columns[n], c[0].columns[n]) for n in a[0].columns
     )
@@ -301,18 +328,18 @@ def test_chunked_synthesis_deterministic_across_chunk_boundary(monkeypatch):
     its first chunk is what a one-chunk run of that size gives, and a run
     that fits in one chunk is the same whatever the chunk size."""
     _, model = _mixed_fit(n=200, iters=200, burn_in=100)
-    plan = SynthesisPlan(model, m=2, n_out=150, seed=9)
-    whole = synthesize_datasets(plan)
+    plan = SynthesisPlan(m=2, n_out=150, seed=9)
+    whole = synthesize_datasets(model, plan)
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 150)
-    for a, b in zip(whole, synthesize_datasets(plan)):
+    for a, b in zip(whole, synthesize_datasets(model, plan)):
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 64)
     stats = []
-    chunked = synthesize_datasets(plan, stats)
-    again = synthesize_datasets(plan)
-    head = synthesize_datasets(SynthesisPlan(model, m=2, n_out=64, seed=9))
+    chunked = synthesize_datasets(model, plan, stats)
+    again = synthesize_datasets(model, plan)
+    head = synthesize_datasets(model, SynthesisPlan(m=2, n_out=64, seed=9))
     for c, r, h in zip(chunked, again, head):
         assert c.n == 150
         for name in c.columns:
@@ -345,7 +372,7 @@ def test_draw_selection_schemes(monkeypatch):
     monkeypatch.setattr(synthesizer, "_draw_table", table_spy)
     monkeypatch.setattr(synthesizer, "_synthesize_batch", batch_spy)
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)
-    synthesize_datasets(SynthesisPlan(model, m=4, n_out=10, seed=3))
+    synthesize_datasets(model, SynthesisPlan(m=4, n_out=10, seed=3))
     assert draws == [
         substream(3, "synth", i).integers(n_draws) for i in range(4)
     ]
@@ -364,7 +391,7 @@ def test_each_dataset_comes_from_one_posterior_draw():
         {c.name: fit_marginal(rng.normal(0, 1, 500), Kind.CONTINUOUS) for c in schema},
         None, 500,
     )
-    out = synthesize_datasets(SynthesisPlan(model, m=8, n_out=400, seed=0))
+    out = synthesize_datasets(model, SynthesisPlan(m=8, n_out=400, seed=0))
     signs = set()
     for s in out:
         r = np.corrcoef(s.columns["u"], s.columns["v"])[0, 1]
@@ -391,22 +418,22 @@ def test_no_categorical_dataset_roundtrip(monkeypatch):
     model = fit_copula_model(ds, ChainConfig(iters=200, burn_in=100, thin=5, seed=1))
     assert model.cat_table is None
     stats = []
-    out = synthesize_datasets(SynthesisPlan(model, m=2, seed=2), stats)
+    out = synthesize_datasets(model, SynthesisPlan(m=2, seed=2), stats)
     assert stats == [OrthantStats()] * 2
     for s in out:
         assert s.n == n
         assert set(np.unique(s.columns["b"]).tolist()) <= {0, 1}
-    (rec,) = synthesize_datasets(SynthesisPlan(model, n_out=1))
+    (rec,) = synthesize_datasets(model, SynthesisPlan(n_out=1))
     assert rec.n == 1
     # with no orthant block the stream is one normal per latent cell, so
     # chunking leaves the output unchanged
     monkeypatch.setattr(synthesizer, "SYNTH_CHUNK", 7)
-    for a, b in zip(out, synthesize_datasets(SynthesisPlan(model, m=2, seed=2))):
+    for a, b in zip(out, synthesize_datasets(model, SynthesisPlan(m=2, seed=2))):
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
 
 def test_default_output_size_matches_fit():
     ds, model = _mixed_fit(n=230, iters=200, burn_in=100)
-    out = synthesize_datasets(SynthesisPlan(model, m=1, seed=0))
+    out = synthesize_datasets(model, SynthesisPlan(m=1, seed=0))
     assert out[0].n == ds.n == 230

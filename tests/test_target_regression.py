@@ -135,18 +135,19 @@ def test_targeted_release_keeps_the_nonlinear_conditional_mean():
         return float(np.mean((syn - conf) ** 2))
 
     chain = ChainConfig(iters=300, burn_in=150, thin=5, seed=seed)
-    plan = {"m": m, "seed": seed + 1}
+    plan = SynthesisPlan(m=m, seed=seed + 1)
     whole = MixedDataset(schema("copula"), {"g": g, "x": x, "r": r})
-    copula_sets = synthesize_datasets(
-        SynthesisPlan(fit_copula_model(whole, chain), **plan))
+    copula_sets = synthesize_datasets(fit_copula_model(whole, chain), plan)
     copula_mse = mse(copula_sets, [s.columns["r"] for s in copula_sets])
 
     split = MixedDataset(schema("response"), {"g": g, "x": x, "r": r})
     summary = fit_target_model(
         split, "r", TargetConfig(iters=200, burn_in=50, trees=30, seed=seed))
-    sets = synthesize_datasets(SynthesisPlan(fit_copula_model(split, chain), **plan))
-    targeted = synthesize_response(
-        summary, sets, [substream(seed + 1, "target-synth", i, "r") for i in range(m)])
+    sets = synthesize_datasets(fit_copula_model(split, chain), plan)
+    targeted = [
+        synthesize_response(summary, s, substream(seed + 1, "target-synth", i, "r"))
+        for i, s in enumerate(sets)
+    ]
     targeted_mse = mse(sets, targeted)
     assert copula_mse > 10.0 * targeted_mse, (copula_mse, targeted_mse)
 
@@ -176,7 +177,7 @@ def test_tied_count_response_preserves_group_ordering(monkeypatch):
 
     # synthesized counts only take observed values and react to the covariate
     records = MixedDataset(schema[:1], {"x": np.linspace(-2, 2, 400)})
-    out = synthesize_response(summary, [records], [np.random.default_rng(9)])[0]
+    out = synthesize_response(summary, records, np.random.default_rng(9))
     assert out.dtype == np.int64
     assert set(out.tolist()) <= set(y.tolist())
     low = out[records.columns["x"] < -1.0].mean()
@@ -189,7 +190,7 @@ def test_continuous_synthesis_stays_inside_observed_hull():
     cfg = TargetConfig(iters=120, burn_in=20, trees=10, seed=1)
     summary = fit_target_model(ds, "y", cfg)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    out = synthesize_response(summary, [records], [np.random.default_rng(0)])[0]
+    out = synthesize_response(summary, records, np.random.default_rng(0))
     assert out.dtype == np.float64
     y = ds.columns["y"]
     assert out.min() >= y.min() and out.max() <= y.max()
@@ -205,7 +206,7 @@ def test_zero_trees_yields_flat_predictor():
     assert summary.forest.size.size == 0 and summary.forest.feature.size == 0
     assert summary.sigma2.shape == (5,)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    out = synthesize_response(summary, [records], [np.random.default_rng(1)])[0]
+    out = synthesize_response(summary, records, np.random.default_rng(1))
     y = ds.columns["y"]
     assert out.min() >= y.min() and out.max() <= y.max()
 
@@ -221,8 +222,8 @@ def test_each_set_uses_one_kept_ensembles_sigma2():
     y = ds.columns["y"]
     spread = np.quantile(y, 0.9) - np.quantile(y, 0.1)
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    sets = synthesize_response(summary, [records] * 12,
-                               [np.random.default_rng(i) for i in range(12)])
+    sets = [synthesize_response(summary, records, np.random.default_rng(i))
+            for i in range(12)]
     tight = [np.ptp(out) < 0.1 * spread for out in sets]
     for out, t in zip(sets, tight):
         if t:
@@ -244,30 +245,9 @@ def test_summary_doc_round_trip_and_json_safety():
     assert np.array_equal(clone.sigma2, summary.sigma2)
 
     records = MixedDataset(ds.schema[:1], {"x": ds.columns["x"]})
-    a = synthesize_response(summary, [records], [np.random.default_rng(3)])[0]
-    b = synthesize_response(clone, [records], [np.random.default_rng(3)])[0]
+    a = synthesize_response(summary, records, np.random.default_rng(3))
+    b = synthesize_response(clone, records, np.random.default_rng(3))
     assert np.array_equal(a, b)
-
-
-def test_sets_synthesized_together_match_one_at_a_time():
-    ds, _ = _step_dataset(n=120, seed=9)
-    cfg = TargetConfig(iters=60, burn_in=10, trees=8, seed=4)
-    summary = fit_target_model(ds, "y", cfg)
-    rng = np.random.default_rng(0)
-    sets = [MixedDataset(ds.schema[:1], {"x": rng.integers(0, 3, k)}) for k in (7, 30, 1)]
-    together = synthesize_response(
-        summary, sets, [np.random.default_rng(i) for i in range(3)])
-    for i, records in enumerate(sets):
-        alone = synthesize_response(summary, [records], [np.random.default_rng(i)])[0]
-        assert np.array_equal(together[i], alone)
-    with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, [sets[0], ds.subset(["y"])],
-                            [np.random.default_rng(0)] * 2)
-    # a generator list of another length is refused, not zipped short
-    for k in (1, 4):
-        with pytest.raises(ValueError, match="one generator per record set"):
-            synthesize_response(summary, sets,
-                                [np.random.default_rng(i) for i in range(k)])
 
 
 def test_fit_is_deterministic_in_seed():
@@ -299,7 +279,7 @@ def test_other_response_columns_never_enter_the_covariates():
     assert summary.covariates == schema[:1]
     # records without 'w' still synthesize fine
     records = MixedDataset(schema[:1], {"x": rng.integers(0, 2, 30)})
-    out = synthesize_response(summary, [records], [np.random.default_rng(2)])[0]
+    out = synthesize_response(summary, records, np.random.default_rng(2))
     assert out.shape == (30,)
 
 
@@ -313,21 +293,21 @@ def test_schema_mismatch_detection():
         {"other": np.arange(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, [missing], [np.random.default_rng(0)])
+        synthesize_response(summary, missing, np.random.default_rng(0))
 
     two_levels = MixedDataset(
         (ColumnSchema("x", Kind.CATEGORICAL, levels=("a", "b")),),
         {"x": np.zeros(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, [two_levels], [np.random.default_rng(0)])
+        synthesize_response(summary, two_levels, np.random.default_rng(0))
 
     wrong_kind = MixedDataset(
         (ColumnSchema("x", Kind.COUNT),),
         {"x": np.zeros(10, dtype=np.int64)},
     )
     with pytest.raises(SchemaMismatchError):
-        synthesize_response(summary, [wrong_kind], [np.random.default_rng(0)])
+        synthesize_response(summary, wrong_kind, np.random.default_rng(0))
 
 
 def test_response_validation():
