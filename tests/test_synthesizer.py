@@ -72,9 +72,11 @@ def test_singular_blocks_are_jittered_once():
     the categorical block's factor and solves use the jittered matrix, and a
     conditional variance of 0 becomes 1e-8."""
     corr = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(corr[:2, :2])
     low, b, _, _, _ = _prep_draw(corr, np.zeros(3), np.arange(2), np.array([2]))
     bumped = corr[:2, :2] + 1e-8 * np.eye(2)
-    assert np.array_equal(low @ low.T, bumped)
+    assert np.array_equal(low, np.linalg.cholesky(bumped))
     # the unjittered block is singular, so no solve against it gives a b
     assert np.allclose(b, np.linalg.solve(bumped, corr[:2, 2:]).T, rtol=1e-12)
 
