@@ -37,7 +37,7 @@ _EXPORTS = {
     "errors": ("MixedSynthError",),
     "factor_model": ("ChainConfig", "PosteriorDraws", "run_chain"),
     "marginals": ("fit_categorical_probs", "fit_marginal"),
-    "risk": ("AdversaryScenario", "RiskReport", "cmap_mean", "risk_study"),
+    "risk": ("RiskPlan", "RiskReport", "cmap_mean", "risk_study"),
     "schema": ("ColumnSchema", "ExpandedLayout", "Kind", "MixedDataset",
                "expand_layout", "load_dataset", "load_schema", "schema_hash",
                "write_csv"),

@@ -143,9 +143,6 @@ class _Tree:
         self.free = []  # ids of pruned nodes, reused by later grows
         self._relist()
 
-    def rows(self, i: int) -> np.ndarray:
-        return self.perm[self.lo[i]:self.hi[i]]
-
     def _relist(self):
         f, left, right = self.feature, self.left, self.right
         self.leaves = [i for i in self.order if f[i] < 0]

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from .archive import load_archive, save_archive
     from .errors import SchemaError
     from .factor_model import ChainConfig
-    from .risk import risk_study
+    from .risk import RiskPlan, risk_study
     from .schema import MixedDataset, load_dataset, load_schema, write_csv
     from .simulation import STUDIES, preset, run_studies
     from .streams import substream
@@ -46,7 +46,7 @@ _MODULE_NAMES = {
     "archive": ("load_archive", "save_archive"),
     "errors": ("SchemaError",),
     "factor_model": ("ChainConfig",),
-    "risk": ("risk_study",),
+    "risk": ("RiskPlan", "risk_study"),
     "schema": ("MixedDataset", "load_dataset", "load_schema", "write_csv"),
     "simulation": ("STUDIES", "preset", "run_studies"),
     "streams": ("substream",),
@@ -190,12 +190,6 @@ def _file_settings(command: str, doc: dict, path) -> dict:
     return {k: v for k, v in doc.items() if v is not None}
 
 
-def _require_seed(cfg: dict, command: str) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigError(f"--seed is required for '{command}'")
-    return int(cfg["seed"])
-
-
 def _checked(make, *args, **settings):
     """``make(*args, **settings)``; a value that a config class rejects is a
     configuration error."""
@@ -225,20 +219,20 @@ def _load_pool(cfg: dict, key: str, schema) -> tuple[list, list]:
 def _cmd_fit(cfg: dict) -> None:
     _import("schema", "errors", "factor_model", "synthesizer", "target_regression",
             "archive")
-    seed = _require_seed(cfg, "fit")
+    seed = cfg["seed"]
     chain = _checked(
         ChainConfig,
-        iters=int(cfg["iters"]),
-        burn_in=int(cfg["burn_in"]),
-        thin=int(cfg["thin"]),
-        n_factors=None if cfg.get("factors") is None else int(cfg["factors"]),
+        iters=cfg["iters"],
+        burn_in=cfg["burn_in"],
+        thin=cfg["thin"],
+        n_factors=cfg.get("factors"),
         seed=seed,
     )
     target_cfg = _checked(
         TargetConfig,
-        iters=int(cfg["target_iters"]),
-        burn_in=int(cfg["target_burn_in"]),
-        trees=int(cfg["target_trees"]),
+        iters=cfg["target_iters"],
+        burn_in=cfg["target_burn_in"],
+        trees=cfg["target_trees"],
         seed=seed,
     )
     schema = load_schema(cfg["schema"])
@@ -279,14 +273,9 @@ def _cmd_fit(cfg: dict) -> None:
 
 def _cmd_synth(cfg: dict) -> None:
     _import("archive", "synthesizer", "target_regression", "streams", "schema")
-    seed = _require_seed(cfg, "synth")
+    seed = cfg["seed"]
     # the settings are checked before the archive is read
-    plan = _checked(
-        SynthesisPlan,
-        m=int(cfg["m"]),
-        n_out=None if cfg.get("n_out") is None else int(cfg["n_out"]),
-        seed=seed,
-    )
+    plan = _checked(SynthesisPlan, m=cfg["m"], n_out=cfg.get("n_out"), seed=seed)
     ar = load_archive(cfg["model"])
     orthant = []
     sets = synthesize_datasets(ar.model, plan, diagnostics=orthant)
@@ -336,9 +325,9 @@ def _cmd_utility(cfg: dict) -> None:
     )
     hc = _checked(
         HorseshoeConfig,
-        iters=int(cfg["iters"]),
-        burn_in=int(cfg["burn_in"]),
-        seed=int(cfg.get("seed") or 0),
+        iters=cfg["iters"],
+        burn_in=cfg["burn_in"],
+        seed=cfg.get("seed") or 0,
     )
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
@@ -358,37 +347,25 @@ def _cmd_utility(cfg: dict) -> None:
 
 def _cmd_risk(cfg: dict) -> None:
     _import("schema", "risk")
-    known = tuple(_csv_list(cfg["known"]))
-    if cfg["target"] in known:
-        raise ConfigError(f"--target '{cfg['target']}' is also listed in --known")
-    m_grid = tuple(_int_list(cfg["m"]))
-    eps_grid = tuple(_int_list(cfg["eps"]))
-    reps = int(cfg["reps"])
-    if not m_grid or min(m_grid) < 1:
-        raise ConfigError(f"--m: release sizes must be >= 1, got '{cfg['m']}'")
-    if not eps_grid or min(eps_grid) < 0:
-        raise ConfigError(f"--eps: slacks must be >= 0, got '{cfg['eps']}'")
-    if reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {reps}")
-    seed = int(cfg.get("seed") or 0)
+    # the settings are checked before any file is read
+    plan = _checked(
+        RiskPlan,
+        known=_csv_list(cfg["known"]),
+        target=cfg["target"],
+        m_grid=_int_list(cfg["m"]),
+        eps_grid=_int_list(cfg["eps"]),
+        reps=cfg["reps"],
+        seed=cfg.get("seed") or 0,
+    )
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
     pool, _ = _load_pool(cfg, "pool", schema)
-    cells = risk_study(
-        conf,
-        pool,
-        known=known,
-        target=cfg["target"],
-        m_grid=m_grid,
-        eps_grid=eps_grid,
-        reps=reps,
-        seed=seed,
-    )
+    cells = risk_study(conf, pool, plan)
     _json_out(cfg["out"], {
         "config_hash": _config_hash(cfg),
-        "seed": seed,
-        "known": list(known),
-        "target": cfg["target"],
+        "seed": plan.seed,
+        "known": list(plan.known),
+        "target": plan.target,
         "cells": [dataclasses.asdict(c) for c in cells],
     })
     log.info("risk report written to %s (%d cells)", cfg["out"], len(cells))
@@ -399,10 +376,10 @@ def _cmd_risk(cfg: dict) -> None:
 
 def _cmd_simulate(cfg: dict) -> None:
     _import("simulation", "schema")
-    seed = _require_seed(cfg, "simulate")
+    seed = cfg["seed"]
     design, chain = preset(cfg["preset"], seed=seed)
     if cfg.get("reps") is not None:
-        design = _checked(dataclasses.replace, design, n_reps=int(cfg["reps"]))
+        design = _checked(dataclasses.replace, design, n_reps=cfg["reps"])
     names = _csv_list(cfg.get("studies")) or list(STUDIES)
     bad = [s for s in names if s not in STUDIES]
     if bad:
@@ -440,16 +417,16 @@ def _cmd_simulate(cfg: dict) -> None:
 
 
 _REQUIRED = {
-    "fit": ("data", "schema", "out"),
-    "synth": ("model", "out_dir"),
+    "fit": ("data", "schema", "out", "seed"),
+    "synth": ("model", "out_dir", "seed"),
     "utility": ("conf", "schema", "out", "response", "predictors"),
     "risk": ("conf", "schema", "out", "known", "target"),
-    "simulate": ("out",),
+    "simulate": ("out", "seed"),
 }
 
 def _defaults(command: str) -> dict:
-    """Built-in defaults.  fit, synth and utility read theirs from the config
-    classes, imported only when that command runs."""
+    """Built-in defaults.  fit, synth, utility and risk read theirs from the
+    config classes, imported only when that command runs."""
     if command == "fit":
         _import("factor_model", "target_regression")
         return {"iters": ChainConfig.iters, "burn_in": ChainConfig.burn_in,
@@ -463,7 +440,9 @@ def _defaults(command: str) -> dict:
         _import("utility")
         return {"iters": HorseshoeConfig.iters, "burn_in": HorseshoeConfig.burn_in}
     if command == "risk":
-        return {"m": "5,10,20", "eps": "0,1,2", "reps": 100}
+        _import("risk")
+        return {"m": ",".join(map(str, RiskPlan.m_grid)),
+                "eps": ",".join(map(str, RiskPlan.eps_grid)), "reps": RiskPlan.reps}
     return {"preset": "desk"}
 
 

@@ -54,11 +54,6 @@ class DiscreteMarginal:
         self.n = int(self.counts.sum())
         self.cum = np.cumsum(self.counts) / (self.n + 1.0)
 
-    def cdf(self, x):
-        idx = np.searchsorted(self.values, x, side="right")
-        padded = np.concatenate(([0.0], self.cum))
-        return padded[idx]
-
     def inverse(self, u):
         """Smallest support value v with F(v) >= u; u past the top clamps to max."""
         idx = np.searchsorted(self.cum, u, side="left")

@@ -18,7 +18,7 @@ from .schema import Kind, MixedDataset
 from .streams import substream
 
 __all__ = [
-    "AdversaryScenario",
+    "RiskPlan",
     "RiskReport",
     "cmap_mean",
     "risk_study",
@@ -26,19 +26,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AdversaryScenario:
+class RiskPlan:
+    """Settings of a risk study: the adversary's known columns and target,
+    the release sizes and integer slacks of the grid, and the number of
+    releases drawn per size, each from substream (seed, "risk", m, rep)."""
+
     known: tuple
     target: str
-    epsilon: int = 0
+    m_grid: tuple = (5, 10, 20)
+    eps_grid: tuple = (0, 1, 2)
+    reps: int = 100
+    seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "known", tuple(self.known))
+        for name in ("known", "m_grid", "eps_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.known:
-            raise ValueError("adversary must know at least one column")
+            raise ValueError("known must name at least one column")
         if self.target in self.known:
             raise ValueError(f"target '{self.target}' cannot be a known column")
-        if self.epsilon < 0 or int(self.epsilon) != self.epsilon:
-            raise ValueError("epsilon must be a nonnegative integer")
+        if not self.m_grid or min(self.m_grid) < 1:
+            raise ValueError(f"m_grid: release sizes must be >= 1, got {self.m_grid}")
+        if not self.eps_grid or any(e < 0 or int(e) != e for e in self.eps_grid):
+            raise ValueError("eps_grid: slacks must be nonnegative integers, got "
+                             f"{self.eps_grid}")
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
 
 
 @dataclass(frozen=True)
@@ -185,56 +198,38 @@ class _Prefix:
 
 
 def cmap_mean(
-    conf: MixedDataset, release: list, scenario: AdversaryScenario
+    conf: MixedDataset, release: list, known, target: str, epsilon: int = 0
 ) -> RiskReport:
-    """Score a release and the confidential baseline for one scenario."""
-    for ds in [conf, *release]:
-        _check_columns(ds, scenario.known, scenario.target)
-    prefix = _Prefix(conf, release, scenario.known, scenario.target,
-                     (scenario.epsilon,))
-    return prefix.reports(len(release), [range(len(release))])[0]
+    """Score one release and the confidential baseline at one slack: a risk
+    study whose only draw is the whole release (the attack's medians do not
+    depend on the order of the release's datasets)."""
+    plan = RiskPlan(known, target, (len(release),), (epsilon,), reps=1)
+    return risk_study(conf, release, plan)[0]
 
 
-def risk_study(
-    conf: MixedDataset,
-    pool: list,
-    known: tuple,
-    target: str,
-    m_grid=(5, 10, 20),
-    eps_grid=(0, 1, 2),
-    reps: int = 100,
-    seed: int = 0,
-) -> list[RiskReport]:
-    """Average scenario risk over bootstrap re-releases drawn from a pool.
+def risk_study(conf: MixedDataset, pool: list, plan: RiskPlan) -> list[RiskReport]:
+    """Average the risk over bootstrap re-releases drawn from a pool.
 
     For each rep and pool size m, a release is drawn without replacement
-    from substream (seed, "risk", m, rep); every epsilon is scored on the
-    same release so cells stay comparable.  The known list is keyed once
+    from substream (plan.seed, "risk", m, rep); every epsilon is scored on
+    the same release so cells stay comparable.  The known list is keyed once
     against the whole pool, and one median pass per release scores every
     epsilon.  For a grid of known-column prefixes, call once per prefix.
     """
-    known = tuple(known)
-    if not m_grid or min(m_grid) < 1:
-        raise ValueError(f"release sizes m_grid must be >= 1, got {tuple(m_grid)}")
-    if not eps_grid:
-        raise ValueError("slacks eps_grid must name at least one epsilon")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if max(m_grid) > len(pool):
+    if max(plan.m_grid) > len(pool):
         raise InsufficientPoolError(
-            f"pool has {len(pool)} datasets; largest release asks for {max(m_grid)}"
+            f"pool has {len(pool)} datasets; largest release asks for "
+            f"{max(plan.m_grid)}"
         )
-    for eps in eps_grid:
-        AdversaryScenario(known, target, eps)
     for ds in [conf, *pool]:
-        _check_columns(ds, known, target)
+        _check_columns(ds, plan.known, plan.target)
 
-    prefix = _Prefix(conf, pool, known, target, eps_grid)
+    prefix = _Prefix(conf, pool, plan.known, plan.target, plan.eps_grid)
     cells = []
-    for m in m_grid:
+    for m in plan.m_grid:
         releases = [
-            substream(seed, "risk", m, rep).choice(len(pool), size=m, replace=False)
-            for rep in range(reps)
+            substream(plan.seed, "risk", m, rep).choice(len(pool), size=m, replace=False)
+            for rep in range(plan.reps)
         ]
         cells += prefix.reports(m, releases)
     return cells

@@ -42,7 +42,8 @@ __all__ = [
     "schema_hash",
 ]
 
-# Cells matching these (case-sensitive, after strip) are treated as missing.
+# Cells matching these (case-sensitive, after strip) are treated as missing,
+# except in a categorical column that declares the token as a level.
 _MISSING_TOKENS = {"", "NA", "NaN", "nan", "N/A", "null", "None"}
 
 ORDINAL_WARN_LEVELS = 10
@@ -88,6 +89,13 @@ class ColumnSchema:
                 )
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"column '{self.name}': duplicate levels")
+            padded = [lv for lv in self.levels if lv != lv.strip()]
+            if padded:
+                # a CSV cell is read stripped, so such a level never reads back
+                raise SchemaError(
+                    f"column '{self.name}': levels {padded} have surrounding "
+                    "whitespace"
+                )
         elif self.levels is not None:
             raise SchemaError(
                 f"column '{self.name}': only categorical columns declare levels"
@@ -270,16 +278,15 @@ def load_schema(path) -> tuple[ColumnSchema, ...]:
 
 def _convert_cell(col: ColumnSchema, raw: str, row: int):
     val = raw.strip()
+    if col.kind is Kind.CATEGORICAL and val in col.levels:
+        return col.levels.index(val)
     if val in _MISSING_TOKENS:
         raise MissingValueError(f"column '{col.name}', row {row}: missing value")
     if col.kind is Kind.CATEGORICAL:
-        try:
-            return col.levels.index(val)
-        except ValueError:
-            raise LevelNotInSchemaError(
-                f"column '{col.name}', row {row}: level '{val}' not in schema "
-                f"levels {list(col.levels)}"
-            ) from None
+        raise LevelNotInSchemaError(
+            f"column '{col.name}', row {row}: level '{val}' not in schema "
+            f"levels {list(col.levels)}"
+        )
     if col.kind is Kind.CONTINUOUS:
         try:
             return float(val)
@@ -316,10 +323,11 @@ def _convert_block(rows: list, columns: list, codes: dict):
     out = []
     for col, cells in zip(columns, zip(*rows)):
         vals = list(map(str.strip, cells))
-        if not _MISSING_TOKENS.isdisjoint(vals):
-            return None
         if col.kind is Kind.CATEGORICAL:
+            # a declared level is that level, even when it is a missing token
             convert, dtype = codes[col.name].__getitem__, np.int64
+        elif not _MISSING_TOKENS.isdisjoint(vals):
+            return None
         elif col.kind is Kind.CONTINUOUS:
             convert, dtype = float, np.float64
         else:

@@ -55,6 +55,11 @@ class RegressionSpec:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.predictors:
             raise ValueError("the regression needs at least one predictor")
+        if self.response in self.predictors:
+            raise ValueError(f"response '{self.response}' cannot be a predictor")
+        twice = sorted({p for p in self.predictors if self.predictors.count(p) > 1})
+        if twice:
+            raise ValueError(f"predictors named more than once: {twice}")
         object.__setattr__(
             self, "interactions", tuple(tuple(pair) for pair in self.interactions)
         )

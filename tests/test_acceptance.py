@@ -25,7 +25,7 @@ from mixedsynth.factor_model import (
     _level_signs,
     update_loadings,
 )
-from mixedsynth.risk import AdversaryScenario, _Prefix, cmap_mean, risk_study
+from mixedsynth.risk import RiskPlan, _Prefix, cmap_mean, risk_study
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, expand_layout, write_csv
 from mixedsynth.simulation import (
     STUDIES,
@@ -403,8 +403,7 @@ def _risk_ds(rng, n):
     )
 
 
-def _brute_force(conf, release, scen):
-    known, target, eps = scen.known, scen.target, scen.epsilon
+def _brute_force(conf, release, known, target, eps):
     hits = np.zeros(conf.n, dtype=int)
     for i in range(conf.n):
         key = tuple(conf.columns[k][i] for k in known)
@@ -428,13 +427,12 @@ def test_criterion_7_risk_oracle_equivalence():
             n = int(rng.integers(10, 51))
             conf = _risk_ds(rng, n)
             release = [_risk_ds(rng, int(rng.integers(5, 40))) for _ in range(3)]
-            scen = AdversaryScenario(("g", "h"), "t", epsilon=eps)
-            hits = _brute_force(conf, release, scen)
-            got, _ = _Prefix(conf, release, scen.known, scen.target,
+            hits = _brute_force(conf, release, ("g", "h"), "t", eps)
+            got, _ = _Prefix(conf, release, ("g", "h"), "t",
                              [eps]).attack(range(len(release)))
             for i in range(conf.n):
                 equal_ok &= got[0, i] == hits[i]
-            rep = cmap_mean(conf, release, scen)
+            rep = cmap_mean(conf, release, ("g", "h"), "t", epsilon=eps)
             equal_ok &= abs(rep.cmap_syn - hits.mean()) <= 1e-15
 
     rng = np.random.default_rng(7)
@@ -443,14 +441,13 @@ def test_criterion_7_risk_oracle_equivalence():
     last = -1.0
     mono_ok = True
     for eps in (0, 1, 2, 5):
-        cur = cmap_mean(conf, release,
-                        AdversaryScenario(("g", "h"), "t", epsilon=eps))
+        cur = cmap_mean(conf, release, ("g", "h"), "t", epsilon=eps)
         mono_ok &= cur.cmap_syn >= last
         last = cur.cmap_syn
 
     pool = [_risk_ds(rng, 30) for _ in range(5)]
-    cells = risk_study(conf, pool, known=("g", "h"), target="t",
-                       m_grid=(2, 4), eps_grid=(0, 1), reps=3, seed=0)
+    cells = risk_study(conf, pool, RiskPlan(("g", "h"), "t", m_grid=(2, 4),
+                                            eps_grid=(0, 1), reps=3, seed=0))
     by_eps = {}
     base_ok = True
     for c in cells:

@@ -303,7 +303,7 @@ def _recompute_fit(sampler) -> np.ndarray:
     out = np.zeros(sampler.x.n)
     for tree in sampler.trees:
         for i in tree.leaves:
-            out[tree.rows(i)] += tree.value[i]
+            out[tree.perm[tree.lo[i]:tree.hi[i]]] += tree.value[i]
     return out
 
 

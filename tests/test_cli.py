@@ -243,6 +243,8 @@ def test_utility_report_digest(tmp_path):
     ("risk", ["--known", "g1,c1", "--target", "c1"]),
     ("risk", ["--known", "g1", "--target", "c1", "--eps", "0,zap"]),
     ("utility", ["--predictors", "g"]),
+    ("utility", ["--response", "y", "--predictors", "y,w"]),
+    ("utility", ["--response", "r", "--predictors", "w,w"]),
 ])
 def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags):
     """Missing or contradictory settings are configuration errors (exit 1),
@@ -334,7 +336,8 @@ def test_config_file_values_read_as_flags(tmp_path):
     the flag would take, so a string and a number configure the same run as
     the flag does, and hash alike; a null value leaves the setting to the
     preset or default."""
-    argv = ["fit", "--data", "d.csv", "--schema", "s.json", "--out", "m.mxs"]
+    argv = ["fit", "--data", "d.csv", "--schema", "s.json", "--out", "m.mxs",
+            "--seed", "1"]
     hashes = []
     for doc in ({"iters": 50, "preset": "desk"},
                 {"iters": "50", "preset": "desk", "thin": None}):
@@ -359,24 +362,28 @@ def test_config_file_values_read_as_flags(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--m", "0"), ("--m", "2,-1"), ("--m", ""), ("--reps", "0"), ("--eps", "-1"),
+    ("--known", ","), ("--target", "g"),
 ])
 def test_risk_settings_out_of_range(tmp_path, caplog, flag, value):
-    """Release sizes and rep counts below 1, negative slacks and an empty
-    grid are configuration errors that name the flag, found before any file
-    is read."""
+    """Release sizes and rep counts below 1, negative slacks, an empty grid or
+    known list and a known target are configuration errors that name the
+    RiskPlan field, found before any file is read."""
+    field = {"--m": "m_grid", "--eps": "eps_grid", "--reps": "reps",
+             "--known": "known", "--target": "target"}[flag]
     rc = main(["risk", "--conf", str(tmp_path / "nope.csv"),
                "--schema", str(tmp_path / "nope.json"), "--pool-dir", str(tmp_path),
                "--known", "g", "--target", "r", flag, value,
                "--out", str(tmp_path / "out.json")])
     assert rc == 1
-    assert f"configuration error: {flag}" in caplog.text
+    assert f"configuration error: {field}" in caplog.text
     assert "No such file" not in caplog.text
 
 
-def test_missing_seed_is_config_error(workspace, tmp_path):
+def test_missing_seed_is_config_error(workspace, tmp_path, caplog):
     rc = main(["synth", "--model", str(workspace["archive"]),
                "--out-dir", str(tmp_path / "x")])
     assert rc == 1
+    assert "missing required settings for 'synth': --seed" in caplog.text
 
 
 def test_missing_required_path_is_config_error():
@@ -454,10 +461,11 @@ def test_unknown_target_rejected(workspace, tmp_path):
 
 
 def test_every_config_field_has_a_cli_caller(tmp_path, monkeypatch):
-    """fit (with --targets), synth and utility give every config class they
-    build a value for each of its fields, so no field is one that no caller
-    sets."""
-    config_classes = ("ChainConfig", "TargetConfig", "HorseshoeConfig", "SynthesisPlan")
+    """fit (with --targets), synth, utility and risk give every config class
+    they build a value for each of its fields, so no field is one that no
+    caller sets."""
+    config_classes = ("ChainConfig", "TargetConfig", "HorseshoeConfig", "SynthesisPlan",
+                      "RiskPlan")
     unset = {}  # class name -> the fields its construction left to defaults
     checked = cli._checked
 
@@ -481,6 +489,10 @@ def test_every_config_field_has_a_cli_caller(tmp_path, monkeypatch):
                  "--syn-dir", str(syn_dir), "--response", "w", "--predictors", "g",
                  "--iters", "20", "--burn-in", "10", "--out",
                  str(tmp_path / "u.json")]) == 0
+    assert main(["risk", "--conf", str(data), "--schema", str(schema),
+                 "--pool-dir", str(syn_dir), "--known", "g", "--target", "y",
+                 "--m", "1,2", "--eps", "0,1", "--reps", "2", "--seed", "3",
+                 "--out", str(tmp_path / "r.json")]) == 0
     assert unset == {name: set() for name in config_classes}
 
 
@@ -571,7 +583,7 @@ def test_preset_merging_order():
     parser = _build_parser()
     args = parser.parse_args([
         "fit", "--preset", "desk", "--iters", "77",
-        "--data", "d.csv", "--schema", "s.json", "--out", "m.mxs",
+        "--data", "d.csv", "--schema", "s.json", "--out", "m.mxs", "--seed", "1",
     ])
     cfg = _merge_config(args, {"iters": 15000, "burn_in": 9000, "thin": 10,
                                "target_iters": 1100, "target_burn_in": 100,
@@ -657,7 +669,7 @@ def test_chain_presets_merge_into_fit_only():
     cfg, _ = _hashed([*base, "--preset", "paper"])
     assert not {"iters", "burn_in", "thin", "target_iters"} & cfg.keys()
     fit, _ = _hashed(["fit", "--preset", "paper", "--data", "d.csv",
-                      "--schema", "s.json", "--out", "m.mxs"])
+                      "--schema", "s.json", "--out", "m.mxs", "--seed", "1"])
     assert (fit["iters"], fit["burn_in"], fit["thin"]) == (50000, 25000, 25)
 
 

@@ -5,7 +5,7 @@ import pytest
 from mixedsynth.errors import InsufficientPoolError, SchemaError, UnknownColumnError
 import mixedsynth.risk as risk
 from mixedsynth.risk import (
-    AdversaryScenario,
+    RiskPlan,
     _group_medians,
     _key_index,
     _Prefix,
@@ -51,7 +51,7 @@ def _one_record_cap(match_values, truth, eps):
     k = len(match_values)
     conf = _ds([0], [1], [truth])
     rel = [_ds([0] * k + [1], [1] * k + [1], list(match_values) + [truth])]
-    return cmap_mean(conf, rel, AdversaryScenario(("g", "h"), "t", eps)).cmap_syn
+    return cmap_mean(conf, rel, ("g", "h"), "t", eps).cmap_syn
 
 
 def test_cmap_record_hand_examples():
@@ -81,9 +81,8 @@ def test_match_set_contents():
 # ------------------------------------------------------ oracle equivalence
 
 
-def _brute_force(conf, release, scenario):
+def _brute_force(conf, release, known, target, eps):
     """Literal nested loops over confidential records and released rows."""
-    known, target, eps = scenario.known, scenario.target, scenario.epsilon
     n = conf.n
     hits_syn = np.zeros(n, dtype=int)
     hits_base = np.zeros(n, dtype=int)
@@ -119,19 +118,19 @@ def test_pipeline_equals_brute_force_record_for_record(seed, eps):
     n_conf = int(rng.integers(5, 51))
     n_syn = int(rng.integers(3, 40))
     conf, release = _random_instance(rng, n_conf, n_syn, m=3)
-    scen = AdversaryScenario(("g", "h"), "t", epsilon=eps)
+    known = ("g", "h")
 
-    hits_syn, hits_base, matched, uniq = _brute_force(conf, release, scen)
+    hits_syn, hits_base, matched, uniq = _brute_force(conf, release, known, "t", eps)
 
     # record-level: the kernel's per-record hit vectors agree with the double loop
-    prefix = _Prefix(conf, release, scen.known, scen.target, [eps])
+    prefix = _Prefix(conf, release, known, "t", [eps])
     hits, kernel_matched = prefix.attack(range(len(release)))
     for i in range(conf.n):
         assert hits[0, i] == hits_syn[i], f"record {i}"
         assert kernel_matched[i] == matched[i], f"record {i}"
         assert prefix.base[0, i] == hits_base[i], f"record {i}"
 
-    rep = cmap_mean(conf, release, scen)
+    rep = cmap_mean(conf, release, known, "t", eps)
     assert rep.cmap_syn == pytest.approx(hits_syn.mean(), abs=1e-15)
     assert rep.cmap_base == pytest.approx(hits_base.mean(), abs=1e-15)
     assert rep.n_matched == int(matched.sum())
@@ -145,9 +144,8 @@ def test_pipeline_equals_brute_force_record_for_record(seed, eps):
 def test_single_column_key_matches_brute_force():
     rng = np.random.default_rng(99)
     conf, release = _random_instance(rng, 30, 25, m=2)
-    scen = AdversaryScenario(("g",), "t", epsilon=1)
-    hits_syn, hits_base, matched, _ = _brute_force(conf, release, scen)
-    rep = cmap_mean(conf, release, scen)
+    hits_syn, hits_base, matched, _ = _brute_force(conf, release, ("g",), "t", 1)
+    rep = cmap_mean(conf, release, ("g",), "t", epsilon=1)
     assert rep.cmap_syn == pytest.approx(hits_syn.mean(), abs=1e-15)
     assert rep.cmap_base == pytest.approx(hits_base.mean(), abs=1e-15)
 
@@ -160,7 +158,7 @@ def test_epsilon_monotonicity():
     conf, release = _random_instance(rng, 40, 35, m=4)
     prev_syn, prev_base = -1.0, -1.0
     for eps in (0, 1, 2, 5, 50):
-        rep = cmap_mean(conf, release, AdversaryScenario(("g", "h"), "t", eps))
+        rep = cmap_mean(conf, release, ("g", "h"), "t", eps)
         assert rep.cmap_syn >= prev_syn
         assert rep.cmap_base >= prev_base
         prev_syn, prev_base = rep.cmap_syn, rep.cmap_base
@@ -169,7 +167,7 @@ def test_epsilon_monotonicity():
 def test_huge_epsilon_hits_every_matched_record():
     rng = np.random.default_rng(23)
     conf, release = _random_instance(rng, 35, 20, m=2)
-    rep = cmap_mean(conf, release, AdversaryScenario(("g", "h"), "t", 10**9))
+    rep = cmap_mean(conf, release, ("g", "h"), "t", 10**9)
     assert rep.cmap_syn == pytest.approx(rep.n_matched / conf.n, abs=1e-15)
     assert rep.cmap_base == 1.0  # baseline always matches itself
 
@@ -178,31 +176,38 @@ def test_baseline_uniques_hit_at_zero_slack():
     # a key unique in the confidential data matches only itself
     conf = _ds([0, 1, 2, 0], [1, 0, 1, 1], [5, 6, 7, 5])
     rel = [_ds([0], [0], [9])]
-    rep = cmap_mean(conf, rel, AdversaryScenario(("g", "h"), "t", 0))
+    rep = cmap_mean(conf, rel, ("g", "h"), "t")
     assert rep.n_uniques == 2
     assert rep.cmap_base_uniques == 1.0
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        AdversaryScenario((), "t", 0)
-    with pytest.raises(ValueError):
-        AdversaryScenario(("t", "g"), "t", 0)
-    with pytest.raises(ValueError):
-        AdversaryScenario(("g",), "t", -1)
+    """The adversary knows at least one column, never the target, and
+    scores hits within nonnegative integer slacks."""
+    with pytest.raises(ValueError, match="known"):
+        RiskPlan((), "t")
+    with pytest.raises(ValueError, match="target 't'"):
+        RiskPlan(("t", "g"), "t")
+    for eps in (-1, 0.5):
+        with pytest.raises(ValueError, match="eps_grid"):
+            RiskPlan(("g",), "t", eps_grid=(0, eps))
+    with pytest.raises(ValueError, match="known"):
+        cmap_mean(_ds([0], [1], [2]), [_ds([0], [1], [2])], [], "t")
+    plan = RiskPlan(["g"], "t", m_grid=[2], eps_grid=range(2))
+    assert (plan.known, plan.m_grid, plan.eps_grid) == (("g",), (2,), (0, 1))
 
 
 def test_unknown_and_continuous_columns_rejected():
     conf = _ds([0, 1], [0, 1], [1, 2])
     rel = [conf]
     with pytest.raises(UnknownColumnError):
-        cmap_mean(conf, rel, AdversaryScenario(("nope",), "t", 0))
+        cmap_mean(conf, rel, ("nope",), "t")
     cont = MixedDataset(
         (ColumnSchema("x", Kind.CONTINUOUS), ColumnSchema("t", Kind.COUNT)),
         {"x": np.array([0.1, 0.2]), "t": np.array([1, 2])},
     )
     with pytest.raises(SchemaError):
-        cmap_mean(cont, [cont], AdversaryScenario(("x",), "t", 0))
+        cmap_mean(cont, [cont], ("x",), "t")
 
 
 # --------------------------------------------------------------- studies
@@ -216,8 +221,8 @@ def _study_pool(seed=31, n=40, size=6):
 
 def test_risk_study_base_independent_of_m():
     conf, pool = _study_pool()
-    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(2, 4),
-                       eps_grid=(0, 1), reps=5, seed=3)
+    cells = risk_study(conf, pool, RiskPlan(("g", "h"), "t", m_grid=(2, 4),
+                                            eps_grid=(0, 1), reps=5, seed=3))
     by_eps = {}
     for c in cells:
         by_eps.setdefault(c.epsilon, set()).add(c.cmap_base)
@@ -227,8 +232,8 @@ def test_risk_study_base_independent_of_m():
 
 def test_risk_study_monotone_in_epsilon_within_release():
     conf, pool = _study_pool(seed=5)
-    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),
-                       eps_grid=(0, 1, 2), reps=4, seed=0)
+    cells = risk_study(conf, pool, RiskPlan(("g", "h"), "t", m_grid=(3,),
+                                            eps_grid=(0, 1, 2), reps=4, seed=0))
     by_eps = {c.epsilon: c.cmap_syn for c in cells}
     assert by_eps[0] <= by_eps[1] <= by_eps[2]
 
@@ -238,17 +243,17 @@ def test_risk_study_prefix_grid():
     a call counts the whole known list it was given."""
     conf, pool = _study_pool(seed=6)
     for k in (1, 2):
-        cells = risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=(2,),
-                           eps_grid=(0,), reps=3, seed=1)
+        cells = risk_study(conf, pool, RiskPlan(("g", "h")[:k], "t", m_grid=(2,),
+                                                eps_grid=(0,), reps=3, seed=1))
         assert {c.n_known for c in cells} == {k}
     with pytest.raises(ValueError):
-        risk_study(conf, pool, (), "t", m_grid=(2,), reps=1)
+        RiskPlan((), "t", m_grid=(2,), reps=1)
 
 
 def test_risk_study_pool_too_small():
     conf, pool = _study_pool(size=3)
     with pytest.raises(InsufficientPoolError):
-        risk_study(conf, pool, ("g",), "t", m_grid=(5,), reps=1)
+        risk_study(conf, pool, RiskPlan(("g",), "t", m_grid=(5,), reps=1))
 
 
 @pytest.mark.parametrize("setting, grid", [
@@ -259,27 +264,37 @@ def test_risk_study_pool_too_small():
     ("eps_grid", {"eps_grid": ()}),
 ])
 def test_risk_study_rejects_empty_releases(setting, grid):
-    conf, pool = _study_pool(size=3)
     with pytest.raises(ValueError, match=setting):
-        risk_study(conf, pool, ("g",), "t", **{"m_grid": (2,), "reps": 1, **grid})
+        RiskPlan(("g",), "t", **{"m_grid": (2,), "reps": 1, **grid})
 
 
 def test_risk_study_exhaustive_release_is_deterministic():
     conf, pool = _study_pool(size=3)
-    cells = risk_study(conf, pool, ("g", "h"), "t", m_grid=(3,),
-                       eps_grid=(1,), reps=1, seed=42)
-    direct = cmap_mean(conf, pool, AdversaryScenario(("g", "h"), "t", 1))
+    cells = risk_study(conf, pool, RiskPlan(("g", "h"), "t", m_grid=(3,),
+                                            eps_grid=(1,), reps=1, seed=42))
+    direct = cmap_mean(conf, pool, ("g", "h"), "t", 1)
     assert cells[0].cmap_syn == direct.cmap_syn
     assert cells[0].cmap_base == direct.cmap_base
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_cmap_mean_scores_the_release_in_any_order(seed):
+    """cmap_mean's one draw is a permutation of the release; the medians, and
+    so every field of the report, are those of the release as listed."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    conf, release = _random_instance(rng, int(rng.integers(5, 51)),
+                                     int(rng.integers(3, 40)), m)
+    eps = seed % 3
+    listed = _Prefix(conf, release, ("g", "h"), "t", (eps,)).reports(m, [range(m)])
+    assert cmap_mean(conf, release, ("g", "h"), "t", eps) == listed[0]
+    assert cmap_mean(conf, release[::-1], ("g", "h"), "t", eps) == listed[0]
+
+
 def test_risk_study_reproducible():
     conf, pool = _study_pool(seed=8)
-    a = risk_study(conf, pool, ("g",), "t", m_grid=(2,), eps_grid=(0, 1),
-                   reps=6, seed=11)
-    b = risk_study(conf, pool, ("g",), "t", m_grid=(2,), eps_grid=(0, 1),
-                   reps=6, seed=11)
-    assert a == b
+    plan = RiskPlan(("g",), "t", m_grid=(2,), eps_grid=(0, 1), reps=6, seed=11)
+    assert risk_study(conf, pool, plan) == risk_study(conf, pool, plan)
 
 
 def test_substream_isolated_by_key():
@@ -298,8 +313,8 @@ def test_risk_study_equals_mean_of_cmap_mean():
     m_grid, k_grid, eps_grid, reps, seed = (1, 3, 5), (1, 2), (0, 1, 2), 7, 4
     cells = []
     for k in k_grid:
-        part = risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=m_grid,
-                          eps_grid=eps_grid, reps=reps, seed=seed)
+        part = risk_study(conf, pool, RiskPlan(("g", "h")[:k], "t", m_grid,
+                                               eps_grid, reps, seed))
         assert [(c.m, c.n_known, c.epsilon) for c in part] == [
             (m, k, e) for m in m_grid for e in eps_grid
         ]
@@ -310,8 +325,8 @@ def test_risk_study_equals_mean_of_cmap_mean():
         for rep in range(reps):
             rng = substream(seed, "risk", c.m, rep)
             release = [pool[i] for i in rng.choice(len(pool), size=c.m, replace=False)]
-            scen = AdversaryScenario(("g", "h")[: c.n_known], "t", c.epsilon)
-            direct.append(cmap_mean(conf, release, scen))
+            direct.append(
+                cmap_mean(conf, release, ("g", "h")[: c.n_known], "t", c.epsilon))
         syn = float(np.mean([r.cmap_syn for r in direct]))
         base = direct[0].cmap_base
         assert {r.cmap_base for r in direct} == {base}
@@ -345,7 +360,7 @@ def test_risk_study_keys_each_prefix_once(monkeypatch):
     monkeypatch.setattr(risk, "_group_medians", counting_group_medians)
     conf, pool = _study_pool(seed=9)
     for k in (1, 2):
-        risk_study(conf, pool, ("g", "h")[:k], "t", m_grid=(2, 3, 4),
-                   eps_grid=(0, 1, 2), reps=5, seed=2)
+        risk_study(conf, pool, RiskPlan(("g", "h")[:k], "t", m_grid=(2, 3, 4),
+                                        eps_grid=(0, 1, 2), reps=5, seed=2))
     assert keyed == [("g",), ("g", "h")]
     assert len(passes) == 2 + 3 * 5 * 2

@@ -267,16 +267,15 @@ _ORACLE_MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "None"}
 def _oracle_cell(col, raw, row):
     """The cell-by-cell converter the block loader must agree with."""
     val = raw.strip()
+    if col.kind is Kind.CATEGORICAL and val in col.levels:
+        return col.levels.index(val)
     if val in _ORACLE_MISSING:
         raise MissingValueError(f"column '{col.name}', row {row}: missing value")
     if col.kind is Kind.CATEGORICAL:
-        try:
-            return col.levels.index(val)
-        except ValueError:
-            raise LevelNotInSchemaError(
-                f"column '{col.name}', row {row}: level '{val}' not in schema "
-                f"levels {list(col.levels)}"
-            ) from None
+        raise LevelNotInSchemaError(
+            f"column '{col.name}', row {row}: level '{val}' not in schema "
+            f"levels {list(col.levels)}"
+        )
     if col.kind is Kind.CONTINUOUS:
         try:
             return float(val)
@@ -448,3 +447,48 @@ def test_count_beyond_64_bits_names_its_cell(tmp_path):
     path = _every_kind_csv(tmp_path, 20, [(13, "c", "9223372036854775808")])
     with pytest.raises(NonIntegerCountError, match="column 'c', row 13: .*64 bits"):
         load_dataset(path, _EVERY_KIND)
+
+
+@pytest.mark.parametrize("token", sorted(_ORACLE_MISSING))
+def test_declared_level_spelled_as_a_missing_token_round_trips(tmp_path, token):
+    """In a categorical column that declares it, a missing token is that
+    level: what write_csv writes, load_dataset reads back, through the block
+    loader and the cell-by-cell scan alike.  Elsewhere it is still missing."""
+    schema = (ColumnSchema("region", Kind.CATEGORICAL, levels=(token, "EU", "AS")),
+              ColumnSchema("c", Kind.COUNT))
+    n = CSV_BLOCK + 9
+    ds = MixedDataset(schema, {"region": np.arange(n) % 3, "c": np.arange(n)})
+    path = tmp_path / "rt.csv"
+    write_csv(ds, path)
+    back = load_dataset(path, schema)
+    for name in ("region", "c"):
+        np.testing.assert_array_equal(back.columns[name], ds.columns[name])
+    # a bad count after the token sends its block through the cell scan
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",7.5"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(NonIntegerCountError, match="column 'c', row 2:"):
+        load_dataset(path, schema)
+    undeclared = (ColumnSchema("region", Kind.CATEGORICAL, levels=("EU", "AS")),
+                  ColumnSchema("c", Kind.COUNT))
+    path = _write(tmp_path, "d.csv", f"region,c\nEU,1\n{token},2\n")
+    with pytest.raises(MissingValueError, match="column 'region', row 1: missing"):
+        load_dataset(path, undeclared)
+
+
+def test_level_with_surrounding_whitespace_is_refused(tmp_path):
+    """A CSV cell is read stripped, so a level with surrounding whitespace
+    could be written but never read back: the schema refuses it, naming the
+    column.  Inner whitespace round-trips."""
+    with pytest.raises(SchemaError, match=r"column 'g': levels \[' x'\] have "
+                                          "surrounding whitespace"):
+        ColumnSchema("g", Kind.CATEGORICAL, levels=(" x", "y"))
+    sp = _write(tmp_path, "s.json", json.dumps(
+        {"columns": [{"name": "g", "kind": "categorical", "levels": ["x", "y\t"]}]}))
+    with pytest.raises(SchemaError, match="column 'g': levels"):
+        load_schema(sp)
+    schema = (ColumnSchema("g", Kind.CATEGORICAL, levels=("North America", "EU")),)
+    ds = MixedDataset(schema, {"g": np.array([0, 1, 0])})
+    write_csv(ds, tmp_path / "rt.csv")
+    back = load_dataset(tmp_path / "rt.csv", schema)
+    np.testing.assert_array_equal(back.columns["g"], ds.columns["g"])
