@@ -6,9 +6,9 @@ in one schema, the full one (`schema.schema_to_doc` form, responses
 included); the rest is scalars, names and type tags (seed, fit size, factor
 count, each marginal's type, each targeted response's name and covariate
 names).  The loader derives from the full schema the copula schema (its
-copula-role columns), the schema hash, and the column of each marginal and
-cell-table column (in schema order).  Every array is an entry of its own,
-keyed by position, never by column name:
+copula-role columns) and the column of each marginal and cell-table column
+(in schema order).  Every array is an entry of its own, keyed by position,
+never by column name:
 
 - ``corr``, ``alpha``: the retained correlation and intercept draws;
 - ``marginal<i>.<field>``: the i-th non-categorical copula column's marginal;
@@ -48,17 +48,41 @@ _FORMAT_VERSION = 5
 _MARGINAL_TYPES = {"discrete": DiscreteMarginal, "continuous": ContinuousMarginal}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ModelArchive:
-    """A loaded archive: the copula model plus any targeted-response models
-    (keyed by response name)."""
+    """A fitted model as the archive stores it: the copula model, the
+    targeted-response models keyed by response name, the full schema (original
+    column order, responses included), the fit seed and JSON-safe extra
+    metadata.  Raises ValueError unless ``model.schema`` is the copula-role
+    columns of ``full_schema`` in order, each ``targets`` key is its summary's
+    response name, and each target's columns are in ``full_schema`` with the
+    same kind and levels."""
 
     model: FittedCopula
     targets: dict
-    schema_hash: str  # of full_schema
+    full_schema: tuple
     seed: int
-    full_schema: tuple  # original column order incl. responses
-    meta: dict
+    extra: dict
+
+    def __post_init__(self):
+        full = self.full_schema
+        if tuple(self.model.schema) != tuple(c for c in full if c.role == "copula"):
+            raise ValueError("model schema is not the copula-role columns of "
+                             "full_schema, in order")
+        kinds = {c.name: (c.kind, c.levels) for c in full}
+        for key, t in self.targets.items():
+            if key != t.response.name:
+                raise ValueError(f"targets key '{key}' is not its summary's "
+                                 f"response name '{t.response.name}'")
+            for cs in (t.response, *t.covariates):
+                if kinds.get(cs.name) != (cs.kind, cs.levels):
+                    raise ValueError(f"target '{key}': column '{cs.name}' is missing "
+                                     "from full_schema or differs from it in kind "
+                                     "or levels")
+
+    @property
+    def schema_hash(self) -> str:
+        return schema_hash(self.full_schema)
 
 
 def _put(arrays: dict, key: str, obj) -> dict:
@@ -116,45 +140,17 @@ def _rank_columns(schema) -> list:
     return [c for c in schema if c.kind is not Kind.CATEGORICAL]
 
 
-def _check_columns(model: FittedCopula, targets: dict, full: tuple) -> None:
-    """What the loader derives from ``full`` must be what was fitted."""
-    if tuple(model.schema) != tuple(c for c in full if c.role == "copula"):
-        raise ValueError("model schema is not the copula-role columns of "
-                         "full_schema, in order")
-    kinds = {c.name: (c.kind, c.levels) for c in full}
-    for t in targets.values():
-        for cs in (t.response, *t.covariates):
-            if kinds.get(cs.name) != (cs.kind, cs.levels):
-                raise ValueError(f"target '{t.response.name}': column '{cs.name}' is "
-                                 "missing from full_schema or differs from it in "
-                                 "kind or levels")
-
-
-def save_archive(
-    path,
-    model: FittedCopula,
-    targets: dict | None = None,
-    seed: int = 0,
-    full_schema: tuple | None = None,
-    extra_meta: dict | None = None,
-) -> None:
-    """Write the model (and optional per-response target summaries) to disk.
-
-    Raises ValueError when ``model.schema`` is not the copula-role columns of
-    ``full_schema`` in order, or when a target's response or covariate is
-    missing from ``full_schema`` or differs from it in kind or levels.
-    """
-    targets = targets or {}
-    full = tuple(full_schema if full_schema is not None else model.schema)
-    _check_columns(model, targets, full)
+def save_archive(path, archive: ModelArchive) -> None:
+    """Write ``archive`` to disk."""
+    model = archive.model
     arrays = {"corr": model.draws.corr, "alpha": model.draws.alpha}
     table = model.cat_table
     if table is not None:
         arrays["cat.cells"], arrays["cat.cell_probs"] = table.cells, table.cell_probs
     meta = {
         "format_version": _FORMAT_VERSION,
-        "full_schema": schema_to_doc(full),
-        "seed": seed,
+        "full_schema": schema_to_doc(archive.full_schema),
+        "seed": archive.seed,
         "n_fit": model.n_fit,
         "n_factors": model.draws.n_factors,
         "marginals": [
@@ -162,9 +158,10 @@ def save_archive(
             for i, c in enumerate(_rank_columns(model.schema))
         ],
         "targets": [
-            _put_target(arrays, f"target{k}", t) for k, t in enumerate(targets.values())
+            _put_target(arrays, f"target{k}", t)
+            for k, t in enumerate(archive.targets.values())
         ],
-        "extra": extra_meta or {},
+        "extra": archive.extra,
     }
     payload = io.BytesIO()
     np.savez_compressed(
@@ -213,4 +210,4 @@ def load_archive(path) -> ModelArchive:
         doc["response"]: _get_target(arrays, f"target{k}", doc, columns)
         for k, doc in enumerate(meta["targets"])
     }
-    return ModelArchive(model, targets, schema_hash(full), meta["seed"], full, meta)
+    return ModelArchive(model, targets, full, meta["seed"], meta["extra"])

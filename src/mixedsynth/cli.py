@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from . import _lazy
 
 if TYPE_CHECKING:
-    from .archive import load_archive, save_archive
+    from .archive import ModelArchive, load_archive, save_archive
     from .errors import SchemaError
     from .factor_model import ChainConfig
     from .risk import RiskPlan, risk_study
@@ -43,7 +43,7 @@ log = logging.getLogger("mixedsynth.cli")
 # for another's, while every name stays an attribute of this module: a
 # test's stub or a tracer's wrapper bound here is what the command calls.
 _MODULE_NAMES = {
-    "archive": ("load_archive", "save_archive"),
+    "archive": ("ModelArchive", "load_archive", "save_archive"),
     "errors": ("SchemaError",),
     "factor_model": ("ChainConfig",),
     "risk": ("RiskPlan", "risk_study"),
@@ -124,11 +124,7 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _csv_list(value):
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [part.strip() for part in str(value).split(",") if part.strip()]
+    return [part.strip() for part in str(value or "").split(",") if part.strip()]
 
 
 def _int_list(value):
@@ -263,8 +259,8 @@ def _cmd_fit(cfg: dict) -> None:
         summaries[name] = fit_target_model(ds, name, target_cfg)
 
     out = cfg["out"]
-    save_archive(out, model, targets=summaries, seed=seed, full_schema=schema,
-                 extra_meta={"config_hash": _config_hash(cfg)})
+    save_archive(out, ModelArchive(model, summaries, schema, seed,
+                                   {"config_hash": _config_hash(cfg)}))
     log.info("archive written to %s", out)
 
 

@@ -43,6 +43,8 @@ class RiskPlan:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.known:
             raise ValueError("known must name at least one column")
+        if len(set(self.known)) < len(self.known):
+            raise ValueError(f"known names a column more than once: {self.known}")
         if self.target in self.known:
             raise ValueError(f"target '{self.target}' cannot be a known column")
         if not self.m_grid or min(self.m_grid) < 1:

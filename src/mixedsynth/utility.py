@@ -74,6 +74,10 @@ class RegressionSpec:
                 raise ValueError(
                     f"interaction ({a},{b}) references undeclared predictors"
                 )
+        keys = [tuple(sorted(pair)) for pair in self.interactions]
+        twice = sorted({":".join(k) for k in keys if keys.count(k) > 1})
+        if twice:
+            raise ValueError(f"interactions named more than once: {twice}")
 
 
 @dataclass(frozen=True)

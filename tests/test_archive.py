@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mixedsynth.archive as archive_mod
-from mixedsynth.archive import load_archive, save_archive
+from mixedsynth.archive import ModelArchive, load_archive, save_archive
 from mixedsynth.bart import NUMCUT
 from mixedsynth.errors import ArchiveError, ConstantColumnWarning
 from mixedsynth.factor_model import ChainConfig
@@ -41,18 +41,32 @@ def fitted():
     return ds, model, target
 
 
-def _save(fitted, path, **kw):
+def _archive(fitted) -> ModelArchive:
     ds, model, target = fitted
-    save_archive(
-        path,
-        model,
-        targets={"r": target},
-        seed=7,
-        full_schema=ds.schema,
-        extra_meta={"config_hash": "abc123"},
-        **kw,
-    )
+    return ModelArchive(model, {"r": target}, ds.schema, 7, {"config_hash": "abc123"})
+
+
+def _save(fitted, path):
+    save_archive(path, _archive(fitted))
     return load_archive(path)
+
+
+def _same(a, b) -> bool:
+    """Field-for-field equality; arrays compared by dtype and np.array_equal."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(_same(a[k], b[k]) for k in a))
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return a == b
 
 
 def _stored(put, obj):
@@ -76,18 +90,28 @@ def _entries(path) -> dict:
             return dict(npz)
 
 
+def _meta(path) -> dict:
+    """The stored JSON entry."""
+    return json.loads(bytes(_entries(path)["meta"]).decode("utf-8"))
+
+
 def test_arrays_and_metadata_round_trip(fitted, tmp_path):
-    ds, model, _ = fitted
-    ar = _save(fitted, tmp_path / "m.mxs")
-    assert np.array_equal(ar.model.draws.corr, model.draws.corr)
-    assert np.array_equal(ar.model.draws.alpha, model.draws.alpha)
-    assert ar.model.draws.n_factors == model.draws.n_factors
-    assert ar.model.schema == model.schema
-    assert ar.model.n_fit == model.n_fit
-    assert ar.full_schema == ds.schema
-    assert ar.seed == 7
-    assert ar.schema_hash == schema_hash(ds.schema)
-    assert ar.meta["extra"]["config_hash"] == "abc123"
+    """load_archive gives back each field of the saved ModelArchive."""
+    ds, _, _ = fitted
+    saved = _archive(fitted)
+    save_archive(tmp_path / "m.mxs", saved)
+    loaded = load_archive(tmp_path / "m.mxs")
+    for f in dataclasses.fields(ModelArchive):
+        assert _same(getattr(loaded, f.name), getattr(saved, f.name)), f.name
+    assert (loaded.full_schema, loaded.seed, loaded.extra) == (
+        ds.schema, 7, {"config_hash": "abc123"})
+    assert loaded.schema_hash == saved.schema_hash == schema_hash(ds.schema)
+
+
+def test_saving_a_loaded_archive_writes_the_same_bytes(fitted, tmp_path):
+    ar = _save(fitted, tmp_path / "a.mxs")
+    save_archive(tmp_path / "b.mxs", ar)
+    assert (tmp_path / "a.mxs").read_bytes() == (tmp_path / "b.mxs").read_bytes()
 
 
 def test_marginals_and_cat_table_round_trip(fitted, tmp_path):
@@ -127,15 +151,17 @@ def test_synthesis_identical_before_and_after_save(fitted, tmp_path):
             assert np.array_equal(da.columns[name], db.columns[name])
 
 
-def test_minimal_save_defaults(fitted, tmp_path):
+def test_archive_without_targets_round_trip(fitted, tmp_path):
+    """A copula model alone, its full schema the copula schema."""
     _, model, _ = fitted
     path = tmp_path / "bare.mxs"
-    save_archive(path, model)
+    save_archive(path, ModelArchive(model, {}, model.schema, 0, {}))
     ar = load_archive(path)
     assert ar.targets == {}
     assert ar.full_schema == model.schema
     assert ar.seed == 0
-    assert ar.meta["extra"] == {}
+    assert ar.extra == {}
+    assert _same(ar.model, model)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -164,7 +190,7 @@ def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     for version in (99, 1, 2, 3, 4):
         path = tmp_path / f"v{version}.mxs"
         monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
-        save_archive(path, model)
+        save_archive(path, ModelArchive(model, {}, model.schema, 0, {}))
         monkeypatch.undo()
         with pytest.raises(ArchiveError, match=f"version {version} unsupported"):
             load_archive(path)
@@ -249,7 +275,7 @@ def test_meta_holds_one_schema_and_derives_the_rest(fitted, tmp_path):
     covariates."""
     ds, model, _ = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
-    meta = json.loads(bytes(_entries(tmp_path / "m.mxs")["meta"]).decode("utf-8"))
+    meta = _meta(tmp_path / "m.mxs")
     assert meta.keys() == {"format_version", "full_schema", "seed", "n_fit",
                            "n_factors", "marginals", "targets", "extra"}
     assert meta["format_version"] == 5
@@ -264,14 +290,15 @@ def test_meta_holds_one_schema_and_derives_the_rest(fitted, tmp_path):
 
 
 def test_save_refuses_a_copula_schema_not_taken_from_full_schema(fitted, tmp_path):
+    """The ModelArchive constructor refuses it, so there is nothing to save."""
     ds, model, target = fitted
     g, y, w, r = ds.schema
     for full in ((y, g, w, r),  # reordered
                  (g, y, r),  # w missing
                  (g, y, w, dataclasses.replace(r, role="copula"))):  # extra copula column
         with pytest.raises(ValueError, match="copula-role columns of full_schema"):
-            save_archive(tmp_path / "m.mxs", model, targets={"r": target},
-                         full_schema=full)
+            save_archive(tmp_path / "m.mxs",
+                         ModelArchive(model, {"r": target}, full, 0, {}))
     assert not (tmp_path / "m.mxs").exists()
 
 
@@ -279,7 +306,7 @@ def test_save_refuses_a_target_column_not_in_full_schema(fitted, tmp_path):
     ds, model, target = fitted
     g, y, w = target.covariates
     bad = [
-        (target, None),  # the full schema defaults to the copula schema: no 'r'
+        (target, model.schema),  # no 'r'
         (dataclasses.replace(target, covariates=(
             dataclasses.replace(g, levels=("a", "b", "z")), y, w)), ds.schema),
         (dataclasses.replace(target, covariates=(
@@ -289,9 +316,18 @@ def test_save_refuses_a_target_column_not_in_full_schema(fitted, tmp_path):
     ]
     for summary, full in bad:
         with pytest.raises(ValueError, match="missing from full_schema or differs"):
-            save_archive(tmp_path / "m.mxs", model, targets={"r": summary},
-                         full_schema=full)
+            save_archive(tmp_path / "m.mxs",
+                         ModelArchive(model, {"r": summary}, full, 0, {}))
     assert not (tmp_path / "m.mxs").exists()
+
+
+def test_archive_refuses_a_targets_key_not_its_response_name(fitted):
+    """A summary is keyed by its response's name; under another key it would
+    come back from the file under its response's name."""
+    ds, model, target = fitted
+    with pytest.raises(ValueError, match="targets key 'x' is not its summary's "
+                                         "response name 'r'"):
+        ModelArchive(model, {"x": target}, ds.schema, 0, {})
 
 
 def test_constant_continuous_column_round_trip(tmp_path):
@@ -309,9 +345,9 @@ def test_constant_continuous_column_round_trip(tmp_path):
     with pytest.warns(ConstantColumnWarning):
         model = fit_copula_model(ds, ChainConfig(iters=40, burn_in=20, thin=2, seed=1))
     path = tmp_path / "m.mxs"
-    save_archive(path, model)
+    save_archive(path, ModelArchive(model, {}, ds.schema, 0, {}))
     ar = load_archive(path)
-    assert ar.meta["marginals"][1] == {"type": "discrete"}
+    assert _meta(path)["marginals"][1] == {"type": "discrete"}
     assert _same_stored(archive_mod._put_marginal, ar.model.marginals["c"],
                         model.marginals["c"])
     for plan_model in (model, ar.model):
@@ -343,7 +379,7 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
     target = fit_target_model(
         ds, "v", TargetConfig(iters=30, burn_in=10, trees=4, seed=2))
     path = tmp_path / "m.mxs"
-    save_archive(path, model, targets={"v": target}, full_schema=ds.schema)
+    save_archive(path, ModelArchive(model, {"v": target}, ds.schema, 0, {}))
 
     def numbers(doc):
         if isinstance(doc, dict):
@@ -379,5 +415,4 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
     # values as its only array; the grid points are rebuilt on load
     for key in ("marginal0", "target0.marginal"):
         assert {k for k in stored if k.startswith(key + ".")} == {key + ".grid_u"}
-    meta = json.loads(bytes(_entries(path)["meta"]).decode("utf-8"))
-    assert meta["marginals"][0] == {"type": "continuous", "lo": w.min(), "hi": w.max()}
+    assert _meta(path)["marginals"][0] == {"type": "continuous", "lo": w.min(), "hi": w.max()}

@@ -295,6 +295,12 @@ def test_settings_checked_before_files_are_read(tmp_path, caplog, command, flags
     (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
       "--syn-dir", "{tmp}", "--response", "r", "--predictors", ","],
      "the regression needs at least one predictor"),
+    (["utility", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--syn-dir", "{tmp}", "--response", "r", "--predictors", "g,y",
+      "--interactions", "g:y,y:g"], "interactions named more than once: ['g:y']"),
+    (["risk", "--conf", "{tmp}/nope.csv", "--schema", "{tmp}/nope.json",
+      "--pool-dir", "{tmp}", "--known", "g,g", "--target", "t"],
+     "known names a column more than once: ('g', 'g')"),
 ])
 def test_config_class_settings_checked_before_files_are_read(
         tmp_path, caplog, argv, message):
@@ -703,7 +709,6 @@ def test_config_hash_follows_input_content(tmp_path):
 def test_list_parsing():
     assert _csv_list("a, b ,c") == ["a", "b", "c"]
     assert _csv_list(None) == []
-    assert _csv_list(["x", "y"]) == ["x", "y"]
     assert _int_list("1, 2,3") == [1, 2, 3]
     with pytest.raises(ConfigError):
         _int_list("1,zap")

@@ -37,3 +37,5 @@ def test_library_example_runs(tmp_path, monkeypatch):
     releases = scope["releases"]
     assert len(releases) == 5
     assert all(r.n == n and r.schema == schema for r in releases)
+    archive = scope["archive"]
+    assert (archive.full_schema, archive.seed, archive.extra) == (schema, 3, {})

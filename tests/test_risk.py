@@ -182,10 +182,14 @@ def test_baseline_uniques_hit_at_zero_slack():
 
 
 def test_scenario_validation():
-    """The adversary knows at least one column, never the target, and
-    scores hits within nonnegative integer slacks."""
+    """The adversary knows at least one column, each once (a repeat would
+    count twice in n_known), never the target, and scores hits within
+    nonnegative integer slacks."""
     with pytest.raises(ValueError, match="known"):
         RiskPlan((), "t")
+    for known in (("g", "g"), ("g", "h", "g")):
+        with pytest.raises(ValueError, match="^known names a column more than once"):
+            RiskPlan(known, "t")
     with pytest.raises(ValueError, match="target 't'"):
         RiskPlan(("t", "g"), "t")
     for eps in (-1, 0.5):

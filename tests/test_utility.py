@@ -156,6 +156,19 @@ def test_design_matrix_interaction_must_be_declared():
         RegressionSpec("y", ("x",), interactions=(("x", "b"),))
 
 
+def test_an_interaction_named_twice_is_refused():
+    """x:b twice, or as x:b and b:x, would put duplicate columns in the
+    design; x:x, the square of a numeric predictor, stays allowed."""
+    for pairs in ((("x", "b"), ("x", "b")), (("x", "b"), ("b", "x"))):
+        with pytest.raises(ValueError,
+                           match=r"interactions named more than once: \['b:x'\]"):
+            RegressionSpec("y", ("x", "b"), interactions=pairs)
+    x, names, _ = design_matrix(
+        _toy_ds(), RegressionSpec("y", ("x",), interactions=(("x", "x"),)))
+    assert names == ["(intercept)", "x", "x:x"]
+    assert np.allclose(x[:, 2], x[:, 1] ** 2)
+
+
 def test_regression_needs_a_predictor():
     with pytest.raises(ValueError, match="at least one predictor"):
         RegressionSpec("y", ())
