@@ -12,8 +12,17 @@ are bitwise scipy.linalg's, and keep its checks: a non-finite input raises
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+
+@functools.cache
+def lapack():
+    """``scipy.linalg.lapack``, imported on first use so that ``synth``,
+    which factors with numpy.linalg only, never loads scipy.linalg."""
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
 
 
 def _call(routine, checked: np.ndarray, *args, **kwargs) -> np.ndarray:
@@ -32,15 +41,15 @@ def _call(routine, checked: np.ndarray, *args, **kwargs) -> np.ndarray:
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, as ``scipy.linalg.cholesky(a, lower=True)``;
     reads only the lower triangle of ``a``."""
-    return _call(dpotrf, a, a, lower=1, clean=1)
+    return _call(lapack().dpotrf, a, a, lower=1, clean=1)
 
 
 def cho_solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (low low') x = b, as ``scipy.linalg.cho_solve((low, True), b)``."""
-    return _call(dpotrs, b, low, b, lower=1)
+    return _call(lapack().dpotrs, b, low, b, lower=1)
 
 
 def solve_lower_t(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve low' x = b, as ``scipy.linalg.solve_triangular(low.T, b,
     lower=False)``."""
-    return _call(dtrtrs, b, low, b, lower=1, trans=1)
+    return _call(lapack().dtrtrs, b, low, b, lower=1, trans=1)

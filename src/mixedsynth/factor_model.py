@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._lapack import cho_solve_lower, cholesky_lower, solve_lower_t
+from ._lapack import cho_solve_lower, cholesky_lower, lapack, solve_lower_t
 from .errors import NumericalOverflowError
 from .schema import ExpandedLayout, Kind, MixedDataset, expand_layout
 from .truncated import truncnorm_sample
@@ -391,6 +391,7 @@ def run_chain(ds: MixedDataset, config: ChainConfig) -> PosteriorDraws:
     if k is None:
         k = default_n_factors(plan.layout.p_star)
     state = init_state(plan, k, np.random.default_rng(config.seed))
+    lapack()  # imported here, not inside the first sweep's timed updates
     corrs, alphas = [], []
     report_every = max(1, config.iters // 10)
     for it in range(config.iters):

@@ -3,15 +3,16 @@
 Ordinal/count/binary columns get rescaled empirical CDFs, and so does a
 constant continuous column (a one-value point mass); other continuous columns
 get a Gaussian-kernel-smoothed CDF with Silverman bandwidth, tabulated once,
-at fit time, on a 4097-point even grid over the sample's range.  The grid's
+at fit time, on a 4097-point even grid over the sample's range, by linear
+binning and one convolution, at a cost that does not grow with n.  The grid's
 ends and CDF values are all a continuous marginal keeps: synthesis inverts
 the grid by linear interpolation, and no observed value survives in it
-except the minimum and maximum.  All CDFs
-carry the n/(n+1) rescale so no observed value maps to a 0/1 probability (and
-hence to an infinite latent Gaussian value).  Categorical columns are
-summarized by the joint cross-classification table over all categorical
-variables, which is what synthesis draws from so that observed categorical
-dependence (and structural zeros) survive.
+except the minimum and maximum.  All CDFs carry the n/(n+1) rescale so no
+observed value maps to a 0/1 probability (and hence to an infinite latent
+Gaussian value).  Categorical columns are summarized by the joint
+cross-classification table over all categorical variables, which is what
+synthesis draws from so that observed categorical dependence (and
+structural zeros) survive.
 """
 from __future__ import annotations
 
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 _GRID_POINTS = 4097
-# ndtr is exactly 1.0 from about 8.3 up and exactly 0.0 from about -38.5
-# down; the margins keep round-off in (x - s) / h from flipping a term
-_ONE_BELOW = 8.5
-_ZERO_ABOVE = 39.0
 
 
 @dataclass
@@ -93,42 +90,23 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
 
 
 def _kernel_cdf(sample: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel mixture CDF of the sorted sample at ascending x,
-    rescaled by n/(n+1).
+    """Gaussian-kernel mixture CDF of the sample at the even grid x, rescaled
+    by n/(n+1), by linear binning and one convolution (Wand 1994).
 
-    A kernel term ndtr((x - s) / h) is exactly 1.0 for s <= x - _ONE_BELOW h
-    and exactly 0.0 for s >= x + _ZERO_ABOVE h, so ndtr runs only on the
-    band between; every row still sums all n terms in sample order.
+    Each sample value's unit mass is split between its two neighbouring grid
+    points in proportion to proximity, and the weights are convolved with
+    Phi(d delta / h) for every grid offset d.  Each value lies within
+    0.0302 (delta / h)**2 of the full kernel sum: the linear-interpolation
+    error of s -> Phi((x - s) / h) over one grid step, max|phi'| / 8.
     """
-    n = sample.size
-    out = np.empty(x.size)
-    # blocks of about 2**16 kernel terms stay cache-sized; each row's sum
-    # is reduced the same way whatever the block, so values do not move
-    step = max(1, 2**16 // n)
-    buf = np.empty((min(step, x.size), n))
-    first = np.searchsorted(sample, x - _ONE_BELOW * h, side="right")
-    stop = np.searchsorted(sample, x + _ZERO_ABOVE * h, side="left")
-    # where rounding in x -/+ c h misplaced a band edge (values many ulps
-    # wider than h), that row computes every term; the term just outside
-    # each edge bounds all terms beyond it, since (x - s) / h is monotone.
-    # At first == 0 or stop == n the index wraps and the row widens, a no-op.
-    first[(x - sample[first - 1]) / h < _ONE_BELOW] = 0
-    stop[(x - sample[stop % n]) / h > -_ZERO_ABOVE] = n
-    for s in range(0, x.size, step):
-        xs = x[s : s + step, None]
-        rows = buf[: xs.shape[0]]
-        # x ascends, so the block's first row has the fewest 1.0 terms and
-        # its last row the fewest 0.0 terms
-        j0, j1 = first[s], stop[s + xs.shape[0] - 1]
-        rows[:, :j0] = 1.0
-        rows[:, j1:] = 0.0
-        band = rows[:, j0:j1]
-        np.subtract(xs, sample[j0:j1], out=band)
-        band /= h
-        ndtr(band, out=band)
-        out[s : s + step] = rows.sum(axis=1)
-    out /= n + 1.0
-    return out
+    n, size = sample.size, x.size
+    delta = (x[-1] - x[0]) / (size - 1)
+    pos = np.minimum((sample - x[0]) / delta, size - 1.0)
+    left = np.minimum(pos.astype(np.int64), size - 2)
+    frac = pos - left
+    weights = np.bincount(left, 1.0 - frac, size) + np.bincount(left + 1, frac, size)
+    kernel = ndtr(np.arange(1 - size, size) * (delta / h))
+    return np.convolve(kernel, weights, mode="valid") / (n + 1.0)
 
 
 def fit_marginal(column, kind: Kind):
@@ -148,10 +126,9 @@ def fit_marginal(column, kind: Kind):
                 stacklevel=2,
             )
             return DiscreteMarginal(np.array([col[0]]), [col.size])
-        sample = np.sort(col)
-        lo, hi = float(sample[0]), float(sample[-1])
+        lo, hi = float(col.min()), float(col.max())
         grid_x = np.linspace(lo, hi, _GRID_POINTS)
-        return ContinuousMarginal(lo, hi, _kernel_cdf(sample, h, grid_x))
+        return ContinuousMarginal(lo, hi, _kernel_cdf(col, h, grid_x))
     values, counts = np.unique(col.astype(np.int64), return_counts=True)
     return DiscreteMarginal(values, counts)
 

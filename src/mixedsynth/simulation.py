@@ -21,6 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._lapack import lapack
 from .factor_model import ChainConfig
 from .schema import ColumnSchema, Kind, MixedDataset, expand_layout
 from .streams import substream
@@ -233,8 +234,9 @@ def run_studies(names, design: SimDesign, config: ChainConfig,
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    # fork, not spawn: workers inherit numpy and scipy instead of importing
-    # them again
+    # fork, not spawn: workers inherit numpy and scipy, scipy.linalg's
+    # LAPACK included, instead of importing them again
+    lapack()
     ctx = multiprocessing.get_context("fork")
     workers = min(len(names), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_die_with_parent,

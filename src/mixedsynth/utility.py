@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._lapack import cho_solve_lower, cholesky_lower, solve_lower_t
+from ._lapack import cho_solve_lower, cholesky_lower, lapack, solve_lower_t
 from .errors import (
     DegenerateResponseError,
     MismatchedCoefficientSetsError,
@@ -146,6 +146,10 @@ def design_matrix(ds: MixedDataset, spec: RegressionSpec):
         cols += c
         names += nm
     for a, b in spec.interactions:
+        kind = ds.col_schema(a).kind
+        if a == b and kind in (Kind.CATEGORICAL, Kind.BINARY):
+            raise ValueError(f"interaction {a}:{b} squares the {kind.value} predictor "
+                             f"'{a}', whose 0/1 columns are their own squares")
         for ca, na in zip(*encoded[a]):
             for cb, nb in zip(*encoded[b]):
                 cols.append(ca * cb)
@@ -380,6 +384,7 @@ def evaluate_utility(
     """
     if not syn_list:
         raise ValueError("the release is empty: no synthetic dataset to evaluate")
+    lapack()  # imported here, not inside the first fit's timed span
     obs = fit_bayes_lm(conf, spec, config)
     fits = [fit_bayes_lm(s, spec, config) for s in syn_list]
     pooled = pool_synthetic(fits) if len(fits) > 1 else fits[0]

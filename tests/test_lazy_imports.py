@@ -1,11 +1,14 @@
 """Each command imports only what it runs: importing the package or the
-command line loads no other submodule and no scipy, and ``risk``, which
-needs no scipy, runs without loading it."""
+command line loads no other submodule and no scipy, ``risk``, which
+needs no scipy, runs without loading it, and ``synth``, which factors with
+numpy.linalg, runs without loading scipy.linalg."""
 import json
 import subprocess
 import sys
 
 import numpy as np
+
+from mixedsynth.cli import main
 
 _LOADED = """
 import json, sys
@@ -60,6 +63,29 @@ def test_risk_run_loads_no_scipy(src_env, tmp_path):
     )
     assert "mixedsynth.risk" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_synth_run_loads_no_scipy_linalg(src_env, tmp_path):
+    rng = np.random.default_rng(0)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": "g", "kind": "categorical", "levels": ["a", "b", "c"]},
+        {"name": "y", "kind": "count"},
+        {"name": "x", "kind": "continuous"},
+    ]}))
+    rows = zip(rng.choice(["a", "b", "c"], 80), rng.poisson(4.0, 80), rng.normal(size=80).tolist())
+    data = tmp_path / "data.csv"
+    data.write_text("g,y,x\n" + "".join(f"{g},{y},{x!r}\n" for g, y, x in rows))
+    model = tmp_path / "model.mxs"
+    assert main(["fit", "--data", str(data), "--schema", str(schema), "--out", str(model),
+                 "--seed", "1", "--iters", "20", "--burn-in", "10", "--thin", "5"]) == 0
+    loaded = _loaded(
+        src_env, "from mixedsynth.cli import main\nassert main(sys.argv[1:]) == 0",
+        "synth", "--model", str(model), "--out-dir", str(tmp_path / "syn"),
+        "--m", "2", "--seed", "1",
+    )
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
 
 
 def test_dir_lists_every_public_name(src_env):

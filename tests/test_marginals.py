@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +13,7 @@ from mixedsynth.marginals import (
     ContinuousMarginal,
     DiscreteMarginal,
     _kernel_cdf,
-    _ONE_BELOW,
     _silverman_bandwidth,
-    _ZERO_ABOVE,
     fit_categorical_probs,
     fit_marginal,
 )
@@ -69,6 +69,34 @@ def test_discrete_round_trip_identity():
     np.testing.assert_array_equal(m.inverse(_discrete_cdf(m, support)), support)
 
 
+def _binned_mixture(sample, h, lo, delta, size):
+    """Reference for the binned table: each value's unit mass split between
+    its two neighbouring grid points, then sum_i w_i Phi((j - i) delta / h)
+    / (n + 1) term by term at every grid point j."""
+    pos = (sample - lo) / delta
+    left = np.minimum(np.floor(pos), size - 2).astype(int)
+    weights = np.zeros(size)
+    np.add.at(weights, left, 1.0 - (pos - left))
+    np.add.at(weights, left + 1, pos - left)
+    (at,) = np.nonzero(weights)
+    grid = np.arange(size)
+    out = np.array([
+        np.sum(weights[at] * ndtr((j - at) * delta / h)) for j in grid
+    ])
+    return out / (sample.size + 1.0)
+
+
+def _full_kernel_sum(sample, h, lo, delta, size):
+    """The unbinned mixture at lo + j delta, as offsets (j delta - (s - lo))
+    / h, so a grid that rounding collapses (values one ulp step apart) still
+    has distinct points."""
+    out = np.empty(size)
+    for j in range(0, size, 64):
+        offsets = np.arange(j, min(j + 64, size))[:, None] * delta
+        out[j : j + 64] = ndtr((offsets - (sample - lo)[None, :]) / h).sum(axis=1)
+    return out / (sample.size + 1.0)
+
+
 def test_continuous_cdf_matches_kernel_mixture():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(40)
@@ -79,55 +107,70 @@ def test_continuous_cdf_matches_kernel_mixture():
     def mixture(q):
         return np.array([stats.norm.cdf(v, loc=x, scale=h).sum() / (len(x) + 1) for v in q])
 
-    # the grid spans the sample's range and holds the mixture at its points
+    # the grid spans the sample's range and holds the binned mixture at its
+    # points
     assert m.grid_x.size == 4097
     assert m.grid_x[0] == x.min() and m.grid_x[-1] == x.max()
-    np.testing.assert_allclose(m.grid_u[::256], mixture(m.grid_x[::256]), rtol=1e-12)
-    # and interpolates it closely in between
+    delta = (x.max() - x.min()) / 4096
+    np.testing.assert_allclose(
+        m.grid_u, _binned_mixture(x, h, x.min(), delta, 4097), rtol=1e-12
+    )
+    # and interpolates the unbinned mixture closely in between
     q = np.array([-1.0, 0.0, 0.7])
     np.testing.assert_allclose(m.cdf(q), mixture(q), atol=1e-6)
 
 
-def _full_kernel_cdf(sample, h, x):
-    """Reference without the band: ndtr on every (grid point, sample) term,
-    blocks of about 2**16 terms, each row summed in one call."""
-    n = sample.size
-    out = np.empty(x.size)
-    step = max(1, 2**16 // n)
-    for s in range(0, x.size, step):
-        out[s : s + step] = ndtr((x[s : s + step, None] - sample[None, :]) / h).sum(axis=1)
-    out /= n + 1.0
-    return out
-
-
 _rng = np.random.default_rng(8)
+_COLUMNS = {
+    "skewed": _rng.lognormal(0.0, 1.0, 5000),
+    "outlier": np.append(_rng.standard_normal(999), 1e4),
+    "ties": np.round(_rng.standard_normal(3000), 1),
+    "n2": np.array([0.3, 1.7]),
+    "short-block": _rng.gamma(2.0, 1.0, 7001),
+    # values 16 apart (one ulp at 1e17) with h near 0.1: the grid's points
+    # round to the two ends, but the table is built from offsets
+    "ulp-wide": 1e17 + np.repeat([0.0, 16.0], [4990, 10]),
+    # heavy tails: the grid step is several bandwidths wide
+    "cauchy": _rng.standard_cauchy(5000),
+}
 
 
-@pytest.mark.parametrize(
-    "column",
-    [
-        _rng.lognormal(0.0, 1.0, 5000),  # skewed
-        np.append(_rng.standard_normal(999), 1e4),  # one far outlier
-        np.round(_rng.standard_normal(3000), 1),  # heavy ties
-        np.array([0.3, 1.7]),
-        _rng.gamma(2.0, 1.0, 7001),  # 2**16 // n leaves a short last block
-        # values 16 apart (one ulp at 1e17) with h near 0.1: x -/+ c h rounds
-        # to x, so the band edges must be checked term by term
-        1e17 + np.repeat([0.0, 16.0], [4990, 10]),
-    ],
-    ids=["skewed", "outlier", "ties", "n2", "short-block", "ulp-wide"],
-)
-def test_banded_kernel_cdf_matches_full_sum_bitwise(column):
-    sample = np.sort(column)
+@pytest.mark.parametrize("column", _COLUMNS.values(), ids=_COLUMNS.keys())
+def test_binned_kernel_cdf_near_full_sum(column):
+    n, lo, hi = column.size, column.min(), column.max()
     h = _silverman_bandwidth(column)
-    x = np.linspace(sample[0], sample[-1], 4097)
-    assert np.array_equal(_kernel_cdf(sample, h, x), _full_kernel_cdf(sample, h, x))
+    delta = (hi - lo) / 4096
+    table = _kernel_cdf(column, h, np.linspace(lo, hi, 4097))
+    np.testing.assert_allclose(
+        table, _binned_mixture(column, h, lo, delta, 4097), rtol=1e-12
+    )
+    # binning moves each kernel term by at most max|phi'| / 8 (delta / h)**2,
+    # the linear-interpolation error of s -> Phi((x - s) / h) over one step
+    bound = 0.0302 * (delta / h) ** 2 * n / (n + 1)
+    assert np.abs(table - _full_kernel_sum(column, h, lo, delta, 4097)).max() <= bound
+    assert np.all(np.diff(table) >= 0)
 
 
-def test_kernel_band_cutoffs_are_exact():
-    # every term the band skips is exactly what ndtr would have returned
-    assert ndtr(_ONE_BELOW) == 1.0
-    assert ndtr(-_ZERO_ABOVE) == 0.0
+_TABLE_BYTES = """
+import hashlib
+import numpy as np
+from mixedsynth.marginals import _kernel_cdf, _silverman_bandwidth
+x = np.random.default_rng(8).lognormal(0.0, 1.0, 5000)
+grid = np.linspace(x.min(), x.max(), 4097)
+print(hashlib.sha256(_kernel_cdf(x, _silverman_bandwidth(x), grid).tobytes()).hexdigest())
+"""
+
+
+def test_binned_kernel_cdf_same_bytes_at_any_blas_threads(src_env):
+    # the convolution's dot products go through BLAS
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _TABLE_BYTES], capture_output=True, text=True,
+            check=True, env={**src_env, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 def test_continuous_cdf_monotone_and_bounded():

@@ -169,6 +169,19 @@ def test_an_interaction_named_twice_is_refused():
     assert np.allclose(x[:, 2], x[:, 1] ** 2)
 
 
+def test_a_categorical_or_binary_predictor_squared_is_refused():
+    """g:g and b:b repeat the indicators' own columns (on 60 rows, g:g, b:b
+    and x:x give 11 design columns of rank 6), so no horseshoe fit starts."""
+    ds = _toy_ds(n=60)
+    for name, kind in (("g", "categorical"), ("b", "binary")):
+        spec = RegressionSpec("y", ("g", "b", "x"), interactions=((name, name),))
+        match = rf"interaction {name}:{name} squares the {kind} predictor '{name}'"
+        with pytest.raises(ValueError, match=match):
+            design_matrix(ds, spec)
+        with pytest.raises(ValueError, match=match):
+            evaluate_utility(ds, [ds], spec, HorseshoeConfig(iters=2, burn_in=1))
+
+
 def test_regression_needs_a_predictor():
     with pytest.raises(ValueError, match="at least one predictor"):
         RegressionSpec("y", ())
