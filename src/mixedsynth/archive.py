@@ -50,35 +50,38 @@ _MARGINAL_TYPES = {"discrete": DiscreteMarginal, "continuous": ContinuousMargina
 
 @dataclasses.dataclass(frozen=True)
 class ModelArchive:
-    """A fitted model as the archive stores it: the copula model, the
-    targeted-response models keyed by response name, the full schema (original
-    column order, responses included), the fit seed and JSON-safe extra
-    metadata.  Raises ValueError unless ``model.schema`` is the copula-role
-    columns of ``full_schema`` in order, each ``targets`` key is its summary's
-    response name, and each target's columns are in ``full_schema`` with the
-    same kind and levels."""
+    """A fitted model as the archive stores it: the copula model, one target
+    per response-role column, the full schema (responses included), the fit
+    seed and JSON-safe extra metadata.  Raises ValueError unless
+    ``model.schema`` is the copula-role columns of ``full_schema`` in order
+    with one marginal per non-categorical column, the targets' responses are
+    the response-role columns of ``full_schema`` in order, and every target
+    covariate is a column of ``model.schema``."""
 
     model: FittedCopula
-    targets: dict
+    targets: tuple
     full_schema: tuple
     seed: int
     extra: dict
 
     def __post_init__(self):
-        full = self.full_schema
-        if tuple(self.model.schema) != tuple(c for c in full if c.role == "copula"):
+        full, schema = self.full_schema, tuple(self.model.schema)
+        if schema != tuple(c for c in full if c.role == "copula"):
             raise ValueError("model schema is not the copula-role columns of "
                              "full_schema, in order")
-        kinds = {c.name: (c.kind, c.levels) for c in full}
-        for key, t in self.targets.items():
-            if key != t.response.name:
-                raise ValueError(f"targets key '{key}' is not its summary's "
-                                 f"response name '{t.response.name}'")
-            for cs in (t.response, *t.covariates):
-                if kinds.get(cs.name) != (cs.kind, cs.levels):
-                    raise ValueError(f"target '{key}': column '{cs.name}' is missing "
-                                     "from full_schema or differs from it in kind "
-                                     "or levels")
+        ranked = sum(c.kind is not Kind.CATEGORICAL for c in schema)
+        if len(self.model.marginals) != ranked:
+            raise ValueError(f"model has {len(self.model.marginals)} marginals for "
+                             f"{ranked} non-categorical copula columns")
+        responses = tuple(c for c in full if c.role == "response")
+        if tuple(t.response for t in self.targets) != responses:
+            raise ValueError("target responses are not the response-role "
+                             "columns of full_schema, in order")
+        for t in self.targets:
+            stray = [c.name for c in t.covariates if c not in schema]
+            if stray:
+                raise ValueError(f"target '{t.response.name}': covariates {stray} "
+                                 "are not columns of the copula schema")
 
     @property
     def schema_hash(self) -> str:
@@ -135,11 +138,6 @@ def _get_target(arrays: dict, key: str, doc: dict, columns: dict) -> TargetModel
     )
 
 
-def _rank_columns(schema) -> list:
-    """The columns that own a marginal, in schema order."""
-    return [c for c in schema if c.kind is not Kind.CATEGORICAL]
-
-
 def save_archive(path, archive: ModelArchive) -> None:
     """Write ``archive`` to disk."""
     model = archive.model
@@ -153,14 +151,10 @@ def save_archive(path, archive: ModelArchive) -> None:
         "seed": archive.seed,
         "n_fit": model.n_fit,
         "n_factors": model.draws.n_factors,
-        "marginals": [
-            _put_marginal(arrays, f"marginal{i}", model.marginals[c.name])
-            for i, c in enumerate(_rank_columns(model.schema))
-        ],
-        "targets": [
-            _put_target(arrays, f"target{k}", t)
-            for k, t in enumerate(archive.targets.values())
-        ],
+        "marginals": [_put_marginal(arrays, f"marginal{i}", m)
+                      for i, m in enumerate(model.marginals)],
+        "targets": [_put_target(arrays, f"target{k}", t)
+                    for k, t in enumerate(archive.targets)],
         "extra": archive.extra,
     }
     payload = io.BytesIO()
@@ -197,17 +191,12 @@ def load_archive(path) -> ModelArchive:
     full = schema_from_doc(meta["full_schema"], path)
     schema = tuple(c for c in full if c.role == "copula")
     draws = PosteriorDraws(arrays["corr"], arrays["alpha"], int(meta["n_factors"]))
-    marginals = {
-        c.name: _get_marginal(arrays, f"marginal{i}", doc)
-        for i, (c, doc) in enumerate(
-            zip(_rank_columns(schema), meta["marginals"], strict=True))
-    }
+    marginals = tuple(_get_marginal(arrays, f"marginal{i}", doc)
+                      for i, doc in enumerate(meta["marginals"]))
     table = (CategoricalProbTable(arrays["cat.cells"], arrays["cat.cell_probs"])
              if "cat.cells" in arrays else None)
     model = FittedCopula(draws, schema, marginals, table, int(meta["n_fit"]))
     columns = {c.name: c for c in full}
-    targets = {
-        doc["response"]: _get_target(arrays, f"target{k}", doc, columns)
-        for k, doc in enumerate(meta["targets"])
-    }
+    targets = tuple(_get_target(arrays, f"target{k}", doc, columns)
+                    for k, doc in enumerate(meta["targets"]))
     return ModelArchive(model, targets, full, meta["seed"], meta["extra"])

@@ -199,14 +199,20 @@ def _json_out(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_pool(cfg: dict, key: str, schema) -> tuple[list, list]:
-    """Synthetic datasets from explicit paths and/or a directory of CSVs."""
+def _pool_paths(cfg: dict, key: str) -> list:
+    """Synthetic CSVs from explicit paths and/or a directory, each once; unread."""
     paths = [Path(p) for p in _csv_list(cfg.get(key))]
     if cfg.get(key + "_dir"):
         paths.extend(sorted(Path(cfg[key + "_dir"]).glob("*.csv")))
     if not paths:
         raise ConfigError(f"no synthetic datasets given (--{key} / --{key}-dir)")
-    return [load_dataset(p, schema) for p in paths], paths
+    seen = set()
+    for p in paths:
+        if p.resolve() in seen:
+            raise ConfigError(f"synthetic dataset '{p}' is named twice "
+                              f"(--{key} / --{key}-dir)")
+        seen.add(p.resolve())
+    return paths
 
 
 # ---------------------------------------------------------------- fit
@@ -253,13 +259,13 @@ def _cmd_fit(cfg: dict) -> None:
              ds.n, len(ds.copula_columns))
     model = fit_copula_model(ds, chain)
 
-    summaries = {}
+    summaries = []
     for name in targets:
         log.info("fitting targeted regression for response '%s'", name)
-        summaries[name] = fit_target_model(ds, name, target_cfg)
+        summaries.append(fit_target_model(ds, name, target_cfg))
 
     out = cfg["out"]
-    save_archive(out, ModelArchive(model, summaries, schema, seed,
+    save_archive(out, ModelArchive(model, tuple(summaries), schema, seed,
                                    {"config_hash": _config_hash(cfg)}))
     log.info("archive written to %s", out)
 
@@ -286,9 +292,9 @@ def _cmd_synth(cfg: dict) -> None:
     files, digests = [], {}
     for i, s in enumerate(sets):
         cols = dict(s.columns)
-        for name, summary in ar.targets.items():
-            cols[name] = synthesize_response(
-                summary, s, substream(seed, "target-synth", i, name))
+        for t in ar.targets:
+            cols[t.response.name] = synthesize_response(
+                t, s, substream(seed, "target-synth", i, t.response.name))
         full = MixedDataset(ar.full_schema, cols)
         path = out_dir / f"{stem}_syn_{i}.csv"
         write_csv(full, path)
@@ -325,9 +331,10 @@ def _cmd_utility(cfg: dict) -> None:
         burn_in=cfg["burn_in"],
         seed=cfg.get("seed") or 0,
     )
+    paths = _pool_paths(cfg, "syn")
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
-    syn, _ = _load_pool(cfg, "syn", schema)
+    syn = [load_dataset(p, schema) for p in paths]
     report = evaluate_utility(conf, syn, spec, hc)
     _json_out(cfg["out"], {
         "config_hash": _config_hash(cfg),
@@ -353,9 +360,13 @@ def _cmd_risk(cfg: dict) -> None:
         reps=cfg["reps"],
         seed=cfg.get("seed") or 0,
     )
+    paths = _pool_paths(cfg, "pool")
+    if max(plan.m_grid) > len(paths):
+        raise ConfigError(f"m_grid asks for a release of {max(plan.m_grid)} "
+                          f"datasets; the pool has {len(paths)} files")
     schema = load_schema(cfg["schema"])
     conf = load_dataset(cfg["conf"], schema)
-    pool, _ = _load_pool(cfg, "pool", schema)
+    pool = [load_dataset(p, schema) for p in paths]
     cells = risk_study(conf, pool, plan)
     _json_out(cfg["out"], {
         "config_hash": _config_hash(cfg),

@@ -78,7 +78,7 @@ class FittedCopula:
 
     draws: PosteriorDraws
     schema: tuple  # copula-role ColumnSchema, layout order
-    marginals: dict
+    marginals: tuple  # one per non-categorical schema column, in order
     cat_table: CategoricalProbTable | None
     n_fit: int
 
@@ -108,10 +108,10 @@ def fit_copula_model(ds: MixedDataset, config: ChainConfig) -> FittedCopula:
     """Fit the factor model on the copula-role columns and bundle marginals."""
     cop = ds.subset([c.name for c in ds.copula_columns])
     draws = run_chain(cop, config)
-    margs = {
-        c.name: fit_marginal(cop.columns[c.name], c.kind)
+    margs = tuple(
+        fit_marginal(cop.columns[c.name], c.kind)
         for c in cop.schema if c.kind is not Kind.CATEGORICAL
-    }
+    )
     has_cat = any(c.kind is Kind.CATEGORICAL for c in cop.schema)
     table = fit_categorical_probs(cop) if has_cat else None
     return FittedCopula(draws, cop.schema, margs, table, cop.n)
@@ -283,14 +283,13 @@ def _synthesize_batch(model: FittedCopula, t: dict, n: int, rng,
         eps = np.empty((n, 0))
     noise = rng.standard_normal((n, t["a_rest"].size))
     z_rest = t["a_rest"] + eps @ t["bc"].T + noise @ t["l"].T
-    # latent blocks follow schema order; MixedDataset gives each column its
-    # kind's dtype
-    cat, rest = iter(assign.T), iter(ndtr(z_rest).T)
-    return {
-        col.name: next(cat) if col.kind is Kind.CATEGORICAL
-        else model.marginals[col.name].inverse(next(rest))
-        for col in model.schema
-    }
+    # latent blocks follow schema order, the marginals the non-categorical
+    # columns'; MixedDataset gives each column its kind's dtype
+    cat = iter(assign.T)
+    rest = iter([m.inverse(u) for m, u in
+                 zip(model.marginals, ndtr(z_rest).T, strict=True)])
+    return {col.name: next(cat) if col.kind is Kind.CATEGORICAL else next(rest)
+            for col in model.schema}
 
 
 def synthesize_datasets(

@@ -12,6 +12,7 @@ from mixedsynth.archive import ModelArchive, load_archive, save_archive
 from mixedsynth.bart import NUMCUT
 from mixedsynth.errors import ArchiveError, ConstantColumnWarning
 from mixedsynth.factor_model import ChainConfig
+from mixedsynth.marginals import fit_marginal
 from mixedsynth.schema import ColumnSchema, Kind, MixedDataset, schema_hash, schema_to_doc
 from mixedsynth.synthesizer import SynthesisPlan, fit_copula_model, synthesize_datasets
 from mixedsynth.target_regression import TargetConfig, fit_target_model, synthesize_response
@@ -43,7 +44,7 @@ def fitted():
 
 def _archive(fitted) -> ModelArchive:
     ds, model, target = fitted
-    return ModelArchive(model, {"r": target}, ds.schema, 7, {"config_hash": "abc123"})
+    return ModelArchive(model, (target,), ds.schema, 7, {"config_hash": "abc123"})
 
 
 def _save(fitted, path):
@@ -115,12 +116,14 @@ def test_saving_a_loaded_archive_writes_the_same_bytes(fitted, tmp_path):
 
 
 def test_marginals_and_cat_table_round_trip(fitted, tmp_path):
-    _, model, _ = fitted
+    ds, model, _ = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
-    # marginals come back under their columns' names, in schema order
-    assert list(ar.model.marginals) == list(model.marginals) == ["y", "w"]
-    for name, m in model.marginals.items():
-        assert _same_stored(archive_mod._put_marginal, ar.model.marginals[name], m)
+    # one marginal per non-categorical column, in schema order: y, then w
+    fresh = [fit_marginal(ds.columns[c], ds.col_schema(c).kind) for c in ("y", "w")]
+    assert len(ar.model.marginals) == len(model.marginals) == 2
+    for a, b, c in zip(ar.model.marginals, model.marginals, fresh, strict=True):
+        assert _same_stored(archive_mod._put_marginal, a, b)
+        assert _same_stored(archive_mod._put_marginal, b, c)
     t0, t1 = model.cat_table, ar.model.cat_table
     assert np.array_equal(t1.cells, t0.cells)
     assert np.array_equal(t1.cell_probs, t0.cell_probs)
@@ -129,14 +132,14 @@ def test_marginals_and_cat_table_round_trip(fitted, tmp_path):
 def test_targets_round_trip_and_predict_identically(fitted, tmp_path):
     ds, _, target = fitted
     ar = _save(fitted, tmp_path / "m.mxs")
-    assert set(ar.targets) == {"r"}
-    assert _same_stored(archive_mod._put_target, ar.targets["r"], target)
-    assert ar.targets["r"].response == target.response == ds.col_schema("r")
-    assert ar.targets["r"].covariates == target.covariates == ds.schema[:3]
+    (loaded,) = ar.targets
+    assert _same_stored(archive_mod._put_target, loaded, target)
+    assert loaded.response == target.response == ds.col_schema("r")
+    assert loaded.covariates == target.covariates == ds.schema[:3]
 
     records = ds.subset(["g", "y", "w"])
     a = synthesize_response(target, records, np.random.default_rng(5))
-    b = synthesize_response(ar.targets["r"], records, np.random.default_rng(5))
+    b = synthesize_response(loaded, records, np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
@@ -155,9 +158,9 @@ def test_archive_without_targets_round_trip(fitted, tmp_path):
     """A copula model alone, its full schema the copula schema."""
     _, model, _ = fitted
     path = tmp_path / "bare.mxs"
-    save_archive(path, ModelArchive(model, {}, model.schema, 0, {}))
+    save_archive(path, ModelArchive(model, (), model.schema, 0, {}))
     ar = load_archive(path)
-    assert ar.targets == {}
+    assert ar.targets == ()
     assert ar.full_schema == model.schema
     assert ar.seed == 0
     assert ar.extra == {}
@@ -190,7 +193,7 @@ def test_unsupported_format_version(fitted, tmp_path, monkeypatch):
     for version in (99, 1, 2, 3, 4):
         path = tmp_path / f"v{version}.mxs"
         monkeypatch.setattr(archive_mod, "_FORMAT_VERSION", version)
-        save_archive(path, ModelArchive(model, {}, model.schema, 0, {}))
+        save_archive(path, ModelArchive(model, (), model.schema, 0, {}))
         monkeypatch.undo()
         with pytest.raises(ArchiveError, match=f"version {version} unsupported"):
             load_archive(path)
@@ -298,36 +301,90 @@ def test_save_refuses_a_copula_schema_not_taken_from_full_schema(fitted, tmp_pat
                  (g, y, w, dataclasses.replace(r, role="copula"))):  # extra copula column
         with pytest.raises(ValueError, match="copula-role columns of full_schema"):
             save_archive(tmp_path / "m.mxs",
-                         ModelArchive(model, {"r": target}, full, 0, {}))
+                         ModelArchive(model, (target,), full, 0, {}))
     assert not (tmp_path / "m.mxs").exists()
 
 
 def test_save_refuses_a_target_column_not_in_full_schema(fitted, tmp_path):
     ds, model, target = fitted
     g, y, w = target.covariates
+    responses = "target responses are not the response-role columns of full_schema"
     bad = [
-        (target, model.schema),  # no 'r'
+        (target, model.schema, responses),  # no 'r'
         (dataclasses.replace(target, covariates=(
-            dataclasses.replace(g, levels=("a", "b", "z")), y, w)), ds.schema),
+            dataclasses.replace(g, levels=("a", "b", "z")), y, w)), ds.schema,
+         r"target 'r': covariates \['g'\] are not columns of the copula schema"),
         (dataclasses.replace(target, covariates=(
-            g, ColumnSchema("y", Kind.ORDINAL), w)), ds.schema),
+            g, ColumnSchema("y", Kind.ORDINAL), w)), ds.schema,
+         r"target 'r': covariates \['y'\] are not columns"),
         (dataclasses.replace(target, covariates=(
-            g, y, w, ColumnSchema("q", Kind.COUNT))), ds.schema),
+            g, y, w, ColumnSchema("q", Kind.COUNT))), ds.schema,
+         r"target 'r': covariates \['q'\] are not columns"),
     ]
-    for summary, full in bad:
-        with pytest.raises(ValueError, match="missing from full_schema or differs"):
+    for summary, full, message in bad:
+        with pytest.raises(ValueError, match=message):
             save_archive(tmp_path / "m.mxs",
-                         ModelArchive(model, {"r": summary}, full, 0, {}))
+                         ModelArchive(model, (summary,), full, 0, {}))
     assert not (tmp_path / "m.mxs").exists()
 
 
-def test_archive_refuses_a_targets_key_not_its_response_name(fitted):
-    """A summary is keyed by its response's name; under another key it would
-    come back from the file under its response's name."""
+def test_archive_refuses_a_response_column_without_a_target(fitted):
+    """The full schema declares 'r' a response, so 'r' needs a target model;
+    without one, synthesis would write no 'r' column."""
+    ds, model, _ = fitted
+    with pytest.raises(ValueError, match="target responses are not the "
+                                         "response-role columns of full_schema"):
+        ModelArchive(model, (), ds.schema, 0, {})
+
+
+def test_archive_refuses_targets_out_of_full_schema_order(fitted):
+    """Targets follow the response-role columns of full_schema, in order."""
     ds, model, target = fitted
-    with pytest.raises(ValueError, match="targets key 'x' is not its summary's "
-                                         "response name 'r'"):
-        ModelArchive(model, {"x": target}, ds.schema, 0, {})
+    q = ColumnSchema("q", Kind.COUNT, role="response")
+    other = dataclasses.replace(target, response=q)
+    full = (*ds.schema, q)
+    ModelArchive(model, (target, other), full, 0, {})
+    with pytest.raises(ValueError, match="target responses are not the "
+                                         "response-role columns of full_schema, "
+                                         "in order"):
+        ModelArchive(model, (other, target), full, 0, {})
+
+
+def test_archive_refuses_a_target_whose_response_is_a_copula_column(fitted):
+    """A target on a copula-role column would overwrite the copula model's
+    values for it; a response must match its full_schema column, role
+    included, or the archive would load back with another role."""
+    ds, model, target = fitted
+    g, y, w, r = ds.schema
+    on_y = dataclasses.replace(target, response=y, covariates=(g, w))
+    as_copula = dataclasses.replace(target, response=dataclasses.replace(r, role="copula"))
+    for targets in ((target, on_y), (as_copula,)):
+        with pytest.raises(ValueError, match="target responses are not the "
+                                             "response-role columns"):
+            ModelArchive(model, targets, ds.schema, 0, {})
+
+
+def test_archive_refuses_a_covariate_that_is_a_response_column(fitted):
+    """Responses are synthesized after the copula columns, from them alone,
+    so no target may take another response as a covariate."""
+    ds, model, target = fitted
+    q = ColumnSchema("q", Kind.COUNT, role="response")
+    on_q = dataclasses.replace(target, covariates=(*target.covariates, q))
+    other = dataclasses.replace(target, response=q)
+    with pytest.raises(ValueError, match=r"target 'r': covariates \['q'\] are "
+                                         "not columns of the copula schema"):
+        ModelArchive(model, (on_q, other), (*ds.schema, q), 0, {})
+
+
+def test_archive_refuses_a_wrong_marginal_count(fitted):
+    """One marginal per non-categorical copula column (y and w here)."""
+    ds, model, target = fitted
+    y_marginal, w_marginal = model.marginals
+    for marginals in ((y_marginal,), (y_marginal, w_marginal, w_marginal)):
+        bad = dataclasses.replace(model, marginals=marginals)
+        with pytest.raises(ValueError, match=f"model has {len(marginals)} marginals "
+                                             "for 2 non-categorical copula columns"):
+            ModelArchive(bad, (target,), ds.schema, 0, {})
 
 
 def test_constant_continuous_column_round_trip(tmp_path):
@@ -345,11 +402,11 @@ def test_constant_continuous_column_round_trip(tmp_path):
     with pytest.warns(ConstantColumnWarning):
         model = fit_copula_model(ds, ChainConfig(iters=40, burn_in=20, thin=2, seed=1))
     path = tmp_path / "m.mxs"
-    save_archive(path, ModelArchive(model, {}, ds.schema, 0, {}))
+    save_archive(path, ModelArchive(model, (), ds.schema, 0, {}))
     ar = load_archive(path)
     assert _meta(path)["marginals"][1] == {"type": "discrete"}
-    assert _same_stored(archive_mod._put_marginal, ar.model.marginals["c"],
-                        model.marginals["c"])
+    assert _same_stored(archive_mod._put_marginal, ar.model.marginals[1],
+                        model.marginals[1])
     for plan_model in (model, ar.model):
         (out,) = synthesize_datasets(plan_model, SynthesisPlan(n_out=50, seed=3))
         assert out.columns["c"].dtype == np.float64
@@ -379,7 +436,7 @@ def test_continuous_values_stay_out_of_the_archive(tmp_path):
     target = fit_target_model(
         ds, "v", TargetConfig(iters=30, burn_in=10, trees=4, seed=2))
     path = tmp_path / "m.mxs"
-    save_archive(path, ModelArchive(model, {"v": target}, ds.schema, 0, {}))
+    save_archive(path, ModelArchive(model, (target,), ds.schema, 0, {}))
 
     def numbers(doc):
         if isinstance(doc, dict):

@@ -385,6 +385,45 @@ def test_risk_settings_out_of_range(tmp_path, caplog, flag, value):
     assert "No such file" not in caplog.text
 
 
+def test_risk_refuses_a_release_larger_than_the_pool(tmp_path, caplog):
+    """A pool of 3 files against the default release sizes (5, 10, 20) is a
+    configuration error (exit 1) naming m_grid, its largest size and the
+    file count, found before the confidential CSV or any pool file is read."""
+    pool = ",".join(str(tmp_path / f"data_syn_{i}.csv") for i in range(3))
+    rc = main(["risk", "--conf", str(tmp_path / "nope.csv"),
+               "--schema", str(tmp_path / "nope.json"), "--pool", pool,
+               "--known", "g", "--target", "r", "--out", str(tmp_path / "out.json")])
+    assert rc == 1
+    assert ("configuration error: m_grid asks for a release of 20 datasets; "
+            "the pool has 3 files") in caplog.text
+    assert "No such file" not in caplog.text
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("utility", ["--response", "w", "--predictors", "g"]),
+    ("risk", ["--known", "g", "--target", "r", "--m", "2"]),
+])
+def test_a_synthetic_file_named_twice_is_refused(tmp_path, caplog, command, flags):
+    """A file named by --syn/--pool and found again by --syn-dir/--pool-dir,
+    however its path is spelled, would enter the release twice: a
+    configuration error (exit 1), found before any file is read."""
+    syn = tmp_path / "syn"
+    syn.mkdir()
+    for i in range(3):
+        (syn / f"data_syn_{i}.csv").write_text("")
+    key = "--syn" if command == "utility" else "--pool"
+    for named in (syn / "data_syn_0.csv", syn / ".." / "syn" / "data_syn_0.csv"):
+        caplog.clear()
+        rc = main([command, "--conf", str(tmp_path / "nope.csv"),
+                   "--schema", str(tmp_path / "nope.json"), key, str(named),
+                   key + "-dir", str(syn), *flags, "--out", str(tmp_path / "out.json")])
+        assert rc == 1
+        assert (f"configuration error: synthetic dataset '{syn / 'data_syn_0.csv'}' "
+                "is named twice") in caplog.text
+        assert "No such file" not in caplog.text
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_seed_is_config_error(workspace, tmp_path, caplog):
     rc = main(["synth", "--model", str(workspace["archive"]),
                "--out-dir", str(tmp_path / "x")])

@@ -390,7 +390,7 @@ def test_each_dataset_comes_from_one_posterior_draw():
     corr = np.array([[[1.0, r], [r, 1.0]] for r in (0.9, -0.9)])
     model = FittedCopula(
         PosteriorDraws(corr, np.zeros((2, 2)), 1), schema,
-        {c.name: fit_marginal(rng.normal(0, 1, 500), Kind.CONTINUOUS) for c in schema},
+        tuple(fit_marginal(rng.normal(0, 1, 500), Kind.CONTINUOUS) for c in schema),
         None, 500,
     )
     out = synthesize_datasets(model, SynthesisPlan(m=8, n_out=400, seed=0))
